@@ -10,6 +10,7 @@ use std::fmt;
 use topple_lists::ListSource;
 use topple_sim::WorldError;
 use topple_stats::StatsError;
+use topple_vantage::wire::WireError;
 
 /// Anything that stops an analysis from producing its figure or table.
 #[derive(Debug)]
@@ -29,6 +30,9 @@ pub enum CoreError {
         /// Which invariant failed.
         context: &'static str,
     },
+    /// Day-shard ingestion was handed shards that name sites, hosts,
+    /// clients or background names the world does not have.
+    ShardIds(WireError),
 }
 
 impl fmt::Display for CoreError {
@@ -41,6 +45,7 @@ impl fmt::Display for CoreError {
             CoreError::ShardWindow { context } => {
                 write!(f, "day-shard window invalid: {context}")
             }
+            CoreError::ShardIds(e) => write!(f, "day shards do not fit the world: {e}"),
         }
     }
 }
@@ -50,6 +55,7 @@ impl std::error::Error for CoreError {
         match self {
             CoreError::Stats(e) => Some(e),
             CoreError::World(e) => Some(e),
+            CoreError::ShardIds(e) => Some(e),
             _ => None,
         }
     }

@@ -267,7 +267,11 @@ impl Study {
     /// shards were observed from. The resulting study is byte-identical to
     /// [`Study::run`] over the same prefix: the merged shard is folded into
     /// the accumulators exactly as the streaming pipeline would have folded
-    /// the per-day shards in day order.
+    /// the per-day shards in day order. Shards naming sites, clients or
+    /// names that `world` lacks are refused with [`CoreError::ShardIds`]
+    /// before anything is folded.
+    ///
+    /// [`CoreError::ShardIds`]: crate::error::CoreError::ShardIds
     pub fn from_shards(
         world: World,
         shards: Vec<DayShards>,
@@ -296,6 +300,7 @@ impl Study {
                 context: "shards cover more days than the world's window",
             });
         }
+        merged.check_ids(&world).map_err(CoreError::ShardIds)?;
         let mut acc = Accumulators::new(&world);
         acc.fold(&world, merged);
         Ok(Study::assemble(world, acc, n_days))
@@ -568,6 +573,18 @@ mod tests {
         assert!(matches!(
             Study::from_shards(world, Vec::new()),
             Err(crate::error::CoreError::EmptyWindow)
+        ));
+    }
+
+    #[test]
+    fn from_shards_rejects_ids_outside_the_world() {
+        // A larger world's shards name sites and clients the tiny one lacks.
+        let small = World::generate(WorldConfig::small(208)).unwrap();
+        let shards = observe_day_shards(&small, 1, 1);
+        let tiny = World::generate(WorldConfig::tiny(208)).unwrap();
+        assert!(matches!(
+            Study::from_shards(tiny, shards),
+            Err(crate::error::CoreError::ShardIds(_))
         ));
     }
 

@@ -31,11 +31,12 @@ pub fn build(
     window_days: usize,
     max_len: usize,
 ) -> RankedList {
+    // Ascending `(ip, site)` order.
     let votes = resolver.votes();
     // Pass 1: per-IP totals for trust computation.
     let mut ip_domains: BTreeMap<u32, u32> = BTreeMap::new();
     let mut ip_queries: BTreeMap<u32, u64> = BTreeMap::new();
-    for ((ip, _site), cell) in votes {
+    for ((ip, _site), cell) in &votes {
         *ip_domains.entry(*ip).or_default() += 1;
         *ip_queries.entry(*ip).or_default() += u64::from(cell.queries);
     }
@@ -47,15 +48,12 @@ pub fn build(
         })
         .collect();
 
-    // Pass 2: weighted votes per domain. Accumulate in sorted key order —
-    // floating-point addition is not associative, and HashMap iteration
-    // order varies per instance, so an unsorted fold would make the list
-    // nondeterministic in the last ulp (and therefore in tie ordering).
+    // Pass 2: weighted votes per domain. Accumulate in key order —
+    // floating-point addition is not associative, so any other fold order
+    // could change the list in the last ulp (and therefore in tie ordering).
     let window = window_days.max(1) as f64;
-    let mut ordered: Vec<(&(u32, SiteId), &topple_vantage::dns::VoteCell)> = votes.iter().collect();
-    ordered.sort_by_key(|(k, _)| **k);
     let mut scores: BTreeMap<SiteId, f64> = BTreeMap::new();
-    for ((ip, site), cell) in ordered {
+    for ((ip, site), cell) in &votes {
         let days_active = f64::from(cell.day_mask.count_ones());
         let vote = (f64::from(cell.queries)).sqrt() * (days_active / window);
         *scores.entry(*site).or_default() += trust[ip] * vote;

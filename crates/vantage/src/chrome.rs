@@ -11,15 +11,30 @@
 //! total time on site — broken down by client country and platform
 //! (Windows and Android, the representative desktop and mobile platforms).
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 use topple_sim::{Country, DayTraffic, PageLoad, Platform, SiteId, World};
 
-use crate::scratch::ScratchMap;
+use crate::scratch::{KeyPacker, KeyWidthError, ScratchMap};
+use crate::shard::merge_sorted;
 
 /// A web origin in telemetry: `(site, host index)`. The textual origin is
 /// recoverable via [`ChromeVantage::origin_text`].
 pub type OriginKey = (SiteId, u8);
+
+/// A per-(country, platform) telemetry cell key.
+type CellKey = (Country, Platform, OriginKey);
+
+/// A `u64` that sorts exactly like the origin.
+fn origin_sort_key(&(site, host): &OriginKey) -> u64 {
+    (u64::from(site.0) << 8) | u64::from(host)
+}
+
+/// A `u64` that sorts exactly like the cell key (country and platform order
+/// by their dense index, origins need 40 bits).
+fn cell_sort_key(&(country, platform, origin): &CellKey) -> u64 {
+    ((country.index() as u64) << 48) | ((platform.index() as u64) << 40) | origin_sort_key(&origin)
+}
 
 /// Client telemetry metrics (Section 6.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,6 +74,15 @@ struct OriginCell {
     unique_clients: u32,
 }
 
+impl OriginCell {
+    fn add(&mut self, other: &OriginCell) {
+        self.initiated += other.initiated;
+        self.completed += other.completed;
+        self.dwell_secs += other.dwell_secs;
+        self.unique_clients += other.unique_clients;
+    }
+}
+
 /// The platforms Chrome telemetry breaks out (Section 6.1).
 pub const TELEMETRY_PLATFORMS: [Platform; 2] = [Platform::Windows, Platform::Android];
 
@@ -69,7 +93,8 @@ struct ShardCell {
     initiated: u64,
     completed: u64,
     dwell_secs: u64,
-    clients: BTreeSet<u32>,
+    /// Ascending, no client twice.
+    clients: Vec<u32>,
 }
 
 impl ShardCell {
@@ -83,7 +108,12 @@ impl ShardCell {
         self.initiated = self.initiated.saturating_add(other.initiated);
         self.completed = self.completed.saturating_add(other.completed);
         self.dwell_secs = self.dwell_secs.saturating_add(other.dwell_secs);
-        self.clients.extend(other.clients);
+        self.clients = merge_sorted(
+            std::mem::take(&mut self.clients),
+            other.clients,
+            u32::cmp,
+            |_, _| {},
+        );
     }
 
     fn wire_encode(&self, w: &mut crate::wire::Writer<'_>) {
@@ -101,14 +131,11 @@ impl ShardCell {
         let completed = r.u64()?;
         let dwell_secs = r.u64()?;
         let n = r.len(4)?;
-        let mut clients = BTreeSet::new();
+        let mut clients = Vec::with_capacity(n);
         for _ in 0..n {
-            if !clients.insert(r.u32()?) {
-                return Err(crate::wire::WireError::Malformed {
-                    context: "duplicate telemetry client",
-                });
-            }
+            clients.push(r.u32()?);
         }
+        crate::wire::sort_unique(&mut clients, |&c| c, "duplicate telemetry client")?;
         Ok(ShardCell {
             initiated,
             completed,
@@ -123,11 +150,12 @@ impl ShardCell {
 /// Every field merges commutatively and exactly: counters are integer sums,
 /// unique clients are set unions, and covered days are a set union — so the
 /// merge is associative regardless of the order shards are combined in.
+/// Cells are flat vectors sorted by key, merged by a sorted merge-join.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChromeShard {
     day_indices: BTreeSet<usize>,
-    global: BTreeMap<OriginKey, ShardCell>,
-    cells: BTreeMap<(Country, Platform, OriginKey), ShardCell>,
+    global: Vec<(OriginKey, ShardCell)>,
+    cells: Vec<(CellKey, ShardCell)>,
 }
 
 impl ChromeShard {
@@ -138,7 +166,7 @@ impl ChromeShard {
     /// [`ChromeDayBuilder`] — the same accumulation the fused streaming
     /// path uses, so the two cannot drift apart.
     pub fn from_day(world: &World, traffic: &DayTraffic) -> Self {
-        let mut b = ChromeDayBuilder::new();
+        let mut b = ChromeDayBuilder::new(world);
         b.begin();
         for pl in &traffic.page_loads {
             b.page_load(world, pl);
@@ -151,6 +179,28 @@ impl ChromeShard {
         self.day_indices.iter().copied()
     }
 
+    /// Whether every origin and client the shard names exists in `world`.
+    pub(crate) fn fits(&self, world: &World) -> bool {
+        let origin_fits = |&(site, host): &OriginKey| {
+            world
+                .sites
+                .get(site.index())
+                .is_some_and(|s| usize::from(host) < s.hosts.len())
+        };
+        let cell_fits = |cell: &ShardCell| {
+            cell.clients
+                .iter()
+                .all(|&c| topple_stats::cast::usize_from_u32(c) < world.clients.len())
+        };
+        self.global
+            .iter()
+            .all(|(origin, cell)| origin_fits(origin) && cell_fits(cell))
+            && self
+                .cells
+                .iter()
+                .all(|((_, _, origin), cell)| origin_fits(origin) && cell_fits(cell))
+    }
+
     /// Appends this shard's canonical wire form (see [`crate::wire`]).
     pub(crate) fn wire_encode(&self, w: &mut crate::wire::Writer<'_>) {
         w.len(self.day_indices.len());
@@ -158,17 +208,17 @@ impl ChromeShard {
             w.u32(topple_stats::cast::u32_from_usize(d));
         }
         w.len(self.global.len());
-        for (&(site, host), cell) in &self.global {
+        for ((site, host), cell) in &self.global {
             w.u32(site.0);
-            w.u8(host);
+            w.u8(*host);
             cell.wire_encode(w);
         }
         w.len(self.cells.len());
-        for (&(country, platform, (site, host)), cell) in &self.cells {
+        for ((country, platform, (site, host)), cell) in &self.cells {
             w.u8(topple_stats::cast::u8_from_usize(country.index()));
             w.u8(topple_stats::cast::u8_from_usize(platform.index()));
             w.u32(site.0);
-            w.u8(host);
+            w.u8(*host);
             cell.wire_encode(w);
         }
     }
@@ -177,7 +227,7 @@ impl ChromeShard {
     pub(crate) fn wire_decode(
         r: &mut crate::wire::Reader<'_>,
     ) -> Result<Self, crate::wire::WireError> {
-        use crate::wire::WireError;
+        use crate::wire::{sort_unique, WireError};
         let n_days = r.len(4)?;
         let mut day_indices = BTreeSet::new();
         for _ in 0..n_days {
@@ -188,17 +238,18 @@ impl ChromeShard {
             }
         }
         let n_global = r.len(29)?;
-        let mut global = BTreeMap::new();
+        let mut global = Vec::with_capacity(n_global);
         for _ in 0..n_global {
             let key: OriginKey = (SiteId(r.u32()?), r.u8()?);
-            if global.insert(key, ShardCell::wire_decode(r)?).is_some() {
-                return Err(WireError::Malformed {
-                    context: "duplicate telemetry origin",
-                });
-            }
+            global.push((key, ShardCell::wire_decode(r)?));
         }
+        sort_unique(
+            &mut global,
+            |(o, _)| origin_sort_key(o),
+            "duplicate telemetry origin",
+        )?;
         let n_cells = r.len(31)?;
-        let mut cells = BTreeMap::new();
+        let mut cells = Vec::with_capacity(n_cells);
         for _ in 0..n_cells {
             let country = *Country::ALL
                 .get(usize::from(r.u8()?))
@@ -212,12 +263,13 @@ impl ChromeShard {
                         context: "unknown platform index",
                     })?;
             let key = (country, platform, (SiteId(r.u32()?), r.u8()?));
-            if cells.insert(key, ShardCell::wire_decode(r)?).is_some() {
-                return Err(WireError::Malformed {
-                    context: "duplicate telemetry cell",
-                });
-            }
+            cells.push((key, ShardCell::wire_decode(r)?));
         }
+        sort_unique(
+            &mut cells,
+            |(k, _)| cell_sort_key(k),
+            "duplicate telemetry cell",
+        )?;
         Ok(ChromeShard {
             day_indices,
             global,
@@ -245,12 +297,14 @@ impl CellScratch {
         self.clients.clear();
     }
 
-    fn emit(&mut self) -> ShardCell {
+    fn emit(&self) -> ShardCell {
+        let mut clients = self.clients.clone();
+        clients.sort_unstable();
         ShardCell {
             initiated: self.initiated,
             completed: self.completed,
             dwell_secs: self.dwell_secs,
-            clients: self.clients.iter().copied().collect(),
+            clients,
         }
     }
 }
@@ -260,18 +314,20 @@ impl CellScratch {
 /// Cells live in flat vectors addressed through epoch-stamped
 /// [`ScratchMap`] indices; per-cell client deduplication goes through a
 /// packed `(cell, client)` presence map instead of per-cell sets. Cell
-/// *allocation* order depends on event order, but the finish step emits
-/// cells into `BTreeMap`s keyed by origin, so the resulting shard is
-/// order-independent.
-#[derive(Debug, Default)]
+/// *allocation* order depends on event order, but the finish step sorts
+/// cells by key, so the resulting shard is order-independent.
+#[derive(Debug)]
 pub(crate) struct ChromeDayBuilder {
+    /// Dense per-site public-web flag: telemetry reads it once per event,
+    /// so it must not cost a miss on the full site record.
+    public_web: Vec<bool>,
     /// Packed origin key `(site << 8) | host` → index into `global_cells`.
     global_idx: ScratchMap<u32>,
     global_cells: Vec<(OriginKey, CellScratch)>,
     global_live: usize,
     /// Packed `(country, platform, origin)` → index into `cp_cells`.
     cp_idx: ScratchMap<u32>,
-    cp_cells: Vec<((Country, Platform, OriginKey), CellScratch)>,
+    cp_cells: Vec<(CellKey, CellScratch)>,
     cp_live: usize,
     /// Presence of `(tagged cell, client)` pairs; global cells are tagged
     /// with the high bit clear, per-(country, platform) cells with it set.
@@ -283,8 +339,17 @@ pub(crate) struct ChromeDayBuilder {
 const CP_TAG: u64 = 1 << 31;
 
 impl ChromeDayBuilder {
-    pub(crate) fn new() -> Self {
-        ChromeDayBuilder::default()
+    pub(crate) fn new(world: &World) -> Self {
+        ChromeDayBuilder {
+            public_web: world.sites.iter().map(|s| s.public_web).collect(),
+            global_idx: ScratchMap::new(),
+            global_cells: Vec::new(),
+            global_live: 0,
+            cp_idx: ScratchMap::new(),
+            cp_cells: Vec::new(),
+            cp_live: 0,
+            client_seen: ScratchMap::new(),
+        }
     }
 
     /// Starts a new day; previous per-day state is invalidated in O(1).
@@ -302,13 +367,12 @@ impl ChromeDayBuilder {
         if !client.chrome_optin || pl.private_mode {
             return;
         }
-        let site = &world.sites[pl.site.index()];
         // Telemetry excludes non-public domains [13].
-        if !site.public_web {
+        if !self.public_web[pl.site.index()] {
             return;
         }
         let origin: OriginKey = (pl.site, pl.host_idx);
-        let origin_key = (u64::from(pl.site.0) << 8) | u64::from(pl.host_idx);
+        let origin_key = origin_sort_key(&origin);
 
         let (fresh, slot) = self.global_idx.entry(origin_key);
         let gi = if fresh {
@@ -331,10 +395,7 @@ impl ChromeDayBuilder {
 
         if TELEMETRY_PLATFORMS.contains(&client.platform) {
             let cp = (client.country, client.platform, origin);
-            let cp_key = ((client.country.index() as u64) << 48)
-                | ((client.platform.index() as u64) << 40)
-                | origin_key;
-            let (fresh, slot) = self.cp_idx.entry(cp_key);
+            let (fresh, slot) = self.cp_idx.entry(cell_sort_key(&cp));
             let ci = if fresh {
                 let ci = claim(&mut self.cp_cells, &mut self.cp_live, cp);
                 *slot = ci;
@@ -356,17 +417,23 @@ impl ChromeDayBuilder {
     }
     // topple-lint: hot-path-end
 
-    /// Drains the day's cells into a single-day shard.
+    /// Drains the day's cells into a single-day shard, sorted by key.
     pub(crate) fn finish_day(&mut self, day_index: usize) -> ChromeShard {
-        let mut shard = ChromeShard::default();
-        shard.day_indices.insert(day_index);
-        for (origin, cell) in self.global_cells.iter_mut().take(self.global_live) {
-            shard.global.insert(*origin, cell.emit());
+        let mut global: Vec<(OriginKey, ShardCell)> = self.global_cells[..self.global_live]
+            .iter()
+            .map(|(origin, cell)| (*origin, cell.emit()))
+            .collect();
+        global.sort_unstable_by_key(|(origin, _)| origin_sort_key(origin));
+        let mut cells: Vec<(CellKey, ShardCell)> = self.cp_cells[..self.cp_live]
+            .iter()
+            .map(|(key, cell)| (*key, cell.emit()))
+            .collect();
+        cells.sort_unstable_by_key(|(key, _)| cell_sort_key(key));
+        ChromeShard {
+            day_indices: BTreeSet::from([day_index]),
+            global,
+            cells,
         }
-        for (key, cell) in self.cp_cells.iter_mut().take(self.cp_live) {
-            shard.cells.insert(*key, cell.emit());
-        }
-        shard
     }
 }
 
@@ -387,26 +454,75 @@ fn claim<K: Copy>(cells: &mut Vec<(K, CellScratch)>, live: &mut usize, key: K) -
 impl crate::Shard for ChromeShard {
     fn merge(&mut self, other: Self) {
         self.day_indices.extend(other.day_indices);
-        for (origin, cell) in other.global {
-            self.global.entry(origin).or_default().merge(cell);
-        }
-        for (key, cell) in other.cells {
-            self.cells.entry(key).or_default().merge(cell);
-        }
+        self.global = merge_sorted(
+            std::mem::take(&mut self.global),
+            other.global,
+            |a, b| origin_sort_key(&a.0).cmp(&origin_sort_key(&b.0)),
+            |a, b| a.1.merge(b.1),
+        );
+        self.cells = merge_sorted(
+            std::mem::take(&mut self.cells),
+            other.cells,
+            |a, b| cell_sort_key(&a.0).cmp(&cell_sort_key(&b.0)),
+            |a, b| a.1.merge(b.1),
+        );
+    }
+}
+
+/// The packed-key layout of one world's Chrome fold state: the
+/// `(origin, client)` and `(country, platform, origin, client)` presence
+/// sets that turn shard client sets into monotone unique-client counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChromeKeys {
+    /// `(site, host, client)`.
+    global: KeyPacker<3>,
+    /// `(country, platform, site, host, client)`.
+    cp: KeyPacker<5>,
+}
+
+impl ChromeKeys {
+    /// The layout for a world of `n_sites` sites and `n_clients` clients,
+    /// or [`KeyWidthError`] if a key space would not fit in 64 bits.
+    pub fn new(n_sites: usize, n_clients: usize) -> Result<Self, KeyWidthError> {
+        let sites = topple_stats::cast::u64_from_usize(n_sites);
+        let clients = topple_stats::cast::u64_from_usize(n_clients);
+        let countries = topple_stats::cast::u64_from_usize(Country::COUNT);
+        let platforms = topple_stats::cast::u64_from_usize(Platform::COUNT);
+        Ok(ChromeKeys {
+            global: KeyPacker::new([sites, 1 << 8, clients])?,
+            cp: KeyPacker::new([countries, platforms, sites, 1 << 8, clients])?,
+        })
+    }
+
+    fn global_key(&self, (site, host): OriginKey, client: u32) -> u64 {
+        self.global
+            .pack([u64::from(site.0), u64::from(host), u64::from(client)])
+    }
+
+    fn cp_key(&self, (country, platform, (site, host)): CellKey, client: u32) -> u64 {
+        self.cp.pack([
+            topple_stats::cast::u64_from_usize(country.index()),
+            topple_stats::cast::u64_from_usize(platform.index()),
+            u64::from(site.0),
+            u64::from(host),
+            u64::from(client),
+        ])
     }
 }
 
 /// The Chrome telemetry vantage.
 #[derive(Debug)]
 pub struct ChromeVantage {
-    /// Monthly per-(country, platform) per-origin cells.
-    cells: BTreeMap<(Country, Platform, OriginKey), OriginCell>,
-    /// Global per-origin cells (all countries and platforms) — CrUX input.
-    global: BTreeMap<OriginKey, OriginCell>,
-    /// Scratch: distinct (country, platform, origin, client) quadruples.
-    seen_cp: HashSet<(Country, Platform, OriginKey, u32)>,
-    /// Scratch: distinct (origin, client) pairs.
-    seen_global: HashSet<(OriginKey, u32)>,
+    /// Monthly per-(country, platform) per-origin cells, sorted by key.
+    cells: Vec<(CellKey, OriginCell)>,
+    /// Global per-origin cells (all countries and platforms) — CrUX input,
+    /// sorted by origin.
+    global: Vec<(OriginKey, OriginCell)>,
+    keys: ChromeKeys,
+    /// Distinct packed (country, platform, origin, client) quadruples.
+    seen_cp: ScratchMap<()>,
+    /// Distinct packed (origin, client) pairs.
+    seen_global: ScratchMap<()>,
     /// Opted-in population size (for reporting).
     optin_clients: usize,
     days: usize,
@@ -414,12 +530,22 @@ pub struct ChromeVantage {
 
 impl ChromeVantage {
     /// Creates an empty vantage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the world is too large to pack its keys
+    /// ([`ChromeKeys::new`]).
     pub fn new(world: &World) -> Self {
+        let (n_sites, n_clients) = (world.sites.len(), world.clients.len());
+        #[allow(clippy::expect_used)]
+        // topple-lint: allow(unwrap): a world whose telemetry key spaces exceed 64 bits cannot be folded without aliasing keys; the error names the widths
+        let keys = ChromeKeys::new(n_sites, n_clients).expect("telemetry key width");
         ChromeVantage {
-            cells: BTreeMap::new(),
-            global: BTreeMap::new(),
-            seen_cp: HashSet::new(),
-            seen_global: HashSet::new(),
+            cells: Vec::new(),
+            global: Vec::new(),
+            keys,
+            seen_cp: ScratchMap::new(),
+            seen_global: ScratchMap::new(),
             optin_clients: world.clients.iter().filter(|c| c.chrome_optin).count(),
             days: 0,
         }
@@ -446,34 +572,71 @@ impl ChromeVantage {
     /// telemetry has no order-sensitive state, so shards may arrive in any
     /// order; the persistent seen-client sets turn shard client sets into
     /// monotone unique-client counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shard names a site or client outside this vantage's
+    /// world.
     pub fn ingest_shard(&mut self, shard: ChromeShard) {
-        for (origin, cell) in shard.global {
-            let global = self.global.entry(origin).or_default();
-            global.initiated += cell.initiated;
-            global.completed += cell.completed;
-            global.dwell_secs += cell.dwell_secs;
-            for client in cell.clients {
-                if self.seen_global.insert((origin, client)) {
-                    global.unique_clients += 1;
-                }
-            }
-        }
-        for ((country, platform, origin), cell) in shard.cells {
-            let dst = self.cells.entry((country, platform, origin)).or_default();
-            dst.initiated += cell.initiated;
-            dst.completed += cell.completed;
-            dst.dwell_secs += cell.dwell_secs;
-            for client in cell.clients {
-                if self.seen_cp.insert((country, platform, origin, client)) {
-                    dst.unique_clients += 1;
-                }
-            }
-        }
+        let keys = self.keys;
+        let seen = &mut self.seen_global;
+        let global: Vec<(OriginKey, OriginCell)> = shard
+            .global
+            .into_iter()
+            .map(|(origin, cell)| {
+                let fresh = Self::first_sightings(seen, &cell, |c| keys.global_key(origin, c));
+                (origin, fresh)
+            })
+            .collect();
+        self.global = merge_sorted(
+            std::mem::take(&mut self.global),
+            global,
+            |a, b| origin_sort_key(&a.0).cmp(&origin_sort_key(&b.0)),
+            |a, b| a.1.add(&b.1),
+        );
+        let seen = &mut self.seen_cp;
+        let cells: Vec<(CellKey, OriginCell)> = shard
+            .cells
+            .into_iter()
+            .map(|(key, cell)| {
+                let fresh = Self::first_sightings(seen, &cell, |c| keys.cp_key(key, c));
+                (key, fresh)
+            })
+            .collect();
+        self.cells = merge_sorted(
+            std::mem::take(&mut self.cells),
+            cells,
+            |a, b| cell_sort_key(&a.0).cmp(&cell_sort_key(&b.0)),
+            |a, b| a.1.add(&b.1),
+        );
         self.days += shard.day_indices.len();
+    }
+
+    /// A shard cell's counters, counting as unique only the clients whose
+    /// packed key `key(client)` enters the persistent `seen` set now.
+    fn first_sightings(
+        seen: &mut ScratchMap<()>,
+        cell: &ShardCell,
+        key: impl Fn(u32) -> u64,
+    ) -> OriginCell {
+        let mut unique_clients = 0;
+        for &client in &cell.clients {
+            if seen.entry(key(client)).0 {
+                unique_clients += 1;
+            }
+        }
+        OriginCell {
+            initiated: cell.initiated,
+            completed: cell.completed,
+            dwell_secs: cell.dwell_secs,
+            unique_clients,
+        }
     }
 
     /// The published per-(country, platform) rank-order list for one metric:
     /// origins above the privacy threshold, sorted by descending score.
+    ///
+    /// Reads only the `(country, platform, ..)` key range of the cells.
     pub fn country_platform_list(
         &self,
         country: Country,
@@ -481,12 +644,15 @@ impl ChromeVantage {
         metric: ChromeMetric,
         privacy_threshold: u32,
     ) -> Vec<(OriginKey, f64)> {
-        let mut out: Vec<(OriginKey, f64)> = self
+        let lo = self
             .cells
+            .partition_point(|((c, p, _), _)| (*c, *p) < (country, platform));
+        let hi = self
+            .cells
+            .partition_point(|((c, p, _), _)| (*c, *p) <= (country, platform));
+        let mut out: Vec<(OriginKey, f64)> = self.cells[lo..hi]
             .iter()
-            .filter(|((c, p, _), cell)| {
-                *c == country && *p == platform && cell.unique_clients >= privacy_threshold
-            })
+            .filter(|(_, cell)| cell.unique_clients >= privacy_threshold)
             .map(|((_, _, o), cell)| (*o, Self::score(cell, metric)))
             .filter(|&(_, s)| s > 0.0)
             .collect();
@@ -526,6 +692,9 @@ impl ChromeVantage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{Reader, WireError, Writer};
+    use crate::Shard as _;
+    use proptest::prelude::*;
     use topple_sim::{Browser, WorldConfig};
 
     fn setup() -> (World, ChromeVantage) {
@@ -557,17 +726,17 @@ mod tests {
                 })
                 .count() as u64;
         }
-        let got: u64 = v.global.values().map(|c| c.initiated).sum();
+        let got: u64 = v.global.iter().map(|(_, c)| c.initiated).sum();
         assert_eq!(got, expected);
     }
 
     #[test]
     fn completed_bounded_by_initiated() {
         let (_, v) = setup();
-        for cell in v.global.values() {
+        for (_, cell) in &v.global {
             assert!(cell.completed <= cell.initiated);
         }
-        for cell in v.cells.values() {
+        for (_, cell) in &v.cells {
             assert!(cell.completed <= cell.initiated);
         }
     }
@@ -579,7 +748,8 @@ mod tests {
         let strict = v.global_completed_list(5);
         assert!(strict.len() <= loose.len());
         for (o, _) in &strict {
-            assert!(v.global[o].unique_clients >= 5);
+            let (_, cell) = v.global.iter().find(|(k, _)| k == o).unwrap();
+            assert!(cell.unique_clients >= 5);
         }
     }
 
@@ -613,7 +783,7 @@ mod tests {
     #[test]
     fn platform_breakdown_covers_only_telemetry_platforms() {
         let (_, v) = setup();
-        for (c, p, _) in v.cells.keys() {
+        for ((c, p, _), _) in &v.cells {
             assert!(
                 TELEMETRY_PLATFORMS.contains(p),
                 "unexpected platform {p:?} for {c:?}"
@@ -627,6 +797,104 @@ mod tests {
         if let Some((o, _)) = v.global_completed_list(1).first() {
             let text = ChromeVantage::origin_text(&w, *o);
             assert!(text.starts_with("http://") || text.starts_with("https://"));
+        }
+    }
+
+    fn encode(shard: &ChromeShard) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        shard.wire_encode(&mut Writer::new(&mut bytes));
+        bytes
+    }
+
+    fn decode(bytes: &[u8]) -> Result<ChromeShard, WireError> {
+        let mut r = Reader::new(bytes);
+        let shard = ChromeShard::wire_decode(&mut r)?;
+        r.finish()?;
+        Ok(shard)
+    }
+
+    /// A two-day shard and its canonical bytes.
+    fn wire_fixture() -> &'static (ChromeShard, Vec<u8>) {
+        static FIXTURE: std::sync::OnceLock<(ChromeShard, Vec<u8>)> = std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let w = World::generate(WorldConfig::tiny(73)).unwrap();
+            let mut shard = ChromeShard::from_day(&w, &w.simulate_day(0));
+            shard.merge(ChromeShard::from_day(&w, &w.simulate_day(1)));
+            let bytes = encode(&shard);
+            (shard, bytes)
+        })
+    }
+
+    /// Fisher–Yates driven by `words` (reused cyclically).
+    fn shuffle<T>(items: &mut [T], words: &[u64]) {
+        for i in (1..items.len()).rev() {
+            let j = (words[i % words.len()] % (i as u64 + 1)) as usize;
+            items.swap(i, j);
+        }
+    }
+
+    /// The position of the first cell with at least two clients.
+    fn multi_client_cell(cells: &[(OriginKey, ShardCell)]) -> usize {
+        cells.iter().position(|(_, c)| c.clients.len() > 1).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Origins, cells and client lists in any order decode to the
+        /// canonical shard and re-encode to the canonical bytes.
+        #[test]
+        fn permuted_entries_decode_canonically(
+            words in proptest::collection::vec(any::<u64>(), 1..64),
+        ) {
+            let (shard, canonical) = wire_fixture();
+            let mut permuted = shard.clone();
+            shuffle(&mut permuted.global, &words);
+            shuffle(&mut permuted.cells, &words);
+            for (_, cell) in &mut permuted.global {
+                shuffle(&mut cell.clients, &words);
+            }
+            for (_, cell) in &mut permuted.cells {
+                shuffle(&mut cell.clients, &words);
+            }
+            let decoded = decode(&encode(&permuted)).unwrap();
+            prop_assert_eq!(&decoded, shard);
+            prop_assert_eq!(&encode(&decoded), canonical);
+        }
+
+        /// A repeated origin, cell or client fails closed with the same
+        /// typed error as a repeated map or set insert.
+        #[test]
+        fn a_duplicated_key_fails_closed(
+            pick in any::<u64>(),
+            at in any::<u64>(),
+            section in 0u8..3,
+        ) {
+            let (shard, _) = wire_fixture();
+            let mut dup = shard.clone();
+            let context = match section {
+                0 => {
+                    let row = dup.global[(pick % dup.global.len() as u64) as usize].clone();
+                    let at = (at % (dup.global.len() as u64 + 1)) as usize;
+                    dup.global.insert(at, row);
+                    "duplicate telemetry origin"
+                }
+                1 => {
+                    let row = dup.cells[(pick % dup.cells.len() as u64) as usize].clone();
+                    let at = (at % (dup.cells.len() as u64 + 1)) as usize;
+                    dup.cells.insert(at, row);
+                    "duplicate telemetry cell"
+                }
+                _ => {
+                    let i = multi_client_cell(&dup.global);
+                    let clients = &mut dup.global[i].1.clients;
+                    let c = clients[(pick % clients.len() as u64) as usize];
+                    let at = (at % (clients.len() as u64 + 1)) as usize;
+                    clients.insert(at, c);
+                    "duplicate telemetry client"
+                }
+            };
+            prop_assert_eq!(decode(&encode(&dup)), Err(WireError::Malformed { context }));
         }
     }
 }

@@ -215,13 +215,9 @@ impl FilterCounts {
         b
     }
 
-    /// The per-filter contribution of a page load (`None` for non-customer
-    /// sites, which the CDN never sees).
-    fn of_page_load(world: &World, pl: &PageLoad) -> Option<(FilterCounts, Browser, u32)> {
-        let site = &world.sites[pl.site.index()];
-        if !site.cloudflare {
-            return None;
-        }
+    /// The per-filter contribution of a page load to a customer site (the
+    /// caller filters out non-customer sites, which the CDN never sees).
+    fn of_page_load(world: &World, pl: &PageLoad) -> (FilterCounts, Browser, u32) {
         let client = &world.clients[pl.client.index()];
         let total = pl.total_requests();
         let mut fc = FilterCounts::default();
@@ -235,15 +231,12 @@ impl FilterCounts {
         fc.counts[CfFilter::TopBrowsers.index()] = if client.browser.is_top5() { total } else { 0 };
         fc.counts[CfFilter::Tls.index()] = u32::from(pl.tls_handshakes);
         fc.counts[CfFilter::RootPage.index()] = u32::from(pl.is_root_path);
-        Some((fc, client.browser, client.ip))
+        (fc, client.browser, client.ip)
     }
 
-    /// The per-filter contribution of a third-party fetch batch.
-    fn of_third_party(world: &World, tp: &ThirdPartyFetch) -> Option<(FilterCounts, Browser, u32)> {
-        let site = &world.sites[tp.site.index()];
-        if !site.cloudflare {
-            return None;
-        }
+    /// The per-filter contribution of a third-party fetch batch to a
+    /// customer site.
+    fn of_third_party(world: &World, tp: &ThirdPartyFetch) -> (FilterCounts, Browser, u32) {
         let client = &world.clients[tp.client.index()];
         let reqs = u32::from(tp.requests);
         let mut fc = FilterCounts::default();
@@ -254,7 +247,7 @@ impl FilterCounts {
         fc.counts[CfFilter::Referer.index()] = reqs;
         fc.counts[CfFilter::TopBrowsers.index()] = if client.browser.is_top5() { reqs } else { 0 };
         fc.counts[CfFilter::Tls.index()] = u32::from(tp.tls_handshakes);
-        Some((fc, client.browser, client.ip))
+        (fc, client.browser, client.ip)
     }
 }
 
@@ -290,6 +283,9 @@ struct SiteCell {
 /// clients share NAT egress IPs, and the CDN can only see addresses.
 #[derive(Debug)]
 pub(crate) struct CdnDayBuilder {
+    /// Dense per-site CDN-customer flag: every event reads it, so it must
+    /// not cost a miss on the full site record.
+    cloudflare: Vec<bool>,
     ip_cells: ScratchMap<IpCell>,
     per_site: ScratchTable<SiteCell>,
     /// Sites touched this day, for the finish scan (order irrelevant:
@@ -300,6 +296,7 @@ pub(crate) struct CdnDayBuilder {
 impl CdnDayBuilder {
     pub(crate) fn new(world: &World) -> Self {
         CdnDayBuilder {
+            cloudflare: world.sites.iter().map(|s| s.cloudflare).collect(),
             ip_cells: ScratchMap::new(),
             per_site: ScratchTable::with_len(world.sites.len()),
             touched: Vec::new(),
@@ -315,13 +312,15 @@ impl CdnDayBuilder {
 
     // topple-lint: hot-path-begin
     pub(crate) fn page_load(&mut self, world: &World, pl: &PageLoad) {
-        if let Some((fc, ua, ip)) = FilterCounts::of_page_load(world, pl) {
+        if self.cloudflare[pl.site.index()] {
+            let (fc, ua, ip) = FilterCounts::of_page_load(world, pl);
             self.accumulate(pl.site.0, ip, ua, &fc);
         }
     }
 
     pub(crate) fn third_party(&mut self, world: &World, tp: &ThirdPartyFetch) {
-        if let Some((fc, ua, ip)) = FilterCounts::of_third_party(world, tp) {
+        if self.cloudflare[tp.site.index()] {
+            let (fc, ua, ip) = FilterCounts::of_third_party(world, tp);
             self.accumulate(tp.site.0, ip, ua, &fc);
         }
     }
@@ -433,6 +432,14 @@ impl CdnShard {
     /// Day indices covered by this shard, ascending.
     pub fn day_indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.days.keys().copied()
+    }
+
+    /// Whether every day holds all 21 metrics, each with one score per
+    /// site of an `n_sites`-site world.
+    pub(crate) fn fits(&self, n_sites: usize) -> bool {
+        self.days.values().all(|d| {
+            d.scores.len() == METRIC_COUNT && d.scores.iter().all(|sv| sv.len() == n_sites)
+        })
     }
 
     /// Appends this shard's canonical wire form (see [`crate::wire`]).
@@ -768,12 +775,14 @@ mod tests {
             }
         };
         for pl in &traffic.page_loads {
-            if let Some((fc, ua, ip)) = FilterCounts::of_page_load(world, pl) {
+            if world.sites[pl.site.index()].cloudflare {
+                let (fc, ua, ip) = FilterCounts::of_page_load(world, pl);
                 bump(pl.site.0, ip, ua, fc);
             }
         }
         for tp in &traffic.third_party {
-            if let Some((fc, ua, ip)) = FilterCounts::of_third_party(world, tp) {
+            if world.sites[tp.site.index()].cloudflare {
+                let (fc, ua, ip) = FilterCounts::of_third_party(world, tp);
                 bump(tp.site.0, ip, ua, fc);
             }
         }

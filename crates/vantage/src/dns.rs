@@ -12,13 +12,13 @@
 //! query volume and frequency (Xie et al.). Both constructions live in
 //! `topple-lists`; this module only collects what each resolver could log.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use topple_sim::{
     BackgroundQuery, ClientId, DayTraffic, PageLoad, Resolver, SiteId, ThirdPartyFetch, World,
 };
 
-use crate::scratch::{ScratchMap, ScratchTable};
+use crate::scratch::{KeyPacker, KeyWidthError, ScratchMap, ScratchTable};
 
 /// A name as seen in resolver logs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -30,6 +30,26 @@ pub enum QueriedName {
 }
 
 impl QueriedName {
+    /// A `u128` that sorts exactly like the name: the tag, then its fields.
+    fn sort_key(self) -> u128 {
+        match self {
+            QueriedName::Host(site, host) => (u128::from(site.0) << 8) | u128::from(host),
+            QueriedName::Background(idx) => (1 << 40) | u128::from(idx),
+        }
+    }
+
+    /// Whether the name exists in `world`: a host of one of its sites, or
+    /// one of its background names.
+    fn fits(self, world: &World) -> bool {
+        match self {
+            QueriedName::Host(site, host) => world
+                .sites
+                .get(site.index())
+                .is_some_and(|s| usize::from(host) < s.hosts.len()),
+            QueriedName::Background(idx) => usize::from(idx) < world.background_names.len(),
+        }
+    }
+
     fn wire_encode(&self, w: &mut crate::wire::Writer<'_>) {
         match *self {
             QueriedName::Host(site, host) => {
@@ -55,6 +75,76 @@ impl QueriedName {
     }
 }
 
+/// A `u128` that sorts exactly like the `(client, name)` candidate key.
+fn candidate_sort_key(&(client, name): &(ClientId, QueriedName)) -> u128 {
+    (u128::from(client.0) << 64) | name.sort_key()
+}
+
+/// The packed-key layout of one world's DNS fold state.
+///
+/// A queried name packs to a dense *name id*: website hosts first, as
+/// `site << 8 | host`, then the 2^16 background names after every site.
+/// Name ids sort like [`QueriedName`]s, and every composite key below is a
+/// [`KeyPacker`] over them, so key order is the tuple order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DnsKeys {
+    n_sites: u64,
+    /// `(client, name id)`: the multi-day TTL cache.
+    ttl: KeyPacker<2>,
+    /// `(name id, client ip)`: one day's unique-IP presence.
+    name_ip: KeyPacker<2>,
+    /// `(client ip, site)`: the monthly vote cells.
+    vote: KeyPacker<2>,
+}
+
+impl DnsKeys {
+    /// The layout for a world of `n_sites` sites and `n_clients` clients,
+    /// or [`KeyWidthError`] if some key space would not fit in 64 bits.
+    pub fn new(n_sites: usize, n_clients: usize) -> Result<Self, KeyWidthError> {
+        let sites = topple_stats::cast::u64_from_usize(n_sites);
+        let clients = topple_stats::cast::u64_from_usize(n_clients);
+        let n_names = sites
+            .checked_mul(1 << 8)
+            .and_then(|hosts| hosts.checked_add(1 << 16))
+            .ok_or(KeyWidthError {
+                radices: vec![sites, 1 << 8],
+            })?;
+        Ok(DnsKeys {
+            n_sites: sites,
+            ttl: KeyPacker::new([clients, n_names])?,
+            name_ip: KeyPacker::new([n_names, 1 << 32])?,
+            vote: KeyPacker::new([1 << 32, sites])?,
+        })
+    }
+
+    /// The name id of `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a website name's site is outside the world.
+    fn name_id(&self, name: QueriedName) -> u64 {
+        match name {
+            QueriedName::Host(site, host) => {
+                let site = u64::from(site.0);
+                assert!(site < self.n_sites, "site {site} outside the world");
+                (site << 8) | u64::from(host)
+            }
+            QueriedName::Background(idx) => (self.n_sites << 8) + u64::from(idx),
+        }
+    }
+
+    /// The name a name id was made from.
+    fn name(&self, id: u64) -> QueriedName {
+        match id.checked_sub(self.n_sites << 8) {
+            Some(idx) => QueriedName::Background(topple_stats::cast::u16_from_u64(idx)),
+            None => QueriedName::Host(
+                SiteId(topple_stats::cast::u32_from_u64(id >> 8)),
+                (id & 0xFF) as u8,
+            ),
+        }
+    }
+}
+
 /// Per-name counters for one day at one resolver.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NameDayStats {
@@ -64,26 +154,16 @@ pub struct NameDayStats {
     pub unique_ips: u32,
 }
 
-/// One day of logs at one resolver.
+/// One day of logs at one resolver, in ascending name order.
 #[derive(Debug, Default)]
 pub struct ResolverDay {
-    per_name: HashMap<QueriedName, NameDayStats>,
-    // Scratch: distinct (name, ip) pairs seen today.
-    seen_ip: std::collections::HashSet<(QueriedName, u32)>,
+    per_name: Vec<(QueriedName, NameDayStats)>,
 }
 
 impl ResolverDay {
-    fn record(&mut self, name: QueriedName, ip: u32, queries: u64) {
-        let stats = self.per_name.entry(name).or_default();
-        stats.queries += queries;
-        if self.seen_ip.insert((name, ip)) {
-            stats.unique_ips += 1;
-        }
-    }
-
-    /// Iterates `(name, stats)` for the day.
+    /// Iterates `(name, stats)` for the day, in ascending name order.
     pub fn names(&self) -> impl Iterator<Item = (&QueriedName, &NameDayStats)> {
-        self.per_name.iter()
+        self.per_name.iter().map(|(name, stats)| (name, stats))
     }
 
     /// Number of distinct names seen.
@@ -93,7 +173,7 @@ impl ResolverDay {
 
     /// Total queries across all names.
     pub fn total_queries(&self) -> u64 {
-        self.per_name.values().map(|s| s.queries).sum()
+        self.per_name.iter().map(|(_, s)| s.queries).sum()
     }
 }
 
@@ -111,13 +191,15 @@ pub struct VoteCell {
 /// queries escape to the resolver at all.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct DnsDayShard {
-    /// Fresh website-name lookups: `(client, name) -> (client ip, events)`.
-    /// The TTL gate is applied at fold time, because whether a day-`d` query
-    /// reaches the resolver depends on the days before it.
-    candidates: BTreeMap<(ClientId, QueriedName), (u32, u64)>,
+    /// Fresh website-name lookups: `((client, name), (client ip, events))`,
+    /// sorted by key with no key twice. The TTL gate is applied at fold
+    /// time, because whether a day-`d` query reaches the resolver depends
+    /// on the days before it.
+    candidates: Vec<((ClientId, QueriedName), (u32, u64))>,
     /// Background names bypass the TTL gate entirely (queried by jobs, not
     /// browsers), so their per-day stats are final at observation time.
-    background: BTreeMap<QueriedName, NameDayStats>,
+    /// Sorted by name, no name twice.
+    background: Vec<(QueriedName, NameDayStats)>,
 }
 
 impl DnsDayShard {
@@ -125,15 +207,21 @@ impl DnsDayShard {
         // Counter merges saturate instead of wrapping: `min(a + b, MAX)` is
         // associative and commutative, so the shard monoid laws survive
         // even for adversarial same-day self-merges (`tests/merge_laws.rs`).
-        for (key, (ip, events)) in other.candidates {
-            let e = self.candidates.entry(key).or_insert((ip, 0));
-            e.1 = e.1.saturating_add(events);
-        }
-        for (name, stats) in other.background {
-            let e = self.background.entry(name).or_default();
-            e.queries = e.queries.saturating_add(stats.queries);
-            e.unique_ips = e.unique_ips.saturating_add(stats.unique_ips);
-        }
+        self.candidates = crate::shard::merge_sorted(
+            std::mem::take(&mut self.candidates),
+            other.candidates,
+            |a, b| candidate_sort_key(&a.0).cmp(&candidate_sort_key(&b.0)),
+            |a, b| a.1 .1 = a.1 .1.saturating_add(b.1 .1),
+        );
+        self.background = crate::shard::merge_sorted(
+            std::mem::take(&mut self.background),
+            other.background,
+            |a, b| a.0.sort_key().cmp(&b.0.sort_key()),
+            |a, b| {
+                a.1.queries = a.1.queries.saturating_add(b.1.queries);
+                a.1.unique_ips = a.1.unique_ips.saturating_add(b.1.unique_ips);
+            },
+        );
     }
 }
 
@@ -182,13 +270,22 @@ impl DnsShard {
         self.days.keys().copied()
     }
 
+    /// Whether every client and name the shard names exists in `world`.
+    pub(crate) fn fits(&self, world: &World) -> bool {
+        self.days.values().all(|d| {
+            d.candidates.iter().all(|&((client, name), _)| {
+                client.index() < world.clients.len() && name.fits(world)
+            }) && d.background.iter().all(|(name, _)| name.fits(world))
+        })
+    }
+
     /// Appends this shard's canonical wire form (see [`crate::wire`]).
     pub(crate) fn wire_encode(&self, w: &mut crate::wire::Writer<'_>) {
         w.len(self.days.len());
         for (&day, d) in &self.days {
             w.u32(topple_stats::cast::u32_from_usize(day));
             w.len(d.candidates.len());
-            for (&(client, name), &(ip, events)) in &d.candidates {
+            for &((client, name), (ip, events)) in &d.candidates {
                 w.u32(client.0);
                 name.wire_encode(w);
                 w.u32(ip);
@@ -207,38 +304,40 @@ impl DnsShard {
     pub(crate) fn wire_decode(
         r: &mut crate::wire::Reader<'_>,
     ) -> Result<Self, crate::wire::WireError> {
-        use crate::wire::WireError;
+        use crate::wire::{sort_unique, WireError};
         let n_days = r.len(8)?;
         let mut days = BTreeMap::new();
         for _ in 0..n_days {
             let day = topple_stats::cast::usize_from_u32(r.u32()?);
             let n_cand = r.len(17)?;
-            let mut candidates = BTreeMap::new();
+            let mut candidates = Vec::with_capacity(n_cand);
             for _ in 0..n_cand {
                 let client = ClientId(r.u32()?);
                 let name = QueriedName::wire_decode(r)?;
                 let ip = r.u32()?;
                 let events = r.u64()?;
-                if candidates.insert((client, name), (ip, events)).is_some() {
-                    return Err(WireError::Malformed {
-                        context: "duplicate DNS candidate",
-                    });
-                }
+                candidates.push(((client, name), (ip, events)));
             }
+            sort_unique(
+                &mut candidates,
+                |c| candidate_sort_key(&c.0),
+                "duplicate DNS candidate",
+            )?;
             let n_bg = r.len(15)?;
-            let mut background = BTreeMap::new();
+            let mut background = Vec::with_capacity(n_bg);
             for _ in 0..n_bg {
                 let name = QueriedName::wire_decode(r)?;
                 let stats = NameDayStats {
                     queries: r.u64()?,
                     unique_ips: r.u32()?,
                 };
-                if background.insert(name, stats).is_some() {
-                    return Err(WireError::Malformed {
-                        context: "duplicate DNS background name",
-                    });
-                }
+                background.push((name, stats));
             }
+            sort_unique(
+                &mut background,
+                |b| b.0.sort_key(),
+                "duplicate DNS background name",
+            )?;
             let shard_day = DnsDayShard {
                 candidates,
                 background,
@@ -255,14 +354,14 @@ impl DnsShard {
 
 /// Reusable streaming builder of one resolver's single-day shard.
 ///
-/// Website-name candidates append to a reusable vector instead of a
-/// `BTreeMap`: `dns_fresh` fires at most once per (client, zone) per day
-/// (the stub cache is shared across page loads and third-party fetches), so
+/// Website-name candidates append to a reusable vector instead of a map:
+/// `dns_fresh` fires at most once per (client, zone) per day (the stub
+/// cache is shared across page loads and third-party fetches), so
 /// `(client, name)` keys cannot repeat within a day — the finish step still
-/// coalesces through a keyed map, so even hypothetical duplicates would
-/// merge exactly as the old map-based scan did. Background-name stats use a
-/// dense name-indexed [`ScratchTable`] with a packed `(name, ip)` presence
-/// map for unique-IP counting.
+/// sorts and coalesces equal keys, so even hypothetical duplicates would
+/// merge exactly as a keyed map would. Background-name stats use a dense
+/// name-indexed [`ScratchTable`] with a packed `(name, ip)` presence map for
+/// unique-IP counting.
 #[derive(Debug)]
 pub(crate) struct DnsDayBuilder {
     resolver: Resolver,
@@ -270,8 +369,7 @@ pub(crate) struct DnsDayBuilder {
     candidates: Vec<((ClientId, QueriedName), (u32, u64))>,
     /// `name_idx → (queries, unique_ips)` for background names.
     bg: ScratchTable<(u64, u32)>,
-    /// Background names touched this day (order irrelevant: results land in
-    /// a `BTreeMap`).
+    /// Background names touched this day (sorted at finish).
     bg_touched: Vec<u16>,
     /// Presence of packed `(name_idx << 32) | ip` pairs.
     bg_ip_seen: ScratchMap<()>,
@@ -336,23 +434,41 @@ impl DnsDayBuilder {
 
     /// Drains the day's rows into a single-day shard.
     pub(crate) fn finish_day(&mut self, day_index: usize) -> DnsShard {
-        let mut day = DnsDayShard::default();
+        // One client has one IP, so equal keys carry equal IPs; sorting the
+        // whole row keeps the order total regardless.
+        self.candidates
+            .sort_unstable_by_key(|&(key, (ip, _))| (candidate_sort_key(&key), ip));
+        let mut candidates: Vec<((ClientId, QueriedName), (u32, u64))> =
+            Vec::with_capacity(self.candidates.len());
         for &(key, (ip, events)) in &self.candidates {
-            let e = day.candidates.entry(key).or_insert((ip, 0));
-            e.1 += events;
+            match candidates.last_mut() {
+                Some((last, (_, sum))) if *last == key => *sum += events,
+                _ => candidates.push((key, (ip, events))),
+            }
         }
-        for &i in &self.bg_touched {
-            let (queries, unique_ips) = self.bg.peek(i as usize);
-            day.background.insert(
-                QueriedName::Background(i),
-                NameDayStats {
-                    queries,
-                    unique_ips,
-                },
-            );
-        }
+        self.bg_touched.sort_unstable();
+        let background = self
+            .bg_touched
+            .iter()
+            .map(|&i| {
+                let (queries, unique_ips) = self.bg.peek(i as usize);
+                (
+                    QueriedName::Background(i),
+                    NameDayStats {
+                        queries,
+                        unique_ips,
+                    },
+                )
+            })
+            .collect();
         let mut days = BTreeMap::new();
-        days.insert(day_index, day);
+        days.insert(
+            day_index,
+            DnsDayShard {
+                candidates,
+                background,
+            },
+        );
         DnsShard { days }
     }
 }
@@ -373,30 +489,42 @@ impl crate::Shard for DnsShard {
 }
 
 /// A DNS vantage accumulating daily logs for one resolver.
+///
+/// Its fold state lives in open-addressed [`ScratchMap`]s over packed
+/// integer keys (see [`DnsKeys`]): the persistent TTL cache and vote cells
+/// are maps whose epoch never advances, and the per-day name table and
+/// unique-IP presence set are epoch-cleared once per day.
 #[derive(Debug)]
 pub struct DnsVantage {
     resolver: Resolver,
     days: Vec<ResolverDay>,
-    /// Domain-level (site) monthly voting data: `(ip, site) -> cell`.
+    /// Key layout of the world being folded, fixed by the first shard.
+    keys: Option<DnsKeys>,
+    /// Domain-level (site) monthly voting data: packed `(ip, site) -> cell`.
     /// Only maintained for the China resolver (Secrank's input).
-    votes: HashMap<(u32, SiteId), VoteCell>,
-    /// Multi-day negative/positive cache: `(client, name) -> expiry day`.
-    /// Records cached by OS stubs and CPE resolvers for their full TTL stop
-    /// repeat queries from reaching the resolver for days — the mechanism
-    /// that decouples DNS-derived rankings from fine-grained visit frequency
-    /// (Section 5.2: "caching, TTLs, and other DNS complexities prevent
-    /// capturing fine grained popularity").
-    ttl_cache: HashMap<(ClientId, QueriedName), u32>,
+    votes: ScratchMap<VoteCell>,
+    /// Multi-day negative/positive cache: packed `(client, name) -> expiry
+    /// day`. Records cached by OS stubs and CPE resolvers for their full TTL
+    /// stop repeat queries from reaching the resolver for days — the
+    /// mechanism that decouples DNS-derived rankings from fine-grained visit
+    /// frequency (Section 5.2: "caching, TTLs, and other DNS complexities
+    /// prevent capturing fine grained popularity").
+    ttl_cache: ScratchMap<u32>,
+    /// Scratch: the day being folded, packed name id → counters.
+    day_names: ScratchMap<NameDayStats>,
+    /// Scratch: distinct packed `(name, ip)` pairs seen on that day.
+    day_seen_ip: ScratchMap<()>,
 }
 
-/// Deterministic TTL horizon in days (1..=7).
+/// Deterministic TTL horizon in days (1..=16).
 ///
 /// TTL is a property of the *zone*: operators publish anything from minutes
-/// to a week, and a long-TTL zone is revisited by every cache ~7× less often
-/// than a short-TTL one **regardless of its popularity**. This per-name
-/// multiplicative distortion is the dominant reason DNS-derived rankings
-/// preserve coarse membership but scramble fine-grained rank (Section 5.2).
-/// A small per-client offset models stub/CPE cache eviction differences.
+/// to weeks, and a long-TTL zone is revisited by every cache up to 16× less
+/// often than a short-TTL one **regardless of its popularity**. This
+/// per-name multiplicative distortion is the dominant reason DNS-derived
+/// rankings preserve coarse membership but scramble fine-grained rank
+/// (Section 5.2). A small per-client offset models stub/CPE cache eviction
+/// differences.
 fn ttl_days(client: ClientId, name: QueriedName) -> u32 {
     // Keyed per *zone* (site), not per FQDN: operators set one TTL policy
     // for the whole zone, so every host of a site shares the distortion.
@@ -405,7 +533,8 @@ fn ttl_days(client: ClientId, name: QueriedName) -> u32 {
         QueriedName::Background(i) => u64::from(i).wrapping_mul(0x94D0_49BB_1331_11EB),
     };
     // Zone TTL classes span minutes to weeks (roughly log-uniform); at the
-    // resolver's daily granularity that is 1..=15 days between re-queries.
+    // resolver's daily granularity that is 1..=15 days between re-queries,
+    // and the 0-or-1-day client offset stretches it to 1..=16.
     let z = (zone ^ (zone >> 31)) % 15;
     let c = (u64::from(client.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61) % 2;
     1 + (z + c).min(15) as u32
@@ -422,22 +551,34 @@ impl DnsVantage {
         DnsVantage {
             resolver,
             days: Vec::new(),
-            votes: HashMap::new(),
-            ttl_cache: HashMap::new(),
+            keys: None,
+            votes: ScratchMap::new(),
+            ttl_cache: ScratchMap::new(),
+            day_names: ScratchMap::new(),
+            day_seen_ip: ScratchMap::new(),
         }
     }
 
-    /// Whether a fresh-today query actually reaches the resolver, given the
-    /// multi-day TTL cache; updates the cache when it does.
-    fn reaches_resolver(&mut self, client: ClientId, name: QueriedName, day: u32) -> bool {
-        let key = (client, name);
-        match self.ttl_cache.get(&key) {
-            Some(&expiry) if day < expiry => false,
-            _ => {
-                self.ttl_cache.insert(key, day + ttl_days(client, name));
-                true
-            }
+    /// Whether a fresh-today query of name id `name_id` actually reaches the
+    /// resolver, given the multi-day TTL cache; updates the cache when it
+    /// does.
+    fn reaches_resolver(
+        &mut self,
+        keys: &DnsKeys,
+        client: ClientId,
+        name: QueriedName,
+        name_id: u64,
+        day: u32,
+    ) -> bool {
+        let (_, expiry) = self
+            .ttl_cache
+            .entry(keys.ttl.pack([u64::from(client.0), name_id]));
+        // A new entry reads as expiry 0, which no day is before.
+        if day < *expiry {
+            return false;
         }
+        *expiry = day + ttl_days(client, name);
+        true
     }
 
     /// Which resolver this vantage models.
@@ -464,8 +605,19 @@ impl DnsVantage {
     /// # Panics
     ///
     /// Panics if a shard day is out of order with respect to what this
-    /// vantage has already ingested.
+    /// vantage has already ingested, if `world` differs in size from the
+    /// world of earlier shards or is too large to pack its keys
+    /// ([`DnsKeys::new`]), or if a shard names a client or site outside the
+    /// world.
     pub fn ingest_shard(&mut self, world: &World, shard: DnsShard) {
+        #[allow(clippy::expect_used)]
+        // topple-lint: allow(unwrap): a world whose DNS key spaces exceed 64 bits cannot be folded without aliasing keys; the error names the widths
+        let keys = DnsKeys::new(world.sites.len(), world.clients.len()).expect("DNS key width");
+        assert_eq!(
+            *self.keys.get_or_insert(keys),
+            keys,
+            "one DNS vantage folds shards of one world"
+        );
         let collect_votes = self.resolver == Resolver::ChinaVoting;
         let gate = world.config.mechanisms.dns_ttl_distortion;
         for (day_index, dshard) in shard.days {
@@ -476,14 +628,16 @@ impl DnsVantage {
             );
             let day_bit = 1u32 << (day_index.min(31));
             let day_no = day_index as u32;
-            let mut day = ResolverDay::default();
+            self.day_names.begin_epoch();
+            self.day_seen_ip.begin_epoch();
 
             for ((client, name), (ip, events)) in dshard.candidates {
+                let name_id = keys.name_id(name);
                 // With the TTL gate on, at most the first fresh lookup of the
                 // day escapes the client network; with it off, every fresh
                 // lookup reaches the resolver.
                 let reaching = if gate {
-                    if self.reaches_resolver(client, name, day_no) {
+                    if self.reaches_resolver(&keys, client, name, name_id, day_no) {
                         1
                     } else {
                         0
@@ -494,10 +648,19 @@ impl DnsVantage {
                 if reaching == 0 {
                     continue;
                 }
-                day.record(name, ip, reaching);
+                let (_, stats) = self.day_names.entry(name_id);
+                stats.queries += reaching;
+                let (new_ip, ()) = self
+                    .day_seen_ip
+                    .entry(keys.name_ip.pack([name_id, u64::from(ip)]));
+                if new_ip {
+                    stats.unique_ips += 1;
+                }
                 if collect_votes {
                     if let QueriedName::Host(site, _) = name {
-                        let cell = self.votes.entry((ip, site)).or_default();
+                        let (_, cell) = self
+                            .votes
+                            .entry(keys.vote.pack([u64::from(ip), u64::from(site.0)]));
                         cell.queries += reaching as u32;
                         cell.day_mask |= day_bit;
                     }
@@ -507,12 +670,17 @@ impl DnsVantage {
                 // Background names have short TTLs and bypass caching (they
                 // are queried by jobs, not browsers); their keys are disjoint
                 // from website names, so the stats transfer verbatim.
-                let e = day.per_name.entry(name).or_default();
+                let (_, e) = self.day_names.entry(keys.name_id(name));
                 e.queries += stats.queries;
                 e.unique_ips += stats.unique_ips;
             }
-            day.seen_ip = Default::default(); // drop scratch before storing
-            self.days.push(day);
+            let per_name = self
+                .day_names
+                .sorted()
+                .into_iter()
+                .map(|(id, stats)| (keys.name(id), stats))
+                .collect();
+            self.days.push(ResolverDay { per_name });
         }
     }
 
@@ -526,9 +694,21 @@ impl DnsVantage {
         &self.days[day_index]
     }
 
-    /// Monthly voting cells (Secrank input). Empty for the Umbrella resolver.
-    pub fn votes(&self) -> &HashMap<(u32, SiteId), VoteCell> {
-        &self.votes
+    /// Monthly voting cells (Secrank input) in ascending `(ip, site)` order.
+    /// Empty for the Umbrella resolver.
+    pub fn votes(&self) -> Vec<((u32, SiteId), VoteCell)> {
+        let Some(keys) = self.keys else {
+            return Vec::new();
+        };
+        self.votes
+            .sorted()
+            .into_iter()
+            .map(|(key, cell)| {
+                let [ip, site] = keys.vote.unpack(key);
+                let ip = topple_stats::cast::u32_from_u64(ip);
+                ((ip, SiteId(topple_stats::cast::u32_from_u64(site))), cell)
+            })
+            .collect()
     }
 
     /// Renders a queried name to its textual FQDN.
@@ -546,6 +726,9 @@ impl DnsVantage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{Reader, WireError, Writer};
+    use crate::Shard as _;
+    use proptest::prelude::*;
     use topple_sim::{Country, WorldConfig};
 
     fn setup() -> (World, DayTraffic) {
@@ -567,7 +750,7 @@ mod tests {
         v.ingest_day(&w, &t);
         // Every vote must come from a Chinese client IP block.
         let china_block = (Country::China.index() as u32 + 1) << 24;
-        for (ip, _) in v.votes().keys() {
+        for ((ip, _), _) in v.votes() {
             assert_eq!(
                 ip >> 24,
                 china_block >> 24,
@@ -634,25 +817,123 @@ mod tests {
     }
 
     #[test]
+    fn ttl_days_span_one_to_sixteen() {
+        let mut seen = std::collections::BTreeSet::new();
+        for client in 0..64 {
+            for site in 0..64 {
+                seen.insert(ttl_days(
+                    ClientId(client),
+                    QueriedName::Host(SiteId(site), 0),
+                ));
+            }
+        }
+        assert_eq!(seen.first(), Some(&1));
+        assert_eq!(seen.last(), Some(&16));
+    }
+
+    #[test]
     fn votes_accumulate_across_days() {
         let (w, _) = setup();
         let mut v = DnsVantage::new(Resolver::ChinaVoting);
         v.ingest_day(&w, &w.simulate_day(0));
         let after_one: u32 = v
             .votes()
-            .values()
-            .map(|c| c.day_mask.count_ones())
+            .iter()
+            .map(|(_, c)| c.day_mask.count_ones())
             .max()
             .unwrap_or(0);
         v.ingest_day(&w, &w.simulate_day(1));
         let after_two: u32 = v
             .votes()
-            .values()
-            .map(|c| c.day_mask.count_ones())
+            .iter()
+            .map(|(_, c)| c.day_mask.count_ones())
             .max()
             .unwrap_or(0);
         assert!(after_two >= after_one);
         assert!(after_two <= 2);
         assert_eq!(v.day_count(), 2);
+    }
+
+    fn encode(shard: &DnsShard) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        shard.wire_encode(&mut Writer::new(&mut bytes));
+        bytes
+    }
+
+    fn decode(bytes: &[u8]) -> Result<DnsShard, WireError> {
+        let mut r = Reader::new(bytes);
+        let shard = DnsShard::wire_decode(&mut r)?;
+        r.finish()?;
+        Ok(shard)
+    }
+
+    /// A two-day Umbrella shard and its canonical bytes.
+    fn wire_fixture() -> &'static (DnsShard, Vec<u8>) {
+        static FIXTURE: std::sync::OnceLock<(DnsShard, Vec<u8>)> = std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let w = World::generate(WorldConfig::tiny(43)).unwrap();
+            let mut shard = DnsShard::from_day(&w, &w.simulate_day(0), Resolver::Umbrella);
+            shard.merge(DnsShard::from_day(
+                &w,
+                &w.simulate_day(1),
+                Resolver::Umbrella,
+            ));
+            let bytes = encode(&shard);
+            (shard, bytes)
+        })
+    }
+
+    /// Fisher–Yates driven by `words` (reused cyclically).
+    fn shuffle<T>(items: &mut [T], words: &[u64]) {
+        for i in (1..items.len()).rev() {
+            let j = (words[i % words.len()] % (i as u64 + 1)) as usize;
+            items.swap(i, j);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Entries in any order decode to the canonical shard and re-encode
+        /// to the canonical bytes.
+        #[test]
+        fn permuted_entries_decode_canonically(
+            words in proptest::collection::vec(any::<u64>(), 1..64),
+        ) {
+            let (shard, canonical) = wire_fixture();
+            let mut permuted = shard.clone();
+            for day in permuted.days.values_mut() {
+                shuffle(&mut day.candidates, &words);
+                shuffle(&mut day.background, &words);
+            }
+            let decoded = decode(&encode(&permuted)).unwrap();
+            prop_assert_eq!(&decoded, shard);
+            prop_assert_eq!(&encode(&decoded), canonical);
+        }
+
+        /// A repeated key anywhere in a section fails closed with the same
+        /// typed error as a repeated map insert.
+        #[test]
+        fn a_duplicated_key_fails_closed(
+            pick in any::<u64>(),
+            at in any::<u64>(),
+            background in any::<bool>(),
+        ) {
+            let (shard, _) = wire_fixture();
+            let mut dup = shard.clone();
+            let day = dup.days.values_mut().next().unwrap();
+            let context = if background {
+                let row = day.background[(pick % day.background.len() as u64) as usize].clone();
+                let at = (at % (day.background.len() as u64 + 1)) as usize;
+                day.background.insert(at, row);
+                "duplicate DNS background name"
+            } else {
+                let row = day.candidates[(pick % day.candidates.len() as u64) as usize];
+                let at = (at % (day.candidates.len() as u64 + 1)) as usize;
+                day.candidates.insert(at, row);
+                "duplicate DNS candidate"
+            };
+            prop_assert_eq!(decode(&encode(&dup)), Err(WireError::Malformed { context }));
+        }
     }
 }

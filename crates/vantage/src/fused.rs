@@ -54,7 +54,7 @@ impl DayScratch {
         DayScratch {
             traffic: TrafficScratch::for_world(world),
             cdn: CdnDayBuilder::new(world),
-            chrome: ChromeDayBuilder::new(),
+            chrome: ChromeDayBuilder::new(world),
             umbrella: DnsDayBuilder::new(world, Resolver::Umbrella),
             china: DnsDayBuilder::new(world, Resolver::ChinaVoting),
             panel: PanelDayBuilder::new(world),

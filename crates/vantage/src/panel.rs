@@ -45,6 +45,13 @@ impl PanelShard {
         self.days.keys().copied()
     }
 
+    /// Whether every site the shard names lies in an `n_sites`-site world.
+    pub(crate) fn fits(&self, n_sites: usize) -> bool {
+        self.days
+            .values()
+            .all(|d| d.per_site.keys().all(|site| site.index() < n_sites))
+    }
+
     /// Appends this shard's canonical wire form (see [`crate::wire`]).
     pub(crate) fn wire_encode(&self, w: &mut crate::wire::Writer<'_>) {
         w.len(self.days.len());

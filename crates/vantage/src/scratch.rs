@@ -11,19 +11,27 @@
 //! **scratch-epoch invariant**, pinned by the property tests in
 //! `crates/vantage/tests/scratch_props.rs`.
 //!
-//! Epochs are `u64` and only ever incremented, so they cannot wrap within
-//! any feasible run (2^64 days), and no stamp laundering is needed.
+//! [`ScratchTable`] epochs are `u64` and only ever incremented, so they
+//! cannot wrap within any feasible run (2^64 days). [`ScratchMap`] stamps
+//! are `u32` to keep its slots small; on the one epoch in 2^32 where its
+//! counter would wrap, it clears every stamp first, so a stale slot can
+//! never read as current.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`ScratchTable`] — a dense index-addressed table (for site- or
 //!   name-indexed accumulators over the world's fixed universe).
 //! * [`ScratchMap`] — an open-addressed `u64`-keyed hash map (for sparse
-//!   composite keys like `(site, ip)` packed into 64 bits).
+//!   composite keys like `(site, ip)` packed into 64 bits). A map whose
+//!   epoch is never bumped is a plain persistent table: the vantages' fold
+//!   state (TTL cache, vote cells, seen-client sets) lives in such maps.
+//! * [`KeyPacker`] — lossless mixed-radix packing of bounded id tuples into
+//!   the `u64` keys those maps take, with the width checked once up front.
 //! * [`ScratchPool`] — a mutex-guarded free list the study worker pool
 //!   checks scratch states out of per day, so capacity built up on early
 //!   days is reused for the rest of the window.
 
+use std::fmt;
 use std::sync::{Mutex, PoisonError};
 
 /// A dense, epoch-stamped table addressed by `usize` index.
@@ -103,16 +111,36 @@ impl<V: Default + Clone> ScratchTable<V> {
 /// entries, and once a scratch has seen its heaviest day the capacity is
 /// final, making subsequent days allocation-free.
 ///
-/// Iteration order is never exposed: consumers drain results through their
-/// own dense touch lists or sorts, keeping results independent of hash
-/// layout.
+/// Hash-layout order is never exposed: the only iteration,
+/// [`ScratchMap::sorted`], hands entries out in ascending key order, so
+/// results stay independent of the table's layout and growth history.
 #[derive(Debug)]
 pub struct ScratchMap<V> {
-    keys: Vec<u64>,
-    stamps: Vec<u64>,
-    vals: Vec<V>,
-    epoch: u64,
+    slots: Vec<Slot<V>>,
+    epoch: u32,
     live: usize,
+}
+
+/// One table slot. Key, stamp and value sit together so a probe touches one
+/// cache line, not one per field; the key is stored as two `u32` halves so
+/// a slot is 4-byte aligned and a key-only slot takes 12 bytes, not 16.
+#[derive(Debug, Clone, Default)]
+struct Slot<V> {
+    key: [u32; 2],
+    stamp: u32,
+    val: V,
+}
+
+impl<V> Slot<V> {
+    #[inline]
+    fn key(&self) -> u64 {
+        (u64::from(self.key[1]) << 32) | u64::from(self.key[0])
+    }
+
+    #[inline]
+    fn set_key(&mut self, key: u64) {
+        self.key = [key as u32, (key >> 32) as u32];
+    }
 }
 
 /// Initial capacity (slots) of a [`ScratchMap`]; always a power of two.
@@ -128,9 +156,7 @@ impl<V: Default + Clone> ScratchMap<V> {
     /// An empty map with the default initial capacity.
     pub fn new() -> Self {
         ScratchMap {
-            keys: vec![0; MAP_INITIAL_CAPACITY],
-            stamps: vec![0; MAP_INITIAL_CAPACITY],
-            vals: vec![V::default(); MAP_INITIAL_CAPACITY],
+            slots: vec![Slot::default(); MAP_INITIAL_CAPACITY],
             // Stamps start at 0, so the first epoch must be 1 — otherwise
             // every slot would look live and probes could cycle forever.
             epoch: 1,
@@ -140,6 +166,14 @@ impl<V: Default + Clone> ScratchMap<V> {
 
     /// Starts a new epoch: the map now reads as empty.
     pub fn begin_epoch(&mut self) {
+        if self.epoch == u32::MAX {
+            // The counter would wrap onto stamps still in the table: clear
+            // them all, once per 2^32 epochs, and restart the count.
+            for slot in &mut self.slots {
+                slot.stamp = 0;
+            }
+            self.epoch = 0;
+        }
         self.epoch += 1;
         self.live = 0;
     }
@@ -156,14 +190,15 @@ impl<V: Default + Clone> ScratchMap<V> {
 
     /// The value for `key` in the current epoch, if inserted.
     pub fn get(&self, key: u64) -> Option<&V> {
-        let mask = self.keys.len() - 1;
+        let mask = self.slots.len() - 1;
         let mut i = (spread(key) >> 32) as usize & mask;
         loop {
-            if self.stamps[i] != self.epoch {
+            let slot = &self.slots[i];
+            if slot.stamp != self.epoch {
                 return None;
             }
-            if self.keys[i] == key {
-                return Some(&self.vals[i]);
+            if slot.key() == key {
+                return Some(&slot.val);
             }
             i = (i + 1) & mask;
         }
@@ -173,55 +208,137 @@ impl<V: Default + Clone> ScratchMap<V> {
     /// the key is new this epoch (value freshly reset to `V::default()`)
     /// and the slot itself.
     pub fn entry(&mut self, key: u64) -> (bool, &mut V) {
-        if (self.live + 1) * 8 > self.keys.len() * 7 {
+        if (self.live + 1) * 8 > self.slots.len() * 7 {
             self.grow();
         }
-        let mask = self.keys.len() - 1;
+        let mask = self.slots.len() - 1;
         let mut i = (spread(key) >> 32) as usize & mask;
         loop {
-            if self.stamps[i] != self.epoch {
-                self.keys[i] = key;
-                self.stamps[i] = self.epoch;
-                self.vals[i] = V::default();
+            if self.slots[i].stamp != self.epoch {
+                let slot = &mut self.slots[i];
+                slot.set_key(key);
+                slot.stamp = self.epoch;
+                slot.val = V::default();
                 self.live += 1;
-                return (true, &mut self.vals[i]);
+                return (true, &mut slot.val);
             }
-            if self.keys[i] == key {
-                return (false, &mut self.vals[i]);
+            if self.slots[i].key() == key {
+                return (false, &mut self.slots[i].val);
             }
             i = (i + 1) & mask;
         }
     }
 
+    /// The current epoch's entries in ascending key order.
+    pub fn sorted(&self) -> Vec<(u64, V)> {
+        let mut out: Vec<(u64, V)> = self
+            .slots
+            .iter()
+            .filter(|slot| slot.stamp == self.epoch)
+            .map(|slot| (slot.key(), slot.val.clone()))
+            .collect();
+        out.sort_unstable_by_key(|&(key, _)| key);
+        out
+    }
+
     /// Doubles capacity, re-seating only the current epoch's live entries.
     fn grow(&mut self) {
-        let new_cap = self.keys.len() * 2;
-        let mut keys = vec![0u64; new_cap];
-        let mut stamps = vec![0u64; new_cap];
-        let mut vals = vec![V::default(); new_cap];
+        let new_cap = self.slots.len() * 2;
+        let old = std::mem::replace(&mut self.slots, vec![Slot::default(); new_cap]);
         let mask = new_cap - 1;
-        for old in 0..self.keys.len() {
-            if self.stamps[old] != self.epoch {
+        for slot in old {
+            if slot.stamp != self.epoch {
                 continue;
             }
-            let key = self.keys[old];
-            let mut i = (spread(key) >> 32) as usize & mask;
-            while stamps[i] == self.epoch {
+            let mut i = (spread(slot.key()) >> 32) as usize & mask;
+            while self.slots[i].stamp == self.epoch {
                 i = (i + 1) & mask;
             }
-            keys[i] = key;
-            stamps[i] = self.epoch;
-            vals[i] = std::mem::take(&mut self.vals[old]);
+            self.slots[i] = slot;
         }
-        self.keys = keys;
-        self.stamps = stamps;
-        self.vals = vals;
     }
 }
 
 impl<V: Default + Clone> Default for ScratchMap<V> {
     fn default() -> Self {
         ScratchMap::new()
+    }
+}
+
+/// A key space too wide to pack into 64 bits: the product of its radices
+/// exceeds `2^64`, so some distinct id tuples would share a key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyWidthError {
+    /// The radices of the rejected key space, most significant first.
+    pub radices: Vec<u64>,
+}
+
+impl fmt::Display for KeyWidthError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "packed key space {:?} does not fit in 64 bits",
+            self.radices
+        )
+    }
+}
+
+impl std::error::Error for KeyWidthError {}
+
+/// Lossless mixed-radix packing of `N` bounded ids into one `u64`.
+///
+/// Digit `i` must lie in `0..radices[i]`; the first digit is the most
+/// significant, so packed keys sort exactly like the digit tuples they
+/// encode. [`KeyPacker::new`] checks once that the whole key space fits in
+/// 64 bits, and [`KeyPacker::pack`] checks every digit against its radix,
+/// so two distinct tuples can never share a key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyPacker<const N: usize> {
+    radices: [u64; N],
+}
+
+impl<const N: usize> KeyPacker<N> {
+    /// A packer over `radices`, or [`KeyWidthError`] if their product
+    /// exceeds `2^64` (or a radix is zero, which leaves no valid digit).
+    pub fn new(radices: [u64; N]) -> Result<Self, KeyWidthError> {
+        let mut span: u128 = 1;
+        for &r in &radices {
+            span = span.saturating_mul(u128::from(r));
+        }
+        if span == 0 || span > 1u128 << 64 {
+            return Err(KeyWidthError {
+                radices: radices.to_vec(),
+            });
+        }
+        Ok(KeyPacker { radices })
+    }
+
+    /// Packs `digits` into one key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a digit is not below its radix: such a tuple has no key of
+    /// its own, and packing it anyway would alias another tuple's key.
+    #[inline]
+    pub fn pack(&self, digits: [u64; N]) -> u64 {
+        let mut key = 0u64;
+        for (&d, &r) in digits.iter().zip(&self.radices) {
+            assert!(d < r, "packed-key digit {d} outside its radix {r}");
+            // Cannot overflow: the radix product fits in 2^64 (checked in
+            // `new`) and every digit is below its radix.
+            key = key * r + d;
+        }
+        key
+    }
+
+    /// Recovers the digits of a key made by [`KeyPacker::pack`].
+    pub fn unpack(&self, mut key: u64) -> [u64; N] {
+        let mut digits = [0u64; N];
+        for (d, &r) in digits.iter_mut().zip(&self.radices).rev() {
+            *d = key % r;
+            key /= r;
+        }
+        digits
     }
 }
 
@@ -388,6 +505,34 @@ mod tests {
         }
         let (fresh, _) = m.entry(wrapping[2]);
         assert!(fresh, "wrapped slot must be re-claimable next epoch");
+    }
+
+    #[test]
+    fn map_epoch_wrap_clears_stale_stamps() {
+        let mut m: ScratchMap<u32> = ScratchMap::new();
+        // Run the counter up to the wrap with entries written at both ends
+        // of the stamp range.
+        m.epoch = 1;
+        *m.entry(7).1 = 70;
+        m.epoch = u32::MAX - 1;
+        m.begin_epoch();
+        *m.entry(8).1 = 80;
+        assert_eq!(m.epoch, u32::MAX);
+        m.begin_epoch();
+        // Epoch 1 again: the key stamped 1 long ago must not resurrect, and
+        // the key stamped u32::MAX must be gone too.
+        assert_eq!(m.epoch, 1);
+        assert!(
+            m.get(7).is_none(),
+            "pre-wrap stamp leaked into the new cycle"
+        );
+        assert!(
+            m.get(8).is_none(),
+            "last-cycle stamp leaked across the wrap"
+        );
+        let (fresh, v) = m.entry(7);
+        assert!(fresh);
+        assert_eq!(*v, 0);
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! graph, not the daily traffic stream, so there is nothing per-day to
 //! merge (see `DESIGN.md` §10).
 
+use std::cmp::Ordering;
+
 use topple_sim::{DayTraffic, Resolver, World};
 
 use crate::chrome::ChromeShard;
@@ -42,6 +44,45 @@ pub trait Shard: Default {
     /// The identity element: a shard that observed nothing.
     fn identity() -> Self {
         Self::default()
+    }
+}
+
+/// Merges two runs that are sorted and duplicate-free under `cmp` into one
+/// such run, folding an item of `b` into the equal item of `a` with
+/// `combine` — the sorted merge-join behind every flat shard's `merge`.
+/// Linear in `a.len() + b.len()`; either run being empty costs nothing.
+pub(crate) fn merge_sorted<T>(
+    a: Vec<T>,
+    b: Vec<T>,
+    cmp: impl Fn(&T, &T) -> Ordering,
+    mut combine: impl FnMut(&mut T, T),
+) -> Vec<T> {
+    if b.is_empty() {
+        return a;
+    }
+    if a.is_empty() {
+        return b;
+    }
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let mut a = a.into_iter().peekable();
+    let mut b = b.into_iter().peekable();
+    loop {
+        let ord = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) => cmp(x, y),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => return out,
+        };
+        match ord {
+            Ordering::Less => out.extend(a.next()),
+            Ordering::Greater => out.extend(b.next()),
+            Ordering::Equal => {
+                if let (Some(mut x), Some(y)) = (a.next(), b.next()) {
+                    combine(&mut x, y);
+                    out.push(x);
+                }
+            }
+        }
     }
 }
 
@@ -99,10 +140,34 @@ impl DayShards {
         }
     }
 
+    /// Checks that every id the shard names exists in `world`: sites,
+    /// hosts, clients and background names, and one CDN score per site.
+    ///
+    /// Decoding checks only the wire structure; a decoded shard from a
+    /// different (or hostile) world can still name ids `world` lacks, which
+    /// the folds would index or pack into keys. Callers folding decoded
+    /// shards must check them here first.
+    pub fn check_ids(&self, world: &World) -> Result<(), crate::wire::WireError> {
+        let malformed = |context| Err(crate::wire::WireError::Malformed { context });
+        if !self.cdn.fits(world.sites.len()) {
+            return malformed("CDN scores do not cover the world's sites");
+        }
+        if !self.chrome.fits(world) {
+            return malformed("telemetry names an origin or client outside the world");
+        }
+        if !self.umbrella.fits(world) || !self.china.fits(world) {
+            return malformed("DNS shard names a client or name outside the world");
+        }
+        if !self.panel.fits(world.sites.len()) {
+            return malformed("panel names a site outside the world");
+        }
+        Ok(())
+    }
+
     /// Appends this shard's canonical wire form to `out`.
     ///
-    /// The encoding is deterministic (all shard state lives in ordered
-    /// maps), so equal shards produce equal bytes; see [`crate::wire`] for
+    /// The encoding is deterministic (all shard state is kept in key
+    /// order), so equal shards produce equal bytes; see [`crate::wire`] for
     /// the layout. Framing (magic, version, checksum) is the caller's job.
     pub fn encode(&self, out: &mut Vec<u8>) {
         let mut w = crate::wire::Writer::new(out);

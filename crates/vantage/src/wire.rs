@@ -3,18 +3,19 @@
 //! [`crate::DayShards`] is the unit of incremental ingestion: the live
 //! serving layer ships observed days between processes as `tpld` delta
 //! payloads, and this module defines the byte form those payloads carry.
-//! The format is little-endian and *canonical*: every shard stores its
-//! state in `BTreeMap`/`BTreeSet`, so encoding iterates in one
-//! deterministic order and equal shards always produce equal bytes — the
-//! property that lets delta application be proven byte-identical to a full
-//! rebuild.
+//! The format is little-endian and *canonical*: every shard keeps its
+//! entries sorted by key, so encoding iterates in one deterministic order
+//! and equal shards always produce equal bytes — the property that lets
+//! delta application be proven byte-identical to a full rebuild.
 //!
 //! Decoding is fail-closed: externally-shaped bytes are an expected hostile
 //! input, so every read is bounds-checked, every enum tag validated, and
 //! every map key checked for duplicates, returning [`WireError`] values
-//! rather than panicking. Framing (magic, version, checksum) is the *delta
-//! container's* job, one layer up in `topple-serve`; this module encodes
-//! only the shard body.
+//! rather than panicking. Entries may arrive in any order: the decoder
+//! sorts each keyed section, so any permutation of a section decodes to the
+//! same shard and re-encodes to the canonical bytes. Framing (magic,
+//! version, checksum) is the *delta container's* job, one layer up in
+//! `topple-serve`; this module encodes only the shard body.
 //!
 //! ```text
 //! day_shards := cdn chrome dns(umbrella) dns(china) panel
@@ -208,6 +209,21 @@ impl<'a> Reader<'a> {
         }
         Ok(())
     }
+}
+
+/// Sorts one decoded section by `key` and fails with `duplicate` if two
+/// entries share a key — the flat shards' counterpart of rejecting a
+/// repeated map insert.
+pub(crate) fn sort_unique<T, K: Ord>(
+    items: &mut [T],
+    key: impl Fn(&T) -> K,
+    duplicate: &'static str,
+) -> Result<(), WireError> {
+    items.sort_unstable_by_key(|t| key(t));
+    if items.windows(2).any(|w| key(&w[0]) == key(&w[1])) {
+        return Err(WireError::Malformed { context: duplicate });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! re-observing every day through `DayScratch::parts` + `simulate_day_into`
 //! must
 //! perform zero allocations. Shard materialization (`finish_day`) is
-//! excluded — it builds the output `BTreeMap`s, which necessarily allocate.
+//! excluded — it builds the output shard vectors, which necessarily allocate.
 //!
 //! The file holds exactly one `#[test]`: the allocator counter is global,
 //! and a concurrently running test would pollute the measurement.
