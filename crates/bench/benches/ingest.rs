@@ -1,29 +1,25 @@
 //! Ingestion-stage throughput: fused streaming versus the materialized
-//! two-pass baseline, with a per-vantage breakdown.
+//! two-pass baseline.
 //!
 //! One sample is one day of the small world ingested by all five vantages.
-//! The `day/materialized` group measures the seed architecture (simulate
-//! into `DayTraffic` vectors, then each vantage re-scans them via
-//! `from_day`); `day/fused` measures the streaming `DayScratch` path the
-//! study pipeline now uses (events dispatched to all builders as generated,
-//! warm reusable scratch, zero per-day allocations). The acceptance bar for
-//! the fusion PR is fused beating materialized by >= 2x; the recorded A/B
-//! lives in `EXPERIMENTS.md`.
+//! `day/materialized` simulates into `DayTraffic` vectors and then replays
+//! them through a fresh observer (`DayShards::observe`); `day/fused`
+//! measures the streaming `DayScratch` path the study pipeline uses (events
+//! dispatched to all builders as generated, warm reusable scratch, zero
+//! per-day allocations). The recorded A/B lives in `EXPERIMENTS.md`.
 //!
-//! The breakdown group isolates where the materialized time goes: the
-//! generator alone (`simulate/null-sink` streams into a no-op sink,
-//! `simulate/collect` additionally materializes the event vectors) and each
-//! vantage's `from_day` re-scan.
+//! The breakdown group isolates the generator: `simulate/null-sink` streams
+//! into a no-op sink, `simulate/collect` additionally materializes the event
+//! vectors.
 
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use topple_bench::BENCH_SEED;
 use topple_sim::{
-    BackgroundQuery, EventSink, PageLoad, Resolver, ThirdPartyFetch, TrafficScratch, World,
-    WorldConfig,
+    BackgroundQuery, EventSink, PageLoad, ThirdPartyFetch, TrafficScratch, World, WorldConfig,
 };
-use topple_vantage::{CdnShard, ChromeShard, DayScratch, DayShards, DnsShard, PanelShard};
+use topple_vantage::{DayScratch, DayShards};
 
 /// Observes events without accumulating: the cost floor of the generator.
 struct NullSink;
@@ -43,8 +39,7 @@ fn bench_day_ingestion(c: &mut Criterion) {
     g.sample_size(10);
     g.measurement_time(Duration::from_secs(15));
 
-    // Seed architecture: materialize DayTraffic, then all five from_day
-    // re-scans — exactly what DayShards::observe does.
+    // Materialize DayTraffic, then replay it into all five vantages.
     g.bench_function("day/materialized", |b| {
         b.iter(|| {
             let mut out = 0usize;
@@ -92,28 +87,10 @@ fn bench_day_ingestion(c: &mut Criterion) {
         })
     });
 
-    // Generator plus event-vector materialization (the seed path's pass 1).
+    // Generator plus event-vector materialization (the materialized path's
+    // first pass).
     g.bench_function("simulate/collect", |b| {
         b.iter(|| black_box(w.simulate_day(black_box(0))).page_loads.len())
-    });
-
-    // Each vantage's materialized re-scan (the seed path's pass 2), over a
-    // pre-built day so only observation cost is measured.
-    let t = w.simulate_day(0);
-    g.bench_function("from_day/cdn", |b| {
-        b.iter(|| black_box(CdnShard::from_day(&w, &t)).day_indices().count())
-    });
-    g.bench_function("from_day/chrome", |b| {
-        b.iter(|| black_box(ChromeShard::from_day(&w, &t)))
-    });
-    g.bench_function("from_day/dns-umbrella", |b| {
-        b.iter(|| black_box(DnsShard::from_day(&w, &t, Resolver::Umbrella)))
-    });
-    g.bench_function("from_day/dns-secrank", |b| {
-        b.iter(|| black_box(DnsShard::from_day(&w, &t, Resolver::ChinaVoting)))
-    });
-    g.bench_function("from_day/panel", |b| {
-        b.iter(|| black_box(PanelShard::from_day(&w, &t)))
     });
     g.finish();
 }

@@ -6,7 +6,9 @@ use std::time::Duration;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use topple_bench::{tiny_world, BENCH_SEED};
 use topple_sim::{Resolver, World, WorldConfig};
-use topple_vantage::{CdnVantage, ChromeVantage, CrawlerVantage, DnsVantage, PanelVantage};
+use topple_vantage::{
+    CdnVantage, ChromeVantage, CrawlerVantage, DayScratch, DayShards, DnsVantage, PanelVantage,
+};
 
 fn bench_world_generation(c: &mut Criterion) {
     c.bench_function("world/generate_tiny_400", |b| {
@@ -32,27 +34,35 @@ fn bench_traffic(c: &mut Criterion) {
 fn bench_vantages(c: &mut Criterion) {
     let w = tiny_world();
     let t = w.simulate_day(0);
-    c.bench_function("vantage/cdn_observe_day", |b| {
-        b.iter(|| black_box(CdnVantage::observe_day(w, &t)))
+    c.bench_function("vantage/observe_day", |b| {
+        b.iter(|| black_box(DayShards::observe(w, &t)))
     });
-    c.bench_function("vantage/chrome_ingest_day", |b| {
+    let shards = DayShards::observe(w, &t);
+    c.bench_function("vantage/cdn_ingest_shard", |b| {
+        b.iter(|| {
+            let mut v = CdnVantage::new(w);
+            v.ingest_shard(shards.cdn.clone());
+            black_box(v.days())
+        })
+    });
+    c.bench_function("vantage/chrome_ingest_shard", |b| {
         b.iter(|| {
             let mut v = ChromeVantage::new(w);
-            v.ingest_day(w, &t);
+            v.ingest_shard(shards.chrome.clone());
             black_box(v.day_count())
         })
     });
-    c.bench_function("vantage/dns_ingest_day", |b| {
+    c.bench_function("vantage/dns_ingest_shard", |b| {
         b.iter(|| {
             let mut v = DnsVantage::new(Resolver::Umbrella);
-            v.ingest_day(w, &t);
+            v.ingest_shard(w, shards.umbrella.clone());
             black_box(v.day_count())
         })
     });
-    c.bench_function("vantage/panel_ingest_day", |b| {
+    c.bench_function("vantage/panel_ingest_shard", |b| {
         b.iter(|| {
             let mut v = PanelVantage::new(w);
-            v.ingest_day(w, &t);
+            v.ingest_shard(shards.panel.clone());
             black_box(v.day_count())
         })
     });
@@ -63,13 +73,13 @@ fn bench_vantages(c: &mut Criterion) {
 
 fn bench_lists(c: &mut Criterion) {
     let w = tiny_world();
-    let t0 = w.simulate_day(0);
+    let day0 = DayScratch::new(w).observe_day(w, 0);
     let mut panel = PanelVantage::new(w);
-    panel.ingest_day(w, &t0);
+    panel.ingest_shard(day0.panel);
     let mut umb = DnsVantage::new(Resolver::Umbrella);
-    umb.ingest_day(w, &t0);
+    umb.ingest_shard(w, day0.umbrella);
     let mut china = DnsVantage::new(Resolver::ChinaVoting);
-    china.ingest_day(w, &t0);
+    china.ingest_shard(w, day0.china);
     let crawl = CrawlerVantage::crawl(w, 10, usize::MAX);
 
     c.bench_function("lists/alexa_daily", |b| {

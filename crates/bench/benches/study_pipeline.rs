@@ -13,7 +13,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use topple_bench::BENCH_SEED;
 use topple_core::Study;
 use topple_sim::{Resolver, World, WorldConfig};
-use topple_vantage::{CdnVantage, ChromeVantage, DayShards, DnsVantage, PanelVantage, Shard as _};
+use topple_vantage::{CdnVantage, ChromeVantage, DayScratch, DnsVantage, PanelVantage, Shard as _};
 
 fn run_study(workers: usize) -> usize {
     let config = WorldConfig {
@@ -50,14 +50,11 @@ fn bench_pipeline_parts(c: &mut Criterion) {
     let mut g = c.benchmark_group("study_pipeline_parts");
     g.sample_size(10);
     g.measurement_time(Duration::from_secs(10));
+    let mut scratch = DayScratch::new(&w);
     g.bench_function("worker_unit_day0", |b| {
-        b.iter(|| {
-            let t = w.simulate_day(0);
-            black_box(DayShards::observe(&w, &t))
-        })
+        b.iter(|| black_box(scratch.observe_day(&w, 0)))
     });
-    let t0 = w.simulate_day(0);
-    let shards = DayShards::observe(&w, &t0);
+    let shards = scratch.observe_day(&w, 0);
     g.bench_function("fold_day0", |b| {
         // The clone inside the loop makes this an upper bound on fold cost.
         b.iter(|| {
@@ -76,8 +73,7 @@ fn bench_pipeline_parts(c: &mut Criterion) {
         })
     });
     g.bench_function("merge_two_days", |b| {
-        let t1 = w.simulate_day(1);
-        let other = DayShards::observe(&w, &t1);
+        let other = scratch.observe_day(&w, 1);
         b.iter(|| {
             let mut a = shards.clone();
             a.merge(other.clone());

@@ -8,11 +8,11 @@
 
 use topple_lists::ListSource;
 use topple_sim::{Country, Platform};
+use topple_stats::fanout::map_ordered;
 use topple_vantage::ChromeMetric;
 
 use crate::compare::{similarity_ids, IdCut};
 use crate::consistency::chrome_cell_ids;
-use crate::parallel;
 use crate::study::Study;
 
 /// Lists evaluated in the bias analyses (everything but CrUX).
@@ -110,7 +110,7 @@ pub fn figure4(study: &Study, k: usize) -> PlatformBias {
     let lists = bias_lists();
     let platforms = vec![Platform::Windows, Platform::Android];
     let workers = study.world.config.effective_workers();
-    let cells = parallel::map_indexed(lists.len(), workers, |li| {
+    let cells = map_ordered(lists.len(), workers, |li| {
         let src = lists[li];
         platforms
             .iter()
@@ -138,7 +138,7 @@ pub fn figure7(study: &Study, k: usize) -> CountryBias {
     let lists = bias_lists();
     let countries: Vec<Country> = Country::EVALUATED.to_vec();
     let workers = study.world.config.effective_workers();
-    let cells = parallel::map_indexed(lists.len(), workers, |li| {
+    let cells = map_ordered(lists.len(), workers, |li| {
         let src = lists[li];
         countries
             .iter()

@@ -10,11 +10,11 @@
 use topple_lists::DomainId;
 use topple_psl::DomainName;
 use topple_sim::{Country, Platform};
+use topple_stats::fanout::map_ordered;
 use topple_vantage::{CfMetric, ChromeMetric, ScoreVec};
 
 use crate::compare::{similarity, similarity_ids, IdCut};
 use crate::error::CoreError;
-use crate::parallel;
 use crate::study::Study;
 
 /// A labelled square similarity matrix.
@@ -100,7 +100,7 @@ pub fn matrix_from_id_rankings(
         .iter()
         .map(|r| IdCut::new(&r[..k.min(r.len())]))
         .collect();
-    let rows = parallel::map_indexed(n, workers, |i| {
+    let rows = map_ordered(n, workers, |i| {
         let mut jrow = vec![0.0; n];
         let mut srow = vec![f64::NAN; n];
         for j in 0..n {

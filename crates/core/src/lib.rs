@@ -40,7 +40,6 @@ pub mod listeval;
 pub mod manipulation;
 pub mod methodology;
 pub mod movement;
-pub mod parallel;
 pub mod psl_dev;
 pub mod report;
 pub mod study;

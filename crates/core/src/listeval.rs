@@ -9,11 +9,11 @@
 
 use topple_lists::{DomainId, ListSource};
 use topple_stats::corr::spearman;
+use topple_stats::fanout::map_ordered;
 use topple_vantage::CfMetric;
 
 use crate::error::CoreError;
 use crate::methodology::against_cloudflare_ids;
-use crate::parallel;
 use crate::study::Study;
 
 /// The full Figure 2 result.
@@ -84,7 +84,7 @@ impl ListEvaluation {
 pub fn daily_ji_series(study: &Study, source: ListSource, metric_idx: usize, k: usize) -> Vec<f64> {
     let n_days = study.world.config.days.len();
     let workers = study.world.config.effective_workers();
-    parallel::map_indexed(n_days, workers, |day| {
+    map_ordered(n_days, workers, |day| {
         let cf = study
             .index()
             .cf_ranked_ids(study.cdn.daily_final(metric_idx, day));
@@ -129,7 +129,7 @@ pub fn figure2(study: &Study, k: usize) -> ListEvaluation {
     /// One day's cells: `[list][metric] -> (JI, rho)`.
     type DayGrid = Vec<Vec<(f64, Option<f64>)>>;
     // One grid per day, computed in parallel.
-    let day_grids: Vec<DayGrid> = parallel::map_indexed(n_days, workers, |day| {
+    let day_grids: Vec<DayGrid> = map_ordered(n_days, workers, |day| {
         // The day's reference rankings, one per metric.
         let cf_rankings: Vec<Vec<DomainId>> = (0..metrics.len())
             .map(|mi| study.index().cf_ranked_ids(study.cdn.daily_final(mi, day)))

@@ -1,21 +1,18 @@
 //! Study orchestration: run the world once, feed every vantage, build every
 //! list, and cache what the experiments need.
 //!
-//! Day simulation *and* per-day vantage observation run fused on a worker
-//! pool (`WorldConfig::workers` / `TOPPLE_WORKERS`): each worker streams a
-//! day's events straight into all five vantage builders as the simulator
-//! generates them ([`topple_vantage::DayScratch`] — no materialized
-//! `DayTraffic`, per-day working state in pooled reusable scratch) and
-//! condenses it into mergeable [`DayShards`]; the orchestrating thread
-//! folds completed shards into the vantage accumulators in strict day
-//! order. The fold order — not the workers' completion order — is what
-//! reaches the accumulators, so results are byte-identical at any worker
-//! count (`tests/determinism.rs`), and the bounded channel keeps at most
-//! `O(workers)` days of shards in flight.
-
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+//! Day simulation *and* per-day vantage observation run fused on the
+//! ordered fan-out ([`topple_stats::fanout`], `WorldConfig::workers` /
+//! `TOPPLE_WORKERS`): each worker streams a day's events straight into all
+//! five vantage builders as the simulator generates them
+//! ([`topple_vantage::DayScratch`] — no materialized `DayTraffic`, per-day
+//! working state in the worker's reusable scratch) and condenses it into
+//! mergeable [`DayShards`]; the calling thread folds completed shards into
+//! the vantage accumulators in strict day order. The fold order — not the
+//! workers' completion order — is what reaches the accumulators, so results
+//! are byte-identical at any worker count (`tests/determinism.rs`), and the
+//! fan-out's admission window keeps at most `2 × workers` days of shards
+//! waiting for the fold.
 
 use topple_lists::{
     alexa, crux, majestic, secrank, tranco, trexa, umbrella, BucketedList, DomainId, DomainTable,
@@ -23,9 +20,10 @@ use topple_lists::{
 };
 use topple_psl::DomainName;
 use topple_sim::{Resolver, World, WorldConfig, WorldError};
+use topple_stats::fanout::for_each_ordered;
 use topple_vantage::{
     CdnVantage, CfMetric, ChromeVantage, CrawlerVantage, DayScratch, DayShards, DnsVantage,
-    PanelVantage, ScoreVec, ScratchPool,
+    PanelVantage, ScoreVec,
 };
 
 use crate::index::{ColumnsSet, ListColumns, StudyIndex};
@@ -97,111 +95,38 @@ impl Accumulators {
 /// observed by all five vantages as it is generated, with no materialized
 /// `DayTraffic` and all per-day working state in reusable scratch.
 ///
-/// With one worker this runs inline with zero threading overhead, reusing a
-/// single [`DayScratch`] across the window. With more, a pool of workers
-/// pulls day indices from a shared counter, checks a `DayScratch` out of a
-/// shared [`ScratchPool`] (so warmed-up capacity is reused across days
-/// regardless of which worker lands on them), condenses the day into
-/// mergeable [`DayShards`], and sends the result over a bounded channel;
-/// the orchestrating thread reorders arrivals and folds them in strict day
-/// order. The channel bound (2× workers) caps how far simulation can run
-/// ahead of ingestion, bounding memory to `O(workers)` days.
+/// Runs on [`for_each_ordered`]: each worker builds one [`DayScratch`] and
+/// reuses its warmed capacity for every day it claims, and the calling
+/// thread folds the days' [`DayShards`] in strict day order, with at most
+/// `2 × workers` days of shards awaiting the fold.
 fn run_days(world: &World, acc: &mut Accumulators, workers: usize) {
-    let n_days = world.config.days.len();
-    if workers <= 1 || n_days <= 1 {
-        let mut scratch = DayScratch::new(world);
-        for d in 0..n_days {
-            acc.fold(world, scratch.observe_day(world, d));
-        }
-        return;
-    }
-
-    let (tx, rx) = mpsc::sync_channel::<(usize, DayShards)>(workers * 2);
-    let next_day = AtomicUsize::new(0);
-    let pool = ScratchPool::new();
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n_days) {
-            let tx = tx.clone();
-            let next_day = &next_day;
-            let pool = &pool;
-            s.spawn(move || loop {
-                let d = next_day.fetch_add(1, Ordering::Relaxed);
-                if d >= n_days {
-                    break;
-                }
-                let mut scratch = pool.checkout_or(|| DayScratch::new(world));
-                let shards = scratch.observe_day(world, d);
-                pool.put_back(scratch);
-                // The receiver only disappears once every day has been
-                // folded (or the orchestrator is unwinding); either way the
-                // remaining work is moot.
-                if tx.send((d, shards)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx); // the fold loop's recv() must not wait on this clone
-
-        // Reorder out-of-completion-order arrivals and fold in day order.
-        let mut pending: BTreeMap<usize, DayShards> = BTreeMap::new();
-        let mut next_fold = 0usize;
-        while next_fold < n_days {
-            let Ok((d, shards)) = rx.recv() else {
-                // All workers exited early; a worker panic is about to be
-                // propagated by the scope itself.
-                break;
-            };
-            pending.insert(d, shards);
-            while let Some(shards) = pending.remove(&next_fold) {
-                acc.fold(world, shards);
-                next_fold += 1;
-            }
-        }
-    });
+    for_each_ordered(
+        world.config.days.len(),
+        workers,
+        || DayScratch::new(world),
+        |scratch, d| scratch.observe_day(world, d),
+        |_, shards| acc.fold(world, shards),
+    );
 }
 
 /// Observes days `0..n_days` of the world into per-day [`DayShards`] without
 /// folding them — the raw material for [`Study::from_shards`], delta
 /// snapshots, and live ingestion.
 ///
-/// Uses the same fused streaming pipeline and worker-pool pattern as
-/// [`Study::run`] (days are RNG-independent), so the returned shards are
-/// identical at any worker count. `n_days` is clamped to the world's window.
+/// Uses the same fused streaming pipeline and fan-out as [`Study::run`]
+/// (days are RNG-independent), so the returned shards are identical at any
+/// worker count. `n_days` is clamped to the world's window.
 pub fn observe_day_shards(world: &World, n_days: usize, workers: usize) -> Vec<DayShards> {
     let n_days = n_days.min(world.config.days.len());
-    if workers <= 1 || n_days <= 1 {
-        let mut scratch = DayScratch::new(world);
-        return (0..n_days).map(|d| scratch.observe_day(world, d)).collect();
-    }
-
-    let (tx, rx) = mpsc::sync_channel::<(usize, DayShards)>(workers * 2);
-    let next_day = AtomicUsize::new(0);
-    let pool = ScratchPool::new();
-    let mut out: BTreeMap<usize, DayShards> = BTreeMap::new();
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n_days) {
-            let tx = tx.clone();
-            let next_day = &next_day;
-            let pool = &pool;
-            s.spawn(move || loop {
-                let d = next_day.fetch_add(1, Ordering::Relaxed);
-                if d >= n_days {
-                    break;
-                }
-                let mut scratch = pool.checkout_or(|| DayScratch::new(world));
-                let shards = scratch.observe_day(world, d);
-                pool.put_back(scratch);
-                if tx.send((d, shards)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        while let Ok((d, shards)) = rx.recv() {
-            out.insert(d, shards);
-        }
-    });
-    out.into_values().collect()
+    let mut out = Vec::with_capacity(n_days);
+    for_each_ordered(
+        n_days,
+        workers,
+        || DayScratch::new(world),
+        |scratch, d| scratch.observe_day(world, d),
+        |_, shards| out.push(shards),
+    );
+    out
 }
 
 /// A fully-materialized study: the world, every vantage's accumulated view,

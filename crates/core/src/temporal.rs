@@ -6,10 +6,10 @@
 //! within the month, exactly as their real counterparts effectively are.
 
 use topple_lists::ListSource;
+use topple_stats::fanout::map_ordered;
 use topple_stats::timeseries::{dominant_period, weekday_split, WeekdaySplit};
 
 use crate::methodology::against_cloudflare_ids;
-use crate::parallel;
 use crate::study::Study;
 
 /// Daily similarity series for one list.
@@ -57,7 +57,7 @@ pub fn figure3(study: &Study, k: usize) -> Vec<TemporalSeries> {
         .collect();
 
     // One (JI, rho) row per day, one entry per source.
-    let day_rows: Vec<Vec<(f64, f64)>> = parallel::map_indexed(n_days, workers, |day| {
+    let day_rows: Vec<Vec<(f64, f64)>> = map_ordered(n_days, workers, |day| {
         // The day's reference: CF all-HTTP-requests ranking, computed once
         // and shared by all seven sources.
         let cf_ranked = study

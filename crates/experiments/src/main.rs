@@ -63,7 +63,7 @@ use topple_serve::metrics::Metrics;
 use topple_serve::query::parse_list;
 use topple_serve::{Delta, DeltaIdentity, LiveEngine, LiveStore, QuerySnapshot, Server, Snapshot};
 use topple_sim::{GenBudget, World, WorldConfig};
-use topple_vantage::DayShards;
+use topple_vantage::DayScratch;
 
 mod render;
 
@@ -439,7 +439,7 @@ fn snapshot_delta(mut args: impl Iterator<Item = String>) -> Result<ExitCode, St
         n_clients: world.config.n_clients as u64,
         scale: flags.scale.clone(),
     };
-    let (observed, took) = timed(|| DayShards::observe(&world, &world.simulate_day(day)));
+    let (observed, took) = timed(|| DayScratch::new(&world).observe_day(&world, day));
     eprintln!("# day {day} observed in {}", took.report());
     let delta =
         Delta::new(identity, observed).map_err(|e| format!("delta construction failed: {e}"))?;

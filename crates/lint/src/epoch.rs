@@ -964,10 +964,9 @@ fn stray(rng: &mut SmallRng) -> f64 { rng.random() }
         pinned
             .sites
             .insert("topple-sim::lib::gone".into(), vec!["uniform".into()]);
-        pinned
-            .sites
-            .get_mut("topple-sim::lib::chance")
-            .map(|d| d.push("uniform".into()));
+        if let Some(draws) = pinned.sites.get_mut("topple-sim::lib::chance") {
+            draws.push("uniform".into());
+        }
         pinned.sites.remove("topple-sim::lib::substream");
         pinned.epoch = 2;
         let msgs = drift(&computed, &pinned, MANIFEST_FILE);

@@ -74,13 +74,14 @@ pub fn build_daily(
 mod tests {
     use super::*;
     use topple_sim::WorldConfig;
+    use topple_vantage::DayScratch;
 
     fn setup() -> (World, PanelVantage) {
         let w = World::generate(WorldConfig::small(81)).unwrap();
         let mut p = PanelVantage::new(&w);
+        let mut scratch = DayScratch::new(&w);
         for d in 0..5 {
-            let t = w.simulate_day(d);
-            p.ingest_day(&w, &t);
+            p.ingest_shard(scratch.observe_day(&w, d).panel);
         }
         (w, p)
     }

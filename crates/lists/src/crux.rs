@@ -42,13 +42,14 @@ pub fn build(world: &World, chrome: &ChromeVantage, magnitudes: &[usize]) -> Buc
 mod tests {
     use super::*;
     use topple_sim::WorldConfig;
+    use topple_vantage::DayScratch;
 
     fn setup() -> (World, ChromeVantage) {
         let w = World::generate(WorldConfig::small(121)).unwrap();
         let mut v = ChromeVantage::new(&w);
+        let mut scratch = DayScratch::new(&w);
         for d in 0..4 {
-            let t = w.simulate_day(d);
-            v.ingest_day(&w, &t);
+            v.ingest_shard(scratch.observe_day(&w, d).chrome);
         }
         (w, v)
     }

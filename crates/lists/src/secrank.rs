@@ -81,13 +81,14 @@ pub fn build(
 mod tests {
     use super::*;
     use topple_sim::{Country, Resolver, WorldConfig};
+    use topple_vantage::DayScratch;
 
     fn setup() -> (World, DnsVantage) {
         let w = World::generate(WorldConfig::small(111)).unwrap();
         let mut v = DnsVantage::new(Resolver::ChinaVoting);
+        let mut scratch = DayScratch::new(&w);
         for d in 0..5 {
-            let t = w.simulate_day(d);
-            v.ingest_day(&w, &t);
+            v.ingest_shard(&w, scratch.observe_day(&w, d).china);
         }
         (w, v)
     }

@@ -96,12 +96,12 @@ pub fn build_monthly(world: &World, resolver: &DnsVantage, max_len: usize) -> Ra
 mod tests {
     use super::*;
     use topple_sim::{Resolver, WorldConfig};
+    use topple_vantage::DayScratch;
 
     fn setup() -> (World, DnsVantage) {
         let w = World::generate(WorldConfig::small(91)).unwrap();
         let mut v = DnsVantage::new(Resolver::Umbrella);
-        let t = w.simulate_day(0);
-        v.ingest_day(&w, &t);
+        v.ingest_shard(&w, DayScratch::new(&w).observe_day(&w, 0).umbrella);
         (w, v)
     }
 
@@ -147,9 +147,9 @@ mod tests {
     fn monthly_aggregates_days() {
         let w = World::generate(WorldConfig::tiny(92)).unwrap();
         let mut v = DnsVantage::new(Resolver::Umbrella);
+        let mut scratch = DayScratch::new(&w);
         for d in 0..3 {
-            let t = w.simulate_day(d);
-            v.ingest_day(&w, &t);
+            v.ingest_shard(&w, scratch.observe_day(&w, d).umbrella);
         }
         let monthly = build_monthly(&w, &v, 100_000);
         assert!(!monthly.is_empty());

@@ -19,7 +19,7 @@ use topple_core::Study;
 use topple_serve::delta::HEADER_LEN;
 use topple_serve::{encode_study, Delta, DeltaError, DeltaIdentity};
 use topple_sim::{World, WorldConfig};
-use topple_vantage::DayShards;
+use topple_vantage::DayScratch;
 
 const SEED: u64 = 20220201;
 
@@ -41,7 +41,7 @@ fn identity(world: &World) -> DeltaIdentity {
 fn day_delta(world: &World, day: usize) -> Delta {
     Delta::new(
         identity(world),
-        DayShards::observe(world, &world.simulate_day(day)),
+        DayScratch::new(world).observe_day(world, day),
     )
     .expect("delta encodes")
 }

@@ -625,18 +625,6 @@ impl World {
         }
         // topple-lint: hot-path-end
     }
-
-    /// Simulates every configured day sequentially, invoking `f` per day.
-    ///
-    /// Memory stays bounded at one day's traffic; for parallel consumption,
-    /// call [`World::simulate_day`] from worker threads instead (days are
-    /// independent).
-    pub fn for_each_day<F: FnMut(&DayTraffic)>(&self, mut f: F) {
-        for i in 0..self.config.days.len() {
-            let t = self.simulate_day(i);
-            f(&t);
-        }
-    }
 }
 
 #[cfg(test)]

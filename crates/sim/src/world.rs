@@ -19,15 +19,14 @@
 //! are identical by construction, and the epochs differ only in how RNG
 //! streams are seeded and scheduled.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::collections::HashMap;
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 use topple_psl::{DomainName, PublicSuffixList};
 use topple_stats::cast;
+use topple_stats::fanout::map_ordered;
 
 use crate::alias::AliasTable;
 use crate::budget::GenBudget;
@@ -637,11 +636,9 @@ fn digest_soa(d: &mut Fnv, soa: &SoaTables) {
 /// Runs `f(lo, hi)` over contiguous ranges of `0..n` (each at most `shard`
 /// wide) on up to `workers` threads, returning results **in range order**.
 ///
-/// Work is claimed from an atomic counter; results are reordered on the
-/// collector side, so the output is independent of scheduling. With one
-/// worker (or one shard) it degenerates to a sequential loop with no thread
-/// or channel overhead — that path and the threaded path produce identical
-/// results because `f` is pure per range.
+/// The ranges are the work items of [`map_ordered`], so the output is
+/// independent of scheduling: `f` is pure per range, and one worker (or one
+/// shard) runs the same loop inline.
 fn run_sharded<T: Send>(
     n: usize,
     shard: usize,
@@ -649,57 +646,9 @@ fn run_sharded<T: Send>(
     f: impl Fn(usize, usize) -> T + Sync,
 ) -> Vec<T> {
     let shard = shard.max(1);
-    let n_shards = n.div_ceil(shard);
-    let bounds = |k: usize| (k * shard, ((k + 1) * shard).min(n));
-    if workers <= 1 || n_shards <= 1 {
-        return (0..n_shards)
-            .map(|k| {
-                let (lo, hi) = bounds(k);
-                f(lo, hi)
-            })
-            .collect();
-    }
-    let (tx, rx) = mpsc::sync_channel::<(usize, T)>(workers * 2);
-    let next = AtomicUsize::new(0);
-    let mut out = Vec::with_capacity(n_shards);
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n_shards) {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            s.spawn(move || loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= n_shards {
-                    break;
-                }
-                let (lo, hi) = bounds(k);
-                // The receiver only disappears once every shard has been
-                // collected (or the generator is unwinding); either way the
-                // remaining work is moot.
-                if tx.send((k, f(lo, hi))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx); // the collect loop's recv() must not wait on this clone
-
-        // Reorder out-of-completion-order arrivals into shard order.
-        let mut pending: BTreeMap<usize, T> = BTreeMap::new();
-        let mut next_out = 0usize;
-        while next_out < n_shards {
-            let Ok((k, t)) = rx.recv() else {
-                // All workers exited early; a worker panic is about to be
-                // propagated by the scope itself.
-                break;
-            };
-            pending.insert(k, t);
-            while let Some(t) = pending.remove(&next_out) {
-                out.push(t);
-                next_out += 1;
-            }
-        }
-    });
-    out
+    map_ordered(n.div_ceil(shard), workers, |k| {
+        f(k * shard, ((k + 1) * shard).min(n))
+    })
 }
 
 /// Host-plan mask bits, in the order `build`-era hosts were pushed: the

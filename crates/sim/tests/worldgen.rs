@@ -16,18 +16,22 @@
 //! client, link-graph row, and SoA column. Two worlds with equal digests
 //! are observably identical to the simulator.
 
-use topple_sim::{World, WorldConfig, GENERATION_EPOCH, SUPPORTED_GEN_EPOCHS};
+use topple_sim::{World, WorldConfig, WorldError, GENERATION_EPOCH, SUPPORTED_GEN_EPOCHS};
 
 /// Build a world with an explicit generation epoch / worker count / shard so
 /// the `TOPPLE_GEN_EPOCH` / `TOPPLE_WORKERS` environment cannot leak in.
-fn build(scale: fn(u64) -> WorldConfig, gen_epoch: u32, workers: usize, shard: usize) -> World {
-    let config = WorldConfig {
+fn build(
+    scale: fn(u64) -> WorldConfig,
+    gen_epoch: u32,
+    workers: usize,
+    shard: usize,
+) -> Result<World, WorldError> {
+    World::generate(WorldConfig {
         gen_epoch: Some(gen_epoch),
         workers: Some(workers),
         gen_shard: Some(shard),
         ..scale(42)
-    };
-    World::generate(config).unwrap_or_else(|e| panic!("world must generate: {e}"))
+    })
 }
 
 /// Seed-42 digests recorded from the scalar (epoch 1) builder before the
@@ -43,18 +47,24 @@ const GEN2_SMALL: u64 = 0xbeff_1a1f_15af_f6f7;
 
 #[test]
 fn gen1_digests_are_pinned() {
-    assert_eq!(build(WorldConfig::tiny, 1, 1, 4096).gen_digest(), GEN1_TINY);
     assert_eq!(
-        build(WorldConfig::small, 1, 1, 4096).gen_digest(),
+        build(WorldConfig::tiny, 1, 1, 4096).unwrap().gen_digest(),
+        GEN1_TINY
+    );
+    assert_eq!(
+        build(WorldConfig::small, 1, 1, 4096).unwrap().gen_digest(),
         GEN1_SMALL
     );
 }
 
 #[test]
 fn gen2_digests_are_pinned() {
-    assert_eq!(build(WorldConfig::tiny, 2, 2, 4096).gen_digest(), GEN2_TINY);
     assert_eq!(
-        build(WorldConfig::small, 2, 2, 4096).gen_digest(),
+        build(WorldConfig::tiny, 2, 2, 4096).unwrap().gen_digest(),
+        GEN2_TINY
+    );
+    assert_eq!(
+        build(WorldConfig::small, 2, 2, 4096).unwrap().gen_digest(),
         GEN2_SMALL
     );
 }
@@ -66,7 +76,7 @@ fn gen2_small_world_is_worker_and_shard_invariant() {
     // worker counts beyond the shard count all included.
     for workers in [1usize, 2, 8] {
         for shard in [512usize, 4096, 1 << 20] {
-            let world = build(WorldConfig::small, 2, workers, shard);
+            let world = build(WorldConfig::small, 2, workers, shard).unwrap();
             assert_eq!(
                 world.gen_digest(),
                 GEN2_SMALL,
@@ -95,8 +105,8 @@ fn gen1_and_gen2_worlds_share_shape_not_bytes() {
     // agree, since downstream consumers only depend on the config-declared
     // sizes. (Weights carry per-site noise, so they are Zipf-shaped but not
     // strictly monotone in id order.)
-    let g1 = build(WorldConfig::tiny, 1, 1, 4096);
-    let g2 = build(WorldConfig::tiny, 2, 2, 512);
+    let g1 = build(WorldConfig::tiny, 1, 1, 4096).unwrap();
+    let g2 = build(WorldConfig::tiny, 2, 2, 512).unwrap();
     assert_eq!(g1.sites.len(), g2.sites.len());
     assert_eq!(g1.clients.len(), g2.clients.len());
     assert_ne!(g1.gen_digest(), g2.gen_digest());

@@ -21,6 +21,8 @@
 //! * [`desc`] — descriptive statistics (mean, variance, quantiles).
 //! * [`mtc`] — multiple-testing corrections (Bonferroni, Holm).
 //! * [`timeseries`] — autocorrelation and weekly-periodicity detection.
+//! * [`fanout`] — the ordered worker-pool fan-out every parallel loop in
+//!   the workspace runs on.
 //!
 //! # Example
 //!
@@ -41,6 +43,7 @@ pub mod cast;
 pub mod corr;
 pub mod desc;
 pub mod dist;
+pub mod fanout;
 pub mod linalg;
 pub mod logit;
 pub mod mtc;

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeSet;
 
-use topple_sim::{Country, DayTraffic, PageLoad, Platform, SiteId, World};
+use topple_sim::{Country, PageLoad, Platform, SiteId, World};
 
 use crate::scratch::{KeyPacker, KeyWidthError, ScratchMap};
 use crate::shard::merge_sorted;
@@ -159,21 +159,6 @@ pub struct ChromeShard {
 }
 
 impl ChromeShard {
-    /// Observes one day of traffic into a single-day shard. Pure: depends
-    /// only on `(world, traffic)`, never on ingestion order.
-    ///
-    /// Implemented as a replay of the materialized traffic through a fresh
-    /// [`ChromeDayBuilder`] — the same accumulation the fused streaming
-    /// path uses, so the two cannot drift apart.
-    pub fn from_day(world: &World, traffic: &DayTraffic) -> Self {
-        let mut b = ChromeDayBuilder::new(world);
-        b.begin();
-        for pl in &traffic.page_loads {
-            b.page_load(world, pl);
-        }
-        b.finish_day(traffic.day_index)
-    }
-
     /// Day indices covered by this shard, ascending.
     pub fn day_indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.day_indices.iter().copied()
@@ -561,13 +546,6 @@ impl ChromeVantage {
         self.days
     }
 
-    /// Ingests one day of traffic. Equivalent to building a [`ChromeShard`]
-    /// for the day and ingesting it — that *is* the implementation, so the
-    /// sequential and sharded paths cannot drift apart.
-    pub fn ingest_day(&mut self, world: &World, traffic: &DayTraffic) {
-        self.ingest_shard(ChromeShard::from_day(world, traffic));
-    }
-
     /// Folds a (possibly multi-day) shard into the accumulators. Chrome
     /// telemetry has no order-sensitive state, so shards may arrive in any
     /// order; the persistent seen-client sets turn shard client sets into
@@ -693,7 +671,7 @@ impl ChromeVantage {
 mod tests {
     use super::*;
     use crate::wire::{Reader, WireError, Writer};
-    use crate::Shard as _;
+    use crate::{DayShards, Shard as _};
     use proptest::prelude::*;
     use topple_sim::{Browser, WorldConfig};
 
@@ -701,8 +679,7 @@ mod tests {
         let w = World::generate(WorldConfig::small(71)).unwrap();
         let mut v = ChromeVantage::new(&w);
         for d in 0..3 {
-            let t = w.simulate_day(d);
-            v.ingest_day(&w, &t);
+            v.ingest_shard(DayShards::observe(&w, &w.simulate_day(d)).chrome);
         }
         (w, v)
     }
@@ -818,8 +795,8 @@ mod tests {
         static FIXTURE: std::sync::OnceLock<(ChromeShard, Vec<u8>)> = std::sync::OnceLock::new();
         FIXTURE.get_or_init(|| {
             let w = World::generate(WorldConfig::tiny(73)).unwrap();
-            let mut shard = ChromeShard::from_day(&w, &w.simulate_day(0));
-            shard.merge(ChromeShard::from_day(&w, &w.simulate_day(1)));
+            let mut shard = DayShards::observe(&w, &w.simulate_day(0)).chrome;
+            shard.merge(DayShards::observe(&w, &w.simulate_day(1)).chrome);
             let bytes = encode(&shard);
             (shard, bytes)
         })

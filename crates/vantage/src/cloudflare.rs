@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use topple_sim::{Browser, DayTraffic, PageLoad, ThirdPartyFetch, World};
+use topple_sim::{Browser, PageLoad, ThirdPartyFetch, World};
 
 use crate::metrics::{add_assign, scale, ScoreVec};
 use crate::scratch::{ScratchMap, ScratchTable};
@@ -411,8 +411,7 @@ pub struct CdnShard {
 }
 
 impl CdnDayBuilder {
-    /// Drains the day's accumulation into a single-day [`CdnShard`] (the
-    /// fused streaming path's counterpart to [`CdnShard::from_day`]).
+    /// Drains the day's accumulation into a single-day [`CdnShard`].
     pub(crate) fn finish_shard(&mut self, world: &World, day_index: usize) -> CdnShard {
         let mut days = BTreeMap::new();
         days.insert(day_index, self.finish_day(world.sites.len()));
@@ -421,14 +420,6 @@ impl CdnDayBuilder {
 }
 
 impl CdnShard {
-    /// Observes one day of traffic into a single-day shard. Pure: depends
-    /// only on `(world, traffic)`, never on ingestion order.
-    pub fn from_day(world: &World, traffic: &DayTraffic) -> Self {
-        let mut days = BTreeMap::new();
-        days.insert(traffic.day_index, CdnVantage::observe_day(world, traffic));
-        CdnShard { days }
-    }
-
     /// Day indices covered by this shard, ascending.
     pub fn day_indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.days.keys().copied()
@@ -531,31 +522,6 @@ impl CdnVantage {
         }
     }
 
-    /// Computes one day's 21 metrics from the request log without mutating
-    /// the vantage (used directly by the Figure 8 experiment).
-    ///
-    /// Implemented as a replay of the materialized traffic through a fresh
-    /// [`CdnDayBuilder`] — the same accumulation the fused streaming path
-    /// uses, so the two cannot drift apart.
-    pub fn observe_day(world: &World, traffic: &DayTraffic) -> CfDayMetrics {
-        let mut b = CdnDayBuilder::new(world);
-        b.begin();
-        for pl in &traffic.page_loads {
-            b.page_load(world, pl);
-        }
-        for tp in &traffic.third_party {
-            b.third_party(world, tp);
-        }
-        b.finish_day(world.sites.len())
-    }
-
-    /// Ingests one day of traffic. Equivalent to building a [`CdnShard`]
-    /// for the day and ingesting it — that *is* the implementation, so the
-    /// sequential and sharded paths cannot drift apart.
-    pub fn ingest_day(&mut self, world: &World, traffic: &DayTraffic) {
-        self.ingest_shard(CdnShard::from_day(world, traffic));
-    }
-
     /// Folds a (possibly multi-day) shard into the accumulators, applying
     /// its days in ascending day order. Days must arrive contiguously —
     /// day `d` can only be ingested once days `0..d` have been.
@@ -626,12 +592,22 @@ impl CdnVantage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use topple_sim::{World, WorldConfig};
+    use crate::DayShards;
+    use topple_sim::{DayTraffic, World, WorldConfig};
 
     fn world_and_day() -> (World, DayTraffic) {
         let w = World::generate(WorldConfig::tiny(31)).unwrap();
         let t = w.simulate_day(0);
         (w, t)
+    }
+
+    /// One day's 21 metrics, observed from the materialized day.
+    fn observe(w: &World, t: &DayTraffic) -> CfDayMetrics {
+        DayShards::observe(w, t)
+            .cdn
+            .days
+            .remove(&t.day_index)
+            .unwrap()
     }
 
     #[test]
@@ -647,7 +623,7 @@ mod tests {
     #[test]
     fn non_customer_sites_are_invisible() {
         let (w, t) = world_and_day();
-        let day = CdnVantage::observe_day(&w, &t);
+        let day = observe(&w, &t);
         for (i, site) in w.sites.iter().enumerate() {
             if !site.cloudflare {
                 for m in CfMetric::full_suite() {
@@ -660,7 +636,7 @@ mod tests {
     #[test]
     fn filter_counts_are_ordered_subsets() {
         let (w, t) = world_and_day();
-        let day = CdnVantage::observe_day(&w, &t);
+        let day = observe(&w, &t);
         let all = day.metric(CfMetric {
             filter: CfFilter::AllRequests,
             agg: CfAgg::Raw,
@@ -690,7 +666,7 @@ mod tests {
     #[test]
     fn unique_ip_bounded_by_raw_and_ip_ua_at_least_ip() {
         let (w, t) = world_and_day();
-        let day = CdnVantage::observe_day(&w, &t);
+        let day = observe(&w, &t);
         for f in CfFilter::ALL {
             let raw = day.metric(CfMetric {
                 filter: f,
@@ -721,7 +697,7 @@ mod tests {
     #[test]
     fn https_only_tls() {
         let (w, t) = world_and_day();
-        let day = CdnVantage::observe_day(&w, &t);
+        let day = observe(&w, &t);
         let tls = day.metric(CfMetric {
             filter: CfFilter::Tls,
             agg: CfAgg::Raw,
@@ -739,14 +715,14 @@ mod tests {
         let mut v = CdnVantage::new(&w);
         let t0 = w.simulate_day(0);
         let t1 = w.simulate_day(1);
-        v.ingest_day(&w, &t0);
-        v.ingest_day(&w, &t1);
+        v.ingest_shard(DayShards::observe(&w, &t0).cdn);
+        v.ingest_shard(DayShards::observe(&w, &t1).cdn);
         let m = CfMetric {
             filter: CfFilter::AllRequests,
             agg: CfAgg::Raw,
         };
-        let d0 = CdnVantage::observe_day(&w, &t0);
-        let d1 = CdnVantage::observe_day(&w, &t1);
+        let d0 = observe(&w, &t0);
+        let d1 = observe(&w, &t1);
         let monthly = v.monthly(m);
         for (i, &got) in monthly.iter().enumerate().take(w.sites.len()) {
             let want = (d0.metric(m)[i] + d1.metric(m)[i]) / 2.0;
@@ -853,7 +829,7 @@ mod tests {
     #[test]
     fn automation_excluded_from_top_browsers() {
         let (w, t) = world_and_day();
-        let day = CdnVantage::observe_day(&w, &t);
+        let day = observe(&w, &t);
         // Find a pageload from an automation client to a CF site.
         let m_all = CfMetric {
             filter: CfFilter::AllRequests,

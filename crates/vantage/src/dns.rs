@@ -14,9 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use topple_sim::{
-    BackgroundQuery, ClientId, DayTraffic, PageLoad, Resolver, SiteId, ThirdPartyFetch, World,
-};
+use topple_sim::{BackgroundQuery, ClientId, PageLoad, Resolver, SiteId, ThirdPartyFetch, World};
 
 use crate::scratch::{KeyPacker, KeyWidthError, ScratchMap, ScratchTable};
 
@@ -235,36 +233,16 @@ impl DnsDayShard {
 /// merge itself is a keyed union — exactly associative and commutative —
 /// which is what lets shards be built fully in parallel.
 ///
-/// A shard is built *for one resolver* ([`DnsShard::from_day`] filters to
-/// that resolver's clients); feeding it to a vantage modeling a different
-/// resolver is a logic error the types do not prevent.
+/// A shard is built *for one resolver* (its day builder filters to that
+/// resolver's clients; [`DayShards`](crate::DayShards) carries one per
+/// resolver); feeding it to a vantage modeling a different resolver is a
+/// logic error the types do not prevent.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DnsShard {
     days: BTreeMap<usize, DnsDayShard>,
 }
 
 impl DnsShard {
-    /// Observes one day of traffic as seen by `resolver`'s clients. Pure:
-    /// depends only on `(world, traffic, resolver)`, never on order.
-    ///
-    /// Implemented as a replay of the materialized traffic through a fresh
-    /// [`DnsDayBuilder`] — the same accumulation the fused streaming path
-    /// uses, so the two cannot drift apart.
-    pub fn from_day(world: &World, traffic: &DayTraffic, resolver: Resolver) -> Self {
-        let mut b = DnsDayBuilder::new(world, resolver);
-        b.begin();
-        for pl in &traffic.page_loads {
-            b.page_load(world, pl);
-        }
-        for tp in &traffic.third_party {
-            b.third_party(world, tp);
-        }
-        for bg in &traffic.background {
-            b.background(world, bg);
-        }
-        b.finish_day(traffic.day_index)
-    }
-
     /// Day indices covered by this shard, ascending.
     pub fn day_indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.days.keys().copied()
@@ -586,21 +564,13 @@ impl DnsVantage {
         self.resolver
     }
 
-    /// Ingests one day of traffic. Days must be ingested in order — the
-    /// multi-day TTL cache is stateful. Equivalent to building a
-    /// [`DnsShard`] for the day and ingesting it — that *is* the
-    /// implementation, so the sequential and sharded paths cannot drift.
-    pub fn ingest_day(&mut self, world: &World, traffic: &DayTraffic) {
-        self.ingest_shard(world, DnsShard::from_day(world, traffic, self.resolver));
-    }
-
     /// Folds a (possibly multi-day) shard into the resolver's state,
     /// applying its days in ascending day order: this is where the multi-day
     /// TTL gate runs, so the shard's pre-gate candidates become the day's
     /// actual resolver log. Days must arrive contiguously.
     ///
-    /// The shard must have been built (via [`DnsShard::from_day`]) for the
-    /// same resolver this vantage models.
+    /// The shard must have been built for the same resolver this vantage
+    /// models.
     ///
     /// # Panics
     ///
@@ -727,14 +697,23 @@ impl DnsVantage {
 mod tests {
     use super::*;
     use crate::wire::{Reader, WireError, Writer};
-    use crate::Shard as _;
+    use crate::{DayShards, Shard as _};
     use proptest::prelude::*;
-    use topple_sim::{Country, WorldConfig};
+    use topple_sim::{Country, DayTraffic, WorldConfig};
 
     fn setup() -> (World, DayTraffic) {
         let w = World::generate(WorldConfig::tiny(41)).unwrap();
         let t = w.simulate_day(0);
         (w, t)
+    }
+
+    /// `v`'s resolver's shard of the materialized day `t`.
+    fn observe(w: &World, t: &DayTraffic, v: &DnsVantage) -> DnsShard {
+        let shards = DayShards::observe(w, t);
+        match v.resolver() {
+            Resolver::Umbrella => shards.umbrella,
+            _ => shards.china,
+        }
     }
 
     #[test]
@@ -747,7 +726,7 @@ mod tests {
     fn only_own_clients_are_logged() {
         let (w, t) = setup();
         let mut v = DnsVantage::new(Resolver::ChinaVoting);
-        v.ingest_day(&w, &t);
+        v.ingest_shard(&w, observe(&w, &t, &v));
         // Every vote must come from a Chinese client IP block.
         let china_block = (Country::China.index() as u32 + 1) << 24;
         for ((ip, _), _) in v.votes() {
@@ -763,7 +742,7 @@ mod tests {
     fn cache_misses_only() {
         let (w, t) = setup();
         let mut v = DnsVantage::new(Resolver::Umbrella);
-        v.ingest_day(&w, &t);
+        v.ingest_shard(&w, observe(&w, &t, &v));
         let total = v.day(0).total_queries();
         // Raw page loads from Umbrella clients exceed resolver queries
         // because repeat visits are served from the stub cache.
@@ -785,7 +764,7 @@ mod tests {
     fn background_names_present() {
         let (w, t) = setup();
         let mut v = DnsVantage::new(Resolver::Umbrella);
-        v.ingest_day(&w, &t);
+        v.ingest_shard(&w, observe(&w, &t, &v));
         let has_bg = v
             .day(0)
             .names()
@@ -797,7 +776,7 @@ mod tests {
     fn unique_ips_bounded_by_queries() {
         let (w, t) = setup();
         let mut v = DnsVantage::new(Resolver::Umbrella);
-        v.ingest_day(&w, &t);
+        v.ingest_shard(&w, observe(&w, &t, &v));
         for (_, s) in v.day(0).names() {
             assert!(u64::from(s.unique_ips) <= s.queries);
             assert!(s.unique_ips >= 1);
@@ -808,7 +787,7 @@ mod tests {
     fn name_text_renders() {
         let (w, t) = setup();
         let mut v = DnsVantage::new(Resolver::Umbrella);
-        v.ingest_day(&w, &t);
+        v.ingest_shard(&w, observe(&w, &t, &v));
         for (n, _) in v.day(0).names().take(10) {
             let text = DnsVantage::name_text(&w, *n);
             assert!(!text.is_empty());
@@ -835,14 +814,14 @@ mod tests {
     fn votes_accumulate_across_days() {
         let (w, _) = setup();
         let mut v = DnsVantage::new(Resolver::ChinaVoting);
-        v.ingest_day(&w, &w.simulate_day(0));
+        v.ingest_shard(&w, observe(&w, &w.simulate_day(0), &v));
         let after_one: u32 = v
             .votes()
             .iter()
             .map(|(_, c)| c.day_mask.count_ones())
             .max()
             .unwrap_or(0);
-        v.ingest_day(&w, &w.simulate_day(1));
+        v.ingest_shard(&w, observe(&w, &w.simulate_day(1), &v));
         let after_two: u32 = v
             .votes()
             .iter()
@@ -872,12 +851,8 @@ mod tests {
         static FIXTURE: std::sync::OnceLock<(DnsShard, Vec<u8>)> = std::sync::OnceLock::new();
         FIXTURE.get_or_init(|| {
             let w = World::generate(WorldConfig::tiny(43)).unwrap();
-            let mut shard = DnsShard::from_day(&w, &w.simulate_day(0), Resolver::Umbrella);
-            shard.merge(DnsShard::from_day(
-                &w,
-                &w.simulate_day(1),
-                Resolver::Umbrella,
-            ));
+            let mut shard = DayShards::observe(&w, &w.simulate_day(0)).umbrella;
+            shard.merge(DayShards::observe(&w, &w.simulate_day(1)).umbrella);
             let bytes = encode(&shard);
             (shard, bytes)
         })

@@ -1,24 +1,24 @@
 //! Fused single-pass ingestion: every vantage observes the traffic stream
 //! as it is generated.
 //!
-//! The materialized pipeline simulates a day into three event vectors
-//! (`DayTraffic`) and then lets each of the five vantages re-scan them. The
-//! fused pipeline inverts that: [`DayScratch::observe_day`] drives
-//! `World::simulate_day_into` with a [`FusedObserver`] sink that dispatches
-//! each event — still on the stack, by reference — to all five shard
-//! builders at once. No per-day event buffer ever exists, and all per-day
-//! working state (uniqueness maps, dense accumulators, the traffic engine's
-//! stub cache) lives in reusable epoch-stamped scratch (see
-//! [`crate::scratch`]), so a warmed-up `DayScratch` ingests a day without
-//! heap allocation until the final shard materialization.
+//! [`DayScratch::observe_day`] drives `World::simulate_day_into` with a
+//! [`FusedObserver`] sink that dispatches each event — still on the stack,
+//! by reference — to all five shard builders at once. No per-day event
+//! buffer ever exists, and all per-day working state (uniqueness maps,
+//! dense accumulators, the traffic engine's stub cache) lives in reusable
+//! epoch-stamped scratch (see [`crate::scratch`]), so a warmed-up
+//! `DayScratch` ingests a day without heap allocation until the final shard
+//! materialization.
 //!
-//! Both paths produce identical [`DayShards`]: the builders' per-day
-//! aggregations are order-independent (exact presence sets and commutative
-//! integer counters), so the streamed interleaving of page loads with their
-//! third-party fetches cannot produce different shards than the segregated
-//! `DayTraffic` scan. `tests/merge_laws.rs` and `tests/ingest_fused.rs`
-//! assert the equality; `tests/determinism.rs` pins that study outputs stay
-//! byte-identical across worker counts.
+//! The same observer is the only way shards are built:
+//! [`DayShards::observe`] replays a materialized `DayTraffic` through a
+//! fresh `DayScratch`'s observer with the three streams segregated. The
+//! builders' per-day aggregations are order-independent (exact presence
+//! sets and commutative integer counters), so the streamed interleaving of
+//! page loads with their third-party fetches cannot produce different
+//! shards than the segregated replay. `tests/merge_laws.rs` and
+//! `tests/ingest_fused.rs` assert the equality; `tests/determinism.rs` pins
+//! that study outputs stay byte-identical across worker counts.
 
 use topple_sim::{
     BackgroundQuery, EventSink, PageLoad, Resolver, ThirdPartyFetch, TrafficScratch, World,
@@ -33,11 +33,10 @@ use crate::shard::DayShards;
 /// All per-worker reusable state for fused day ingestion: the traffic
 /// engine's scratch plus one streaming builder per vantage.
 ///
-/// Create one per worker (or check one out of a
-/// [`ScratchPool`](crate::scratch::ScratchPool) per day) and call
-/// [`DayScratch::observe_day`] for each day; capacity warmed up on early
-/// days is reused for the rest of the window. Carries no cross-day data —
-/// every day starts a fresh scratch epoch — so reuse cannot affect results.
+/// Create one per worker and call [`DayScratch::observe_day`] for each day
+/// it handles; capacity warmed up on early days is reused for the rest of
+/// the window. Carries no cross-day data — every day starts a fresh scratch
+/// epoch — so reuse cannot affect results.
 #[derive(Debug)]
 pub struct DayScratch {
     traffic: TrafficScratch,

@@ -18,20 +18,18 @@
 //!
 //! All vantages share the same shape: observe a day of traffic into a pure,
 //! mergeable per-day [`Shard`] ([`shard`] module), then fold shards into the
-//! vantage's accumulators in day order — `ingest_day(&World, &DayTraffic)`
-//! is the one-day convenience wrapper. Shard *construction* is
-//! order-independent and safe to parallelize; order-sensitive state (the DNS
-//! TTL gate, day-indexed storage) lives only in the sequential
-//! `ingest_shard` folds. None of the vantages reads ground-truth site
-//! weights.
+//! vantage's accumulators in day order with its `ingest_shard`. Shard
+//! *construction* is order-independent and safe to parallelize;
+//! order-sensitive state (the DNS TTL gate, day-indexed storage) lives only
+//! in the sequential `ingest_shard` folds. None of the vantages reads
+//! ground-truth site weights.
 //!
-//! Shard construction has two equivalent entry points: the materialized
-//! path (`Shard::from_day` over a `DayTraffic`) and the fused streaming
-//! path ([`fused::DayScratch::observe_day`]), which observes events from
-//! all five vantages as the simulator generates them, with per-day working
-//! state held in reusable epoch-stamped scratch ([`scratch`] module). The
-//! study pipeline uses the fused path; `from_day` replays through the same
-//! builders, so the two cannot drift apart.
+//! Shards are built in one place: [`fused::DayScratch::observe_day`]
+//! observes every event for all five vantages as the simulator generates
+//! it, with per-day working state held in reusable epoch-stamped scratch
+//! ([`scratch`] module). [`DayShards::observe`] is the materialized
+//! reference — it replays a collected `DayTraffic` through the same
+//! observer — against which the tests check the streamed path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,5 +52,4 @@ pub use dns::{DnsShard, DnsVantage, QueriedName};
 pub use fused::{DayScratch, FusedObserver};
 pub use metrics::{ranked_site_ids, ranked_sites, ScoreVec};
 pub use panel::{PanelShard, PanelVantage};
-pub use scratch::ScratchPool;
 pub use shard::{DayShards, Shard};

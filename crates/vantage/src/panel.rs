@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use topple_sim::{DayTraffic, PageLoad, SiteId, World};
+use topple_sim::{PageLoad, SiteId, World};
 
 use crate::scratch::{ScratchMap, ScratchTable};
 
@@ -25,21 +25,6 @@ pub struct PanelShard {
 }
 
 impl PanelShard {
-    /// Observes one day of traffic into a single-day shard. Pure: depends
-    /// only on `(world, traffic)`, never on ingestion order.
-    ///
-    /// Implemented as a replay of the materialized traffic through a fresh
-    /// [`PanelDayBuilder`] — the same accumulation the fused streaming path
-    /// uses, so the two cannot drift apart.
-    pub fn from_day(world: &World, traffic: &DayTraffic) -> Self {
-        let mut b = PanelDayBuilder::new(world);
-        b.begin();
-        for pl in &traffic.page_loads {
-            b.page_load(world, pl);
-        }
-        b.finish_day(traffic.day_index)
-    }
-
     /// Day indices covered by this shard, ascending.
     pub fn day_indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.days.keys().copied()
@@ -239,13 +224,6 @@ impl PanelVantage {
         self.panel_size
     }
 
-    /// Ingests one day of traffic. Equivalent to building a [`PanelShard`]
-    /// for the day and ingesting it — that *is* the implementation, so the
-    /// sequential and sharded paths cannot drift apart.
-    pub fn ingest_day(&mut self, world: &World, traffic: &DayTraffic) {
-        self.ingest_shard(PanelShard::from_day(world, traffic));
-    }
-
     /// Folds a (possibly multi-day) shard into the day list, applying its
     /// days in ascending day order. Days must arrive contiguously so the
     /// day-indexed accessors stay meaningful.
@@ -284,13 +262,14 @@ impl PanelVantage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DayShards;
     use topple_sim::{Category, WorldConfig};
 
     fn setup() -> (World, PanelVantage) {
         let w = World::generate(WorldConfig::small(61)).unwrap();
         let mut p = PanelVantage::new(&w);
         let t = w.simulate_day(0);
-        p.ingest_day(&w, &t);
+        p.ingest_shard(DayShards::observe(&w, &t).panel);
         (w, p)
     }
 
@@ -322,7 +301,7 @@ mod tests {
         .unwrap();
         let t = w.simulate_day(0);
         let mut p = PanelVantage::new(&w);
-        p.ingest_day(&w, &t);
+        p.ingest_shard(DayShards::observe(&w, &t).panel);
 
         let true_adult = t
             .page_loads

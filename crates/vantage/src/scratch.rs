@@ -17,7 +17,7 @@
 //! counter would wrap, it clears every stamp first, so a stale slot can
 //! never read as current.
 //!
-//! Four pieces:
+//! Three pieces:
 //!
 //! * [`ScratchTable`] — a dense index-addressed table (for site- or
 //!   name-indexed accumulators over the world's fixed universe).
@@ -27,12 +27,8 @@
 //!   state (TTL cache, vote cells, seen-client sets) lives in such maps.
 //! * [`KeyPacker`] — lossless mixed-radix packing of bounded id tuples into
 //!   the `u64` keys those maps take, with the width checked once up front.
-//! * [`ScratchPool`] — a mutex-guarded free list the study worker pool
-//!   checks scratch states out of per day, so capacity built up on early
-//!   days is reused for the rest of the window.
 
 use std::fmt;
-use std::sync::{Mutex, PoisonError};
 
 /// A dense, epoch-stamped table addressed by `usize` index.
 ///
@@ -342,50 +338,6 @@ impl<const N: usize> KeyPacker<N> {
     }
 }
 
-/// A mutex-guarded free list of reusable scratch states.
-///
-/// The study's worker pool checks a state out per day and returns it after
-/// the day's shards are built, so at most `workers` states ever exist and
-/// each one's warmed-up capacity serves many days. The pool imposes no
-/// ordering and the states carry no cross-day data (every checkout starts a
-/// fresh epoch), so pooling cannot affect results — only allocation counts.
-#[derive(Debug)]
-pub struct ScratchPool<T> {
-    free: Mutex<Vec<T>>,
-}
-
-impl<T> ScratchPool<T> {
-    /// An empty pool.
-    pub fn new() -> Self {
-        ScratchPool {
-            free: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Takes a pooled state, or builds one with `make` if none is free.
-    pub fn checkout_or(&self, make: impl FnOnce() -> T) -> T {
-        self.free
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-            .unwrap_or_else(make)
-    }
-
-    /// Returns a state to the pool for the next checkout.
-    pub fn put_back(&self, state: T) {
-        self.free
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(state);
-    }
-}
-
-impl<T> Default for ScratchPool<T> {
-    fn default() -> Self {
-        ScratchPool::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,18 +485,5 @@ mod tests {
         let (fresh, v) = m.entry(7);
         assert!(fresh);
         assert_eq!(*v, 0);
-    }
-
-    #[test]
-    fn pool_round_trips_states() {
-        let pool: ScratchPool<Vec<u8>> = ScratchPool::new();
-        let mut a = pool.checkout_or(|| Vec::with_capacity(16));
-        a.push(1);
-        let cap = a.capacity();
-        pool.put_back(a);
-        let b = pool.checkout_or(Vec::new);
-        assert_eq!(b.capacity(), cap, "pooled state must be the same buffer");
-        let c = pool.checkout_or(|| vec![9]);
-        assert_eq!(c, vec![9], "empty pool must fall back to the factory");
     }
 }

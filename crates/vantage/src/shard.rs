@@ -21,11 +21,12 @@
 
 use std::cmp::Ordering;
 
-use topple_sim::{DayTraffic, Resolver, World};
+use topple_sim::{DayTraffic, EventSink as _, World};
 
 use crate::chrome::ChromeShard;
 use crate::cloudflare::CdnShard;
 use crate::dns::DnsShard;
+use crate::fused::DayScratch;
 use crate::panel::PanelShard;
 
 /// A mergeable per-day observation: the monoid every vantage shard
@@ -106,17 +107,30 @@ pub struct DayShards {
 }
 
 impl DayShards {
-    /// Observes one day of traffic from every vantage at once. Pure and
-    /// thread-safe: depends only on `(world, traffic)`, so workers can
-    /// build shards for different days concurrently and in any order.
+    /// Observes one materialized day of traffic from every vantage at once:
+    /// the reference the streamed [`DayScratch::observe_day`] is tested
+    /// against. Pure: depends only on `(world, traffic)`.
+    ///
+    /// Replays the collected day through a fresh [`DayScratch`]'s observer
+    /// in segregated order — every page load, then every third-party fetch,
+    /// then every background query — so the only difference from the
+    /// streamed path is event order, which the builders' order-independent
+    /// aggregations must not see.
+    ///
+    /// [`DayScratch::observe_day`]: crate::DayScratch::observe_day
     pub fn observe(world: &World, traffic: &DayTraffic) -> Self {
-        DayShards {
-            cdn: CdnShard::from_day(world, traffic),
-            chrome: ChromeShard::from_day(world, traffic),
-            umbrella: DnsShard::from_day(world, traffic, Resolver::Umbrella),
-            china: DnsShard::from_day(world, traffic, Resolver::ChinaVoting),
-            panel: PanelShard::from_day(world, traffic),
+        let mut scratch = DayScratch::new(world);
+        let (_, mut obs) = scratch.parts(world);
+        for pl in &traffic.page_loads {
+            obs.page_load(pl);
         }
+        for tp in &traffic.third_party {
+            obs.third_party(tp);
+        }
+        for bg in &traffic.background {
+            obs.background(bg);
+        }
+        obs.finish_day(traffic.day_index)
     }
 
     /// The set of day indices this shard covers, or `None` if the five

@@ -7,7 +7,8 @@
 
 use topple_sim::{Resolver, World, WorldConfig};
 use topple_vantage::{
-    CdnVantage, CfAgg, CfFilter, CfMetric, ChromeVantage, CrawlerVantage, DnsVantage, PanelVantage,
+    CdnVantage, CfAgg, CfFilter, CfMetric, ChromeVantage, CrawlerVantage, DayScratch, DnsVantage,
+    PanelVantage,
 };
 
 fn setup() -> (World, CdnVantage, ChromeVantage, DnsVantage, PanelVantage) {
@@ -16,12 +17,13 @@ fn setup() -> (World, CdnVantage, ChromeVantage, DnsVantage, PanelVantage) {
     let mut chrome = ChromeVantage::new(&w);
     let mut dns = DnsVantage::new(Resolver::Umbrella);
     let mut panel = PanelVantage::new(&w);
+    let mut scratch = DayScratch::new(&w);
     for d in 0..5 {
-        let t = w.simulate_day(d);
-        cdn.ingest_day(&w, &t);
-        chrome.ingest_day(&w, &t);
-        dns.ingest_day(&w, &t);
-        panel.ingest_day(&w, &t);
+        let shards = scratch.observe_day(&w, d);
+        cdn.ingest_shard(shards.cdn);
+        chrome.ingest_shard(shards.chrome);
+        dns.ingest_shard(&w, shards.umbrella);
+        panel.ingest_shard(shards.panel);
     }
     (w, cdn, chrome, dns, panel)
 }

@@ -5,21 +5,21 @@
 //! makes reusing one scratch state across days safe. These properties pit
 //! a long-lived, epoch-cleared [`ScratchTable`]/[`ScratchMap`] against a
 //! freshly allocated model under randomized operation sequences, including
-//! pool-style checkout/return interleavings where several logical "days"
-//! take turns on a small set of physical scratch states.
+//! checkout/return interleavings where several logical "days" take turns on
+//! a small set of physical scratch states.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use topple_vantage::scratch::{ScratchMap, ScratchPool, ScratchTable};
+use topple_vantage::scratch::{ScratchMap, ScratchTable};
 
 const TABLE_LEN: usize = 48;
 
 /// Replays one epoch of table touches against a fresh zeroed model.
 fn check_table_epoch(table: &mut ScratchTable<u32>, touches: &[u16]) {
     table.begin_epoch();
-    let mut model = vec![0u32; TABLE_LEN];
-    let mut touched = vec![false; TABLE_LEN];
+    let mut model = [0u32; TABLE_LEN];
+    let mut touched = [false; TABLE_LEN];
     for &t in touches {
         let i = usize::from(t) % TABLE_LEN;
         let (first, v) = table.slot(i);
@@ -28,8 +28,8 @@ fn check_table_epoch(table: &mut ScratchTable<u32>, touches: &[u16]) {
         *v += u32::from(t) + 1;
         model[i] += u32::from(t) + 1;
     }
-    for i in 0..TABLE_LEN {
-        assert_eq!(table.peek(i), model[i], "slot {i} diverged from model");
+    for (i, &want) in model.iter().enumerate() {
+        assert_eq!(table.peek(i), want, "slot {i} diverged from model");
     }
 }
 
@@ -88,8 +88,8 @@ proptest! {
         }
     }
 
-    /// Pool-style reuse: logical tasks check states out of a shared pool in
-    /// a randomized interleaving; whichever physical state a task lands on
+    /// Reuse across tasks: logical tasks take states from a free list in a
+    /// randomized interleaving; whichever physical state a task lands on
     /// — brand new or warmed by any previous task — behaves identically to
     /// a fresh one.
     #[test]
@@ -98,11 +98,11 @@ proptest! {
         keysets in proptest::collection::vec(
             proptest::collection::vec(any::<u64>(), 0..60), 1..24),
     ) {
-        let pool: ScratchPool<ScratchMap<u32>> = ScratchPool::new();
+        let mut free: Vec<ScratchMap<u32>> = Vec::new();
         // Up to three states in flight at once, returned in varying order.
         let mut held: Vec<ScratchMap<u32>> = Vec::new();
         for (lane, keys) in lanes.iter().zip(&keysets) {
-            let mut state = pool.checkout_or(ScratchMap::new);
+            let mut state = free.pop().unwrap_or_default();
             check_map_epoch(&mut state, keys);
             held.push(state);
             // Return a lane-dependent member, not necessarily the newest:
@@ -110,11 +110,8 @@ proptest! {
             // its next checkout are the interesting ones.
             if held.len() > usize::from(*lane) {
                 let idx = usize::from(*lane) % held.len();
-                pool.put_back(held.swap_remove(idx));
+                free.push(held.swap_remove(idx));
             }
-        }
-        for state in held {
-            pool.put_back(state);
         }
     }
 }

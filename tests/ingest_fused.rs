@@ -1,16 +1,17 @@
 //! Fused-pipeline equivalence over a realistic window: the streaming
-//! `DayScratch` path (what `Study::run` uses, including pooled scratch
-//! shared by worker threads) must produce exactly the shards the
-//! materialized `DayShards::observe` path produces, for every day.
+//! `DayScratch` path (what `Study::run` uses, including scratch reused by
+//! fan-out workers) must produce exactly the shards the materialized
+//! `DayShards::observe` path produces, for every day.
 //!
 //! `tests/merge_laws.rs` checks the same equality on tiny worlds;
 //! `tests/determinism.rs` pins the end-to-end byte-identity across worker
 //! counts. This suite covers the middle: the small preset's full window,
-//! with scratch checked in and out of a shared [`ScratchPool`] from
-//! multiple threads the way the study worker pool does.
+//! observed both on one reused scratch and through `observe_day_shards` on
+//! several workers, each reusing its own scratch across days.
 
+use toppling::core::observe_day_shards;
 use toppling::sim::{World, WorldConfig};
-use toppling::vantage::{DayScratch, DayShards, ScratchPool};
+use toppling::vantage::{DayScratch, DayShards};
 
 #[test]
 fn fused_window_matches_materialized_window() {
@@ -28,32 +29,15 @@ fn fused_window_matches_materialized_window() {
 fn pooled_scratch_across_threads_matches_materialized() {
     let world = World::generate(WorldConfig::small(7071)).unwrap();
     let n_days = world.config.days.len();
-    let pool = ScratchPool::new();
 
-    // Fewer workers than days, so scratch states are reused across days and
-    // handed between threads through the pool — the study's access pattern.
-    // Each spawned chunk carries its starting day index, so every result
-    // lands in the slot for the day it actually observed.
-    let mut fused: Vec<Option<DayShards>> = Vec::new();
-    fused.resize_with(n_days, || None);
-    std::thread::scope(|s| {
-        let chunk = n_days.div_ceil(3);
-        for (t, slice) in fused.chunks_mut(chunk).enumerate() {
-            let (pool, world) = (&pool, &world);
-            s.spawn(move || {
-                for (i, slot) in slice.iter_mut().enumerate() {
-                    let d = t * chunk + i;
-                    let mut scratch = pool.checkout_or(|| DayScratch::new(world));
-                    *slot = Some(scratch.observe_day(world, d));
-                    pool.put_back(scratch);
-                }
-            });
-        }
-    });
-
+    // Fewer workers than days, so each worker's scratch is reused across
+    // days, in whatever order the workers claim them — the study's access
+    // pattern.
+    let fused = observe_day_shards(&world, n_days, 3);
+    assert_eq!(fused.len(), n_days);
     for (d, got) in fused.into_iter().enumerate() {
         let traffic = world.simulate_day(d);
         let want = DayShards::observe(&world, &traffic);
-        assert_eq!(got.expect("every day observed"), want, "day {d}");
+        assert_eq!(got, want, "day {d}");
     }
 }
