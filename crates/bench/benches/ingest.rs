@@ -1,16 +1,12 @@
-//! Ingestion-stage throughput: fused streaming versus the materialized
-//! two-pass baseline.
+//! Ingestion-stage throughput of the fused streaming path.
 //!
-//! One sample is one day of the small world ingested by all five vantages.
-//! `day/materialized` simulates into `DayTraffic` vectors and then replays
-//! them through a fresh observer (`DayShards::observe`); `day/fused`
-//! measures the streaming `DayScratch` path the study pipeline uses (events
-//! dispatched to all builders as generated, warm reusable scratch, zero
-//! per-day allocations). The recorded A/B lives in `EXPERIMENTS.md`.
+//! One sample is every day of the small world ingested by all five
+//! vantages. `day/fused` measures the streaming `DayScratch` path the study
+//! pipeline uses (events dispatched to all builders as generated, warm
+//! reusable scratch, zero per-day allocations).
 //!
 //! The breakdown group isolates the generator: `simulate/null-sink` streams
-//! into a no-op sink, `simulate/collect` additionally materializes the event
-//! vectors.
+//! one day into a no-op sink, the cost floor under `day/fused`.
 
 use std::time::Duration;
 
@@ -19,7 +15,7 @@ use topple_bench::BENCH_SEED;
 use topple_sim::{
     BackgroundQuery, EventSink, PageLoad, ThirdPartyFetch, TrafficScratch, World, WorldConfig,
 };
-use topple_vantage::{DayScratch, DayShards};
+use topple_vantage::DayScratch;
 
 /// Observes events without accumulating: the cost floor of the generator.
 struct NullSink;
@@ -38,21 +34,6 @@ fn bench_day_ingestion(c: &mut Criterion) {
     let mut g = c.benchmark_group("ingest_day");
     g.sample_size(10);
     g.measurement_time(Duration::from_secs(15));
-
-    // Materialize DayTraffic, then replay it into all five vantages.
-    g.bench_function("day/materialized", |b| {
-        b.iter(|| {
-            let mut out = 0usize;
-            for d in 0..n_days {
-                let t = w.simulate_day(d);
-                out += black_box(DayShards::observe(&w, &t))
-                    .cdn
-                    .day_indices()
-                    .count();
-            }
-            out
-        })
-    });
 
     // Fused architecture: one streaming pass per day over warm scratch.
     g.bench_function("day/fused", |b| {
@@ -85,12 +66,6 @@ fn bench_day_ingestion(c: &mut Criterion) {
             let mut sink = NullSink;
             w.simulate_day_into(black_box(0), &mut scratch, &mut sink);
         })
-    });
-
-    // Generator plus event-vector materialization (the materialized path's
-    // first pass).
-    g.bench_function("simulate/collect", |b| {
-        b.iter(|| black_box(w.simulate_day(black_box(0))).page_loads.len())
     });
     g.finish();
 }

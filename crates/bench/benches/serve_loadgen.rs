@@ -51,7 +51,7 @@ use topple_serve::{
     encode_study, Delta, DeltaIdentity, LiveEngine, LiveStore, QuerySnapshot, Server, Snapshot,
 };
 use topple_sim::{World, WorldConfig};
-use topple_vantage::DayShards;
+use topple_vantage::DayScratch;
 
 /// Clients per scenario (each owns one keep-alive connection).
 const CLIENTS: usize = 8;
@@ -473,9 +473,10 @@ fn run_swap_storm(smoke: bool) {
         n_clients: world.config.n_clients as u64,
         scale: "tiny".to_owned(),
     };
+    let mut scratch = DayScratch::new(&world);
     let deltas: Vec<Vec<u8>> = (base_days..window)
         .map(|day| {
-            let observed = DayShards::observe(&world, &world.simulate_day(day));
+            let observed = scratch.observe_day(&world, day);
             Delta::new(identity.clone(), observed)
                 .expect("delta encodes")
                 .to_bytes()

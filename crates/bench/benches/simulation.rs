@@ -1,5 +1,6 @@
-//! Benchmarks of the simulation substrate: world generation, per-day traffic
-//! generation, vantage ingestion, and list construction.
+//! Benchmarks of the simulation substrate: world generation, vantage
+//! ingestion, and list construction. Per-day traffic generation and the
+//! fused observe are timed by the `ingest` and `study_pipeline` benches.
 
 use std::time::Duration;
 
@@ -7,7 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use topple_bench::{tiny_world, BENCH_SEED};
 use topple_sim::{Resolver, World, WorldConfig};
 use topple_vantage::{
-    CdnVantage, ChromeVantage, CrawlerVantage, DayScratch, DayShards, DnsVantage, PanelVantage,
+    CdnVantage, ChromeVantage, CrawlerVantage, DayScratch, DnsVantage, PanelVantage,
 };
 
 fn bench_world_generation(c: &mut Criterion) {
@@ -24,20 +25,9 @@ fn bench_world_generation(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_traffic(c: &mut Criterion) {
-    let w = tiny_world();
-    c.bench_function("traffic/simulate_day_tiny", |b| {
-        b.iter(|| black_box(w.simulate_day(0)))
-    });
-}
-
 fn bench_vantages(c: &mut Criterion) {
     let w = tiny_world();
-    let t = w.simulate_day(0);
-    c.bench_function("vantage/observe_day", |b| {
-        b.iter(|| black_box(DayShards::observe(w, &t)))
-    });
-    let shards = DayShards::observe(w, &t);
+    let shards = DayScratch::new(w).observe_day(w, 0);
     c.bench_function("vantage/cdn_ingest_shard", |b| {
         b.iter(|| {
             let mut v = CdnVantage::new(w);
@@ -110,11 +100,5 @@ fn bench_lists(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_world_generation,
-    bench_traffic,
-    bench_vantages,
-    bench_lists
-);
+criterion_group!(benches, bench_world_generation, bench_vantages, bench_lists);
 criterion_main!(benches);

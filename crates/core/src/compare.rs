@@ -3,12 +3,14 @@
 //!
 //! Two equivalent implementations live here. The *string* path
 //! ([`similarity`], [`jaccard_domains`]) hashes domain strings per call; it
-//! is the reference semantics, kept for ad-hoc comparisons (counterfactual
-//! lists that never enter a study's [`DomainTable`](topple_lists::DomainTable))
-//! and for the equivalence tests. The *id* path ([`IdCut`],
-//! [`similarity_ids`]) runs over interned ids with sorted-slice merge-walks
-//! and is what the analysis grid uses; `tests/analysis_equivalence.rs` pins
-//! the two paths byte-identical.
+//! is the reference semantics and the equivalence tests' oracle. Its one
+//! production caller is [`against_cloudflare`](crate::against_cloudflare),
+//! which the ablations (`normalization`, `tranco_window`, `crux_threshold`)
+//! run on counterfactual lists: those lists never enter the study's
+//! [`DomainTable`](topple_lists::DomainTable), so they have no ids. The
+//! *id* path ([`IdCut`], [`similarity_ids`]) runs over interned ids with
+//! sorted-slice merge-walks and is what the analysis grid uses;
+//! `tests/analysis_equivalence.rs` pins the two paths byte-identical.
 
 use std::collections::{HashMap, HashSet};
 

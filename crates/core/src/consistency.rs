@@ -13,7 +13,7 @@ use topple_sim::{Country, Platform};
 use topple_stats::fanout::map_ordered;
 use topple_vantage::{CfMetric, ChromeMetric, ScoreVec};
 
-use crate::compare::{similarity, similarity_ids, IdCut};
+use crate::compare::{similarity_ids, IdCut};
 use crate::error::CoreError;
 use crate::study::Study;
 
@@ -45,40 +45,6 @@ impl ConsistencyMatrix {
             }
         }
         (lo, hi)
-    }
-}
-
-/// Builds a consistency matrix from per-metric best-first domain rankings.
-///
-/// Reference string-path implementation, kept for ad-hoc name rankings and
-/// the equivalence tests; study analyses use [`matrix_from_id_rankings`].
-pub fn matrix_from_rankings(
-    labels: Vec<String>,
-    rankings: &[Vec<DomainName>],
-    k: usize,
-) -> ConsistencyMatrix {
-    let n = rankings.len();
-    let mut jaccard = vec![vec![0.0; n]; n];
-    let mut spearman = vec![vec![f64::NAN; n]; n];
-    for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                jaccard[i][j] = 1.0;
-                spearman[i][j] = 1.0;
-                continue;
-            }
-            let a: Vec<&DomainName> = rankings[i].iter().take(k).collect();
-            let b: Vec<&DomainName> = rankings[j].iter().take(k).collect();
-            let sim = similarity(&a, &b);
-            jaccard[i][j] = sim.jaccard;
-            spearman[i][j] = sim.spearman.map(|s| s.rho).unwrap_or(f64::NAN);
-        }
-    }
-    ConsistencyMatrix {
-        labels,
-        jaccard,
-        spearman,
-        k,
     }
 }
 

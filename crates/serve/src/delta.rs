@@ -321,10 +321,11 @@ fn map_snap(e: SnapshotError) -> DeltaError {
 mod tests {
     use super::*;
     use topple_sim::{World, WorldConfig};
+    use topple_vantage::DayScratch;
 
     fn tiny_delta(seed: u64, day: usize) -> Delta {
         let w = World::generate(WorldConfig::tiny(seed)).expect("world");
-        let shards = DayShards::observe(&w, &w.simulate_day(day));
+        let shards = DayScratch::new(&w).observe_day(&w, day);
         let identity = DeltaIdentity {
             seed,
             n_sites: w.config.n_sites as u64,
@@ -412,10 +413,9 @@ mod tests {
             n_clients: w.config.n_clients as u64,
             scale: "tiny".to_owned(),
         };
-        let d0 =
-            Delta::new(identity.clone(), DayShards::observe(&w, &w.simulate_day(0))).expect("d0");
-        let d1 =
-            Delta::new(identity.clone(), DayShards::observe(&w, &w.simulate_day(1))).expect("d1");
+        let mut scratch = DayScratch::new(&w);
+        let d0 = Delta::new(identity.clone(), scratch.observe_day(&w, 0)).expect("d0");
+        let d1 = Delta::new(identity.clone(), scratch.observe_day(&w, 1)).expect("d1");
         let ab = Delta::compact(vec![d0.clone(), d1.clone()]).expect("ab");
         let ba = Delta::compact(vec![d1, d0]).expect("ba");
         assert_eq!(ab.to_bytes(), ba.to_bytes());

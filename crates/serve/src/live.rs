@@ -11,13 +11,14 @@
 //! `Arc<QuerySnapshot>` its worker shard held when the request was parsed.
 //!
 //! Determinism doctrine, extended to time: shards are commutative monoids
-//! ([`Shard::merge`]), so the serving state after any set of accepted deltas
-//! is a pure function of *which* days were ingested, not when or in what
-//! order. Every rebuild runs the exact offline pipeline
-//! ([`Study::from_shards`] → [`encode_study`] → [`Snapshot::from_bytes`]),
-//! so a live-swapped generation's response bodies are byte-identical to a
-//! cold daemon serving a from-scratch snapshot of the same days (pinned by
-//! the swap-smoke CI job and `tests/delta_equivalence.rs`).
+//! ([`Shard::merge`](topple_vantage::Shard::merge)), so the serving state
+//! after any set of accepted deltas is a pure function of *which* days were
+//! ingested, not when or in what order. Every rebuild runs the exact
+//! offline pipeline ([`Study::from_shards`] → [`encode_study`] →
+//! [`Snapshot::from_bytes`]), so a live-swapped generation's response
+//! bodies are byte-identical to a cold daemon serving a from-scratch
+//! snapshot of the same days (pinned by the swap-smoke CI job and
+//! `tests/delta_equivalence.rs`).
 //!
 //! Split of responsibilities:
 //!
@@ -441,6 +442,7 @@ impl LiveEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use topple_vantage::DayScratch;
 
     const SEED: u64 = 74;
 
@@ -459,7 +461,7 @@ mod tests {
 
     fn delta_for_day(day: usize) -> Delta {
         let world = tiny_world();
-        let shards = DayShards::observe(&world, &world.simulate_day(day));
+        let shards = DayScratch::new(&world).observe_day(&world, day);
         Delta::new(
             DeltaIdentity {
                 seed: SEED,

@@ -119,7 +119,7 @@ impl HotCache {
 
 /// A snapshot prepared for point queries: per-list [`IdCut`]s for O(log n)
 /// rank lookups, the precomputed sorted id column of every monthly list,
-/// and the [`HotCache`] of pre-rendered top-K response bodies.
+/// and the hot cache of pre-rendered top-K response bodies.
 pub struct QuerySnapshot {
     snapshot: Snapshot,
     id: String,

@@ -830,7 +830,7 @@ mod tests {
         use crate::live::{LiveEngine, LiveStore};
         use topple_lists::ListSource;
         use topple_sim::World;
-        use topple_vantage::DayShards;
+        use topple_vantage::DayScratch;
 
         const SEED: u64 = 11;
         let world = || World::generate(WorldConfig::tiny(SEED)).expect("world");
@@ -846,7 +846,7 @@ mod tests {
         let base = QuerySnapshot::new(snapshot_of(5));
         let delta = Delta::new(
             DeltaIdentity::of_base(&base.snapshot().identity),
-            DayShards::observe(&w, &w.simulate_day(5)),
+            DayScratch::new(&w).observe_day(&w, 5),
         )
         .expect("delta");
         let delta_id = delta.id();

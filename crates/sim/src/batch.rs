@@ -5,7 +5,7 @@
 //! times. Epoch 2 decouples the two: a [`UniformBlock`] fills a fixed slab
 //! of raw 64-bit words from the client's substream in one tight loop, and
 //! the samplers consume words from the slab. A word maps to a unit uniform
-//! by exactly the vendored-`rand` conversion ([`rng::unit_f64`]), so the
+//! by exactly the vendored-`rand` conversion ([`crate::rng::unit_f64`]), so the
 //! block replays the substream's `f64` sequence bit-for-bit — the property
 //! the proptests below pin ("same substream ⇒ same bytes"). On top of the
 //! slab, the samplers take fixed word counts: Poisson by single-uniform CDF

@@ -17,8 +17,8 @@
 //!   with their HTTP request expansion, third-party fetches, and background
 //!   DNS noise — into an [`EventSink`], one event at a time, with all
 //!   per-day working state held in a reusable [`TrafficScratch`].
-//!   [`World::simulate_day`] materializes the same stream into a
-//!   [`DayTraffic`] for consumers that want whole-day buffers. Days derive
+//!   [`World::simulate_day`] collects the same stream into a
+//!   [`DayTraffic`], a test and inspection fixture. Days derive
 //!   independent RNG substreams from `(seed, day)`, so simulation is
 //!   reproducible and parallelizable.
 //! * Observer crates (`topple-vantage`) fold these streams into the metrics
@@ -62,7 +62,6 @@ pub mod site;
 pub mod soa;
 pub mod taxonomy;
 pub mod traffic;
-pub mod wire;
 pub mod world;
 
 pub use batch::UniformBlock;

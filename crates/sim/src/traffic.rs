@@ -6,13 +6,13 @@
 //! background DNS queries — into an [`EventSink`] by reference as it is
 //! generated, so a full day never has to exist in memory at once. Observer
 //! crates consume these streams; nothing downstream sees ground-truth
-//! weights. [`World::simulate_day`] remains as a thin compatibility layer
-//! that collects the stream into a materialized [`DayTraffic`] (via
-//! [`CollectSink`]).
+//! weights. [`World::simulate_day`] collects the stream into a materialized
+//! [`DayTraffic`] (via [`CollectSink`]): a test and inspection fixture for
+//! reading raw events; no production path reads it.
 //!
 //! Day simulation derives its RNG from `(seed, day index)`, so days are
 //! independent and can be generated in any order or in parallel. The
-//! streaming and materialized paths draw from the same RNG stream in the
+//! streaming and collected paths draw from the same RNG stream in the
 //! same order, so they describe the *same* day.
 
 use rand::Rng;
@@ -201,8 +201,8 @@ fn stub_fresh_at(stub_gen: &mut [u64], generation: u64, site: usize) -> bool {
 }
 
 /// An [`EventSink`] that materializes the stream into the three event
-/// vectors of a [`DayTraffic`] — the compatibility bridge from the streaming
-/// engine to consumers that want whole-day buffers.
+/// vectors of a [`DayTraffic`]: a test and inspection fixture for reading a
+/// day's raw events. No production path reads it.
 #[derive(Debug, Default)]
 pub struct CollectSink {
     /// Collected page loads, in generation order.
@@ -245,8 +245,9 @@ impl World {
     /// stream into a materialized [`DayTraffic`]. Deterministic in
     /// `(config.seed, day_index)` and independent across days.
     ///
-    /// This is a compatibility wrapper over [`World::simulate_day_into`]
-    /// with a [`CollectSink`]; the fused study pipeline streams instead.
+    /// A test and inspection fixture over [`World::simulate_day_into`]
+    /// with a [`CollectSink`]; no production path reads it — the study
+    /// pipeline streams instead.
     ///
     /// # Panics
     ///

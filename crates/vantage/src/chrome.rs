@@ -671,15 +671,16 @@ impl ChromeVantage {
 mod tests {
     use super::*;
     use crate::wire::{Reader, WireError, Writer};
-    use crate::{DayShards, Shard as _};
+    use crate::{DayScratch, Shard as _};
     use proptest::prelude::*;
     use topple_sim::{Browser, WorldConfig};
 
     fn setup() -> (World, ChromeVantage) {
         let w = World::generate(WorldConfig::small(71)).unwrap();
         let mut v = ChromeVantage::new(&w);
+        let mut scratch = DayScratch::new(&w);
         for d in 0..3 {
-            v.ingest_shard(DayShards::observe(&w, &w.simulate_day(d)).chrome);
+            v.ingest_shard(scratch.observe_day(&w, d).chrome);
         }
         (w, v)
     }
@@ -795,8 +796,9 @@ mod tests {
         static FIXTURE: std::sync::OnceLock<(ChromeShard, Vec<u8>)> = std::sync::OnceLock::new();
         FIXTURE.get_or_init(|| {
             let w = World::generate(WorldConfig::tiny(73)).unwrap();
-            let mut shard = DayShards::observe(&w, &w.simulate_day(0)).chrome;
-            shard.merge(DayShards::observe(&w, &w.simulate_day(1)).chrome);
+            let mut scratch = DayScratch::new(&w);
+            let mut shard = scratch.observe_day(&w, 0).chrome;
+            shard.merge(scratch.observe_day(&w, 1).chrome);
             let bytes = encode(&shard);
             (shard, bytes)
         })

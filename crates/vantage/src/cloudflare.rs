@@ -592,7 +592,7 @@ impl CdnVantage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DayShards;
+    use crate::DayScratch;
     use topple_sim::{DayTraffic, World, WorldConfig};
 
     fn world_and_day() -> (World, DayTraffic) {
@@ -601,9 +601,10 @@ mod tests {
         (w, t)
     }
 
-    /// One day's 21 metrics, observed from the materialized day.
+    /// The 21 metrics of the day `t` covers.
     fn observe(w: &World, t: &DayTraffic) -> CfDayMetrics {
-        DayShards::observe(w, t)
+        DayScratch::new(w)
+            .observe_day(w, t.day_index)
             .cdn
             .days
             .remove(&t.day_index)
@@ -715,8 +716,9 @@ mod tests {
         let mut v = CdnVantage::new(&w);
         let t0 = w.simulate_day(0);
         let t1 = w.simulate_day(1);
-        v.ingest_shard(DayShards::observe(&w, &t0).cdn);
-        v.ingest_shard(DayShards::observe(&w, &t1).cdn);
+        let mut scratch = DayScratch::new(&w);
+        v.ingest_shard(scratch.observe_day(&w, 0).cdn);
+        v.ingest_shard(scratch.observe_day(&w, 1).cdn);
         let m = CfMetric {
             filter: CfFilter::AllRequests,
             agg: CfAgg::Raw,

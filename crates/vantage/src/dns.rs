@@ -697,19 +697,17 @@ impl DnsVantage {
 mod tests {
     use super::*;
     use crate::wire::{Reader, WireError, Writer};
-    use crate::{DayShards, Shard as _};
+    use crate::{DayScratch, Shard as _};
     use proptest::prelude::*;
-    use topple_sim::{Country, DayTraffic, WorldConfig};
+    use topple_sim::{Country, WorldConfig};
 
-    fn setup() -> (World, DayTraffic) {
-        let w = World::generate(WorldConfig::tiny(41)).unwrap();
-        let t = w.simulate_day(0);
-        (w, t)
+    fn setup() -> World {
+        World::generate(WorldConfig::tiny(41)).unwrap()
     }
 
-    /// `v`'s resolver's shard of the materialized day `t`.
-    fn observe(w: &World, t: &DayTraffic, v: &DnsVantage) -> DnsShard {
-        let shards = DayShards::observe(w, t);
+    /// `v`'s resolver's shard of day `day`.
+    fn observe(w: &World, day: usize, v: &DnsVantage) -> DnsShard {
+        let shards = DayScratch::new(w).observe_day(w, day);
         match v.resolver() {
             Resolver::Umbrella => shards.umbrella,
             _ => shards.china,
@@ -724,9 +722,9 @@ mod tests {
 
     #[test]
     fn only_own_clients_are_logged() {
-        let (w, t) = setup();
+        let w = setup();
         let mut v = DnsVantage::new(Resolver::ChinaVoting);
-        v.ingest_shard(&w, observe(&w, &t, &v));
+        v.ingest_shard(&w, observe(&w, 0, &v));
         // Every vote must come from a Chinese client IP block.
         let china_block = (Country::China.index() as u32 + 1) << 24;
         for ((ip, _), _) in v.votes() {
@@ -740,9 +738,10 @@ mod tests {
 
     #[test]
     fn cache_misses_only() {
-        let (w, t) = setup();
+        let w = setup();
+        let t = w.simulate_day(0);
         let mut v = DnsVantage::new(Resolver::Umbrella);
-        v.ingest_shard(&w, observe(&w, &t, &v));
+        v.ingest_shard(&w, observe(&w, 0, &v));
         let total = v.day(0).total_queries();
         // Raw page loads from Umbrella clients exceed resolver queries
         // because repeat visits are served from the stub cache.
@@ -762,9 +761,9 @@ mod tests {
 
     #[test]
     fn background_names_present() {
-        let (w, t) = setup();
+        let w = setup();
         let mut v = DnsVantage::new(Resolver::Umbrella);
-        v.ingest_shard(&w, observe(&w, &t, &v));
+        v.ingest_shard(&w, observe(&w, 0, &v));
         let has_bg = v
             .day(0)
             .names()
@@ -774,9 +773,9 @@ mod tests {
 
     #[test]
     fn unique_ips_bounded_by_queries() {
-        let (w, t) = setup();
+        let w = setup();
         let mut v = DnsVantage::new(Resolver::Umbrella);
-        v.ingest_shard(&w, observe(&w, &t, &v));
+        v.ingest_shard(&w, observe(&w, 0, &v));
         for (_, s) in v.day(0).names() {
             assert!(u64::from(s.unique_ips) <= s.queries);
             assert!(s.unique_ips >= 1);
@@ -785,9 +784,9 @@ mod tests {
 
     #[test]
     fn name_text_renders() {
-        let (w, t) = setup();
+        let w = setup();
         let mut v = DnsVantage::new(Resolver::Umbrella);
-        v.ingest_shard(&w, observe(&w, &t, &v));
+        v.ingest_shard(&w, observe(&w, 0, &v));
         for (n, _) in v.day(0).names().take(10) {
             let text = DnsVantage::name_text(&w, *n);
             assert!(!text.is_empty());
@@ -812,16 +811,16 @@ mod tests {
 
     #[test]
     fn votes_accumulate_across_days() {
-        let (w, _) = setup();
+        let w = setup();
         let mut v = DnsVantage::new(Resolver::ChinaVoting);
-        v.ingest_shard(&w, observe(&w, &w.simulate_day(0), &v));
+        v.ingest_shard(&w, observe(&w, 0, &v));
         let after_one: u32 = v
             .votes()
             .iter()
             .map(|(_, c)| c.day_mask.count_ones())
             .max()
             .unwrap_or(0);
-        v.ingest_shard(&w, observe(&w, &w.simulate_day(1), &v));
+        v.ingest_shard(&w, observe(&w, 1, &v));
         let after_two: u32 = v
             .votes()
             .iter()
@@ -851,8 +850,9 @@ mod tests {
         static FIXTURE: std::sync::OnceLock<(DnsShard, Vec<u8>)> = std::sync::OnceLock::new();
         FIXTURE.get_or_init(|| {
             let w = World::generate(WorldConfig::tiny(43)).unwrap();
-            let mut shard = DayShards::observe(&w, &w.simulate_day(0)).umbrella;
-            shard.merge(DayShards::observe(&w, &w.simulate_day(1)).umbrella);
+            let mut scratch = DayScratch::new(&w);
+            let mut shard = scratch.observe_day(&w, 0).umbrella;
+            shard.merge(scratch.observe_day(&w, 1).umbrella);
             let bytes = encode(&shard);
             (shard, bytes)
         })

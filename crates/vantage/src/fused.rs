@@ -10,15 +10,14 @@
 //! `DayScratch` ingests a day without heap allocation until the final shard
 //! materialization.
 //!
-//! The same observer is the only way shards are built:
-//! [`DayShards::observe`] replays a materialized `DayTraffic` through a
-//! fresh `DayScratch`'s observer with the three streams segregated. The
-//! builders' per-day aggregations are order-independent (exact presence
-//! sets and commutative integer counters), so the streamed interleaving of
-//! page loads with their third-party fetches cannot produce different
-//! shards than the segregated replay. `tests/merge_laws.rs` and
-//! `tests/ingest_fused.rs` assert the equality; `tests/determinism.rs` pins
-//! that study outputs stay byte-identical across worker counts.
+//! This observer is the only thing that builds shards. The builders'
+//! per-day aggregations are order-independent (exact presence sets and
+//! commutative integer counters), so the streamed interleaving of page
+//! loads with their third-party fetches cannot produce different shards
+//! than any other order of the same events. `tests/merge_laws.rs` asserts
+//! that against a replay of the collected day with the three streams
+//! segregated; `tests/determinism.rs` pins that study outputs stay
+//! byte-identical across worker counts.
 
 use topple_sim::{
     BackgroundQuery, EventSink, PageLoad, Resolver, ThirdPartyFetch, TrafficScratch, World,
@@ -160,15 +159,14 @@ mod tests {
     use topple_sim::WorldConfig;
 
     #[test]
-    fn fused_equals_materialized_with_scratch_reuse() {
+    fn reused_scratch_equals_fresh_scratch() {
         let w = World::generate(WorldConfig::tiny(101)).unwrap();
         let mut scratch = DayScratch::new(&w);
         // Revisit day 0 after later days: epoch clearing must leak nothing.
         for d in [0, 1, 2, 0, 6] {
-            let fused = scratch.observe_day(&w, d);
-            let t = w.simulate_day(d);
-            let materialized = DayShards::observe(&w, &t);
-            assert_eq!(fused, materialized, "day {d}");
+            let reused = scratch.observe_day(&w, d);
+            let fresh = DayScratch::new(&w).observe_day(&w, d);
+            assert_eq!(reused, fresh, "day {d}");
         }
     }
 }

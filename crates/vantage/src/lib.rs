@@ -27,9 +27,8 @@
 //! Shards are built in one place: [`fused::DayScratch::observe_day`]
 //! observes every event for all five vantages as the simulator generates
 //! it, with per-day working state held in reusable epoch-stamped scratch
-//! ([`scratch`] module). [`DayShards::observe`] is the materialized
-//! reference — it replays a collected `DayTraffic` through the same
-//! observer — against which the tests check the streamed path.
+//! ([`scratch`] module). The tests check it against a replay of the
+//! collected day through the same observer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -262,14 +262,13 @@ impl PanelVantage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DayShards;
+    use crate::DayScratch;
     use topple_sim::{Category, WorldConfig};
 
     fn setup() -> (World, PanelVantage) {
         let w = World::generate(WorldConfig::small(61)).unwrap();
         let mut p = PanelVantage::new(&w);
-        let t = w.simulate_day(0);
-        p.ingest_shard(DayShards::observe(&w, &t).panel);
+        p.ingest_shard(DayScratch::new(&w).observe_day(&w, 0).panel);
         (w, p)
     }
 
@@ -301,7 +300,7 @@ mod tests {
         .unwrap();
         let t = w.simulate_day(0);
         let mut p = PanelVantage::new(&w);
-        p.ingest_shard(DayShards::observe(&w, &t).panel);
+        p.ingest_shard(DayScratch::new(&w).observe_day(&w, 0).panel);
 
         let true_adult = t
             .page_loads

@@ -21,12 +21,11 @@
 
 use std::cmp::Ordering;
 
-use topple_sim::{DayTraffic, EventSink as _, World};
+use topple_sim::World;
 
 use crate::chrome::ChromeShard;
 use crate::cloudflare::CdnShard;
 use crate::dns::DnsShard;
-use crate::fused::DayScratch;
 use crate::panel::PanelShard;
 
 /// A mergeable per-day observation: the monoid every vantage shard
@@ -107,40 +106,16 @@ pub struct DayShards {
 }
 
 impl DayShards {
-    /// Observes one materialized day of traffic from every vantage at once:
-    /// the reference the streamed [`DayScratch::observe_day`] is tested
-    /// against. Pure: depends only on `(world, traffic)`.
-    ///
-    /// Replays the collected day through a fresh [`DayScratch`]'s observer
-    /// in segregated order — every page load, then every third-party fetch,
-    /// then every background query — so the only difference from the
-    /// streamed path is event order, which the builders' order-independent
-    /// aggregations must not see.
-    ///
-    /// [`DayScratch::observe_day`]: crate::DayScratch::observe_day
-    pub fn observe(world: &World, traffic: &DayTraffic) -> Self {
-        let mut scratch = DayScratch::new(world);
-        let (_, mut obs) = scratch.parts(world);
-        for pl in &traffic.page_loads {
-            obs.page_load(pl);
-        }
-        for tp in &traffic.third_party {
-            obs.third_party(tp);
-        }
-        for bg in &traffic.background {
-            obs.background(bg);
-        }
-        obs.finish_day(traffic.day_index)
-    }
-
     /// The set of day indices this shard covers, or `None` if the five
     /// vantage shards disagree about coverage.
     ///
-    /// [`DayShards::observe`] always populates all five vantages for the
-    /// observed day (even when a vantage saw no traffic, the day entry
+    /// [`DayScratch::observe_day`] always populates all five vantages for
+    /// the observed day (even when a vantage saw no traffic, the day entry
     /// exists), so disagreement is only possible for hand-built or decoded
     /// shards — callers folding decoded shards must treat `None` as
     /// malformed input.
+    ///
+    /// [`DayScratch::observe_day`]: crate::DayScratch::observe_day
     pub fn coverage(&self) -> Option<std::collections::BTreeSet<usize>> {
         let days: std::collections::BTreeSet<usize> = self.cdn.day_indices().collect();
         let agree = self.chrome.day_indices().eq(days.iter().copied())
@@ -221,15 +196,15 @@ impl Shard for DayShards {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::DayScratch;
     use topple_sim::WorldConfig;
 
     #[test]
     fn day_shards_observe_and_merge() {
         let w = World::generate(WorldConfig::tiny(91)).unwrap();
-        let t0 = w.simulate_day(0);
-        let t1 = w.simulate_day(1);
-        let mut a = DayShards::observe(&w, &t0);
-        let b = DayShards::observe(&w, &t1);
+        let mut scratch = DayScratch::new(&w);
+        let mut a = scratch.observe_day(&w, 0);
+        let b = scratch.observe_day(&w, 1);
         assert_ne!(a, b);
         a.merge(b.clone());
         assert_eq!(a.cdn.day_indices().collect::<Vec<_>>(), vec![0, 1]);
@@ -246,10 +221,9 @@ mod tests {
     #[test]
     fn wire_round_trip_is_exact_and_canonical() {
         let w = World::generate(WorldConfig::tiny(92)).unwrap();
-        let t0 = w.simulate_day(0);
-        let t1 = w.simulate_day(1);
-        let mut merged = DayShards::observe(&w, &t0);
-        merged.merge(DayShards::observe(&w, &t1));
+        let mut scratch = DayScratch::new(&w);
+        let mut merged = scratch.observe_day(&w, 0);
+        merged.merge(scratch.observe_day(&w, 1));
 
         let mut bytes = Vec::new();
         merged.encode(&mut bytes);
@@ -266,7 +240,7 @@ mod tests {
     #[test]
     fn wire_decode_fails_closed() {
         let w = World::generate(WorldConfig::tiny(93)).unwrap();
-        let shards = DayShards::observe(&w, &w.simulate_day(0));
+        let shards = DayScratch::new(&w).observe_day(&w, 0);
         let mut bytes = Vec::new();
         shards.encode(&mut bytes);
 

@@ -4,9 +4,9 @@
 //! rankings.
 
 use proptest::prelude::*;
+use toppling::core::consistency::{self, ConsistencyMatrix};
 use toppling::core::{
-    against_cloudflare, against_cloudflare_ids, consistency, similarity, similarity_ids, IdCut,
-    Study,
+    against_cloudflare, against_cloudflare_ids, similarity, similarity_ids, IdCut, Study,
 };
 use toppling::lists::{DomainId, DomainTable, ListSource};
 use toppling::psl::DomainName;
@@ -15,6 +15,39 @@ use toppling::vantage::CfMetric;
 
 fn study() -> Study {
     Study::run(WorldConfig::tiny(7001)).expect("study runs")
+}
+
+/// The string-path reference for [`consistency::matrix_from_id_rankings`]:
+/// a consistency matrix from per-metric best-first domain rankings, one
+/// [`similarity`] call per cell.
+fn matrix_from_rankings(
+    labels: Vec<String>,
+    rankings: &[Vec<DomainName>],
+    k: usize,
+) -> ConsistencyMatrix {
+    let n = rankings.len();
+    let mut jaccard = vec![vec![0.0; n]; n];
+    let mut spearman = vec![vec![f64::NAN; n]; n];
+    for i in 0..n {
+        for j in 0..n {
+            if i == j {
+                jaccard[i][j] = 1.0;
+                spearman[i][j] = 1.0;
+                continue;
+            }
+            let a: Vec<&DomainName> = rankings[i].iter().take(k).collect();
+            let b: Vec<&DomainName> = rankings[j].iter().take(k).collect();
+            let sim = similarity(&a, &b);
+            jaccard[i][j] = sim.jaccard;
+            spearman[i][j] = sim.spearman.map(|s| s.rho).unwrap_or(f64::NAN);
+        }
+    }
+    ConsistencyMatrix {
+        labels,
+        jaccard,
+        spearman,
+        k,
+    }
 }
 
 /// Asserts two floats are the same bit pattern (NaN-safe, sign-of-zero-safe).
@@ -61,7 +94,7 @@ fn consistency_matrix_matches_id_path_exactly() {
         metrics.iter().map(|&m| s.cf_monthly_domains(m)).collect();
     let id_rankings: Vec<Vec<DomainId>> = metrics.iter().map(|&m| s.cf_monthly_ids(m)).collect();
 
-    let reference = consistency::matrix_from_rankings(labels.clone(), &str_rankings, k);
+    let reference = matrix_from_rankings(labels.clone(), &str_rankings, k);
     for workers in [1usize, 2, 8] {
         let interned =
             consistency::matrix_from_id_rankings(labels.clone(), &id_rankings, k, workers);

@@ -13,14 +13,21 @@
 //! resolvers (Umbrella and the Chinese resolver behind Secrank), and the
 //! panel — plus the combined `DayShards` unit the pipeline ships. The
 //! crawler has no shard: it reads the static link graph, not daily traffic.
+//!
+//! The reference shards come from [`replay`], a segregated-order replay of
+//! the collected day. The streamed `DayScratch` path must reproduce them
+//! exactly on tiny worlds, over the small preset's full window on one
+//! reused scratch, and through `observe_day_shards` on several workers:
+//! stream order cannot change a shard.
 
 use std::fmt::Debug;
 use std::fmt::Write as _;
 
-use toppling::sim::{Resolver, World, WorldConfig};
+use toppling::core::observe_day_shards;
+use toppling::sim::{DayTraffic, EventSink as _, Resolver, World, WorldConfig};
 use toppling::vantage::{
-    CdnShard, CdnVantage, CfMetric, ChromeMetric, ChromeShard, ChromeVantage, DayShards, DnsShard,
-    DnsVantage, PanelShard, PanelVantage, Shard, TELEMETRY_PLATFORMS,
+    CdnShard, CdnVantage, CfMetric, ChromeMetric, ChromeShard, ChromeVantage, DayScratch,
+    DayShards, DnsShard, DnsVantage, PanelShard, PanelVantage, Shard, TELEMETRY_PLATFORMS,
 };
 
 /// Days each test world simulates (the tiny preset's full window).
@@ -53,12 +60,32 @@ impl Lcg {
     }
 }
 
-/// A tiny world and every day's shards, observed from the materialized
+/// Observes a collected day through a fresh `DayScratch`'s observer in
+/// segregated order — every page load, then every third-party fetch, then
+/// every background query — so the only difference from the streamed path
+/// is event order, which the builders' order-independent aggregations must
+/// not see.
+fn replay(world: &World, traffic: &DayTraffic) -> DayShards {
+    let mut scratch = DayScratch::new(world);
+    let (_, mut obs) = scratch.parts(world);
+    for pl in &traffic.page_loads {
+        obs.page_load(pl);
+    }
+    for tp in &traffic.third_party {
+        obs.third_party(tp);
+    }
+    for bg in &traffic.background {
+        obs.background(bg);
+    }
+    obs.finish_day(traffic.day_index)
+}
+
+/// A tiny world and every day's shards, replayed from the collected
 /// `DayTraffic` (the reference path).
 fn fixture(seed: u64) -> (World, Vec<DayShards>) {
     let world = World::generate(WorldConfig::tiny(seed)).unwrap();
     let shards = (0..N_DAYS)
-        .map(|d| DayShards::observe(&world, &world.simulate_day(d)))
+        .map(|d| replay(&world, &world.simulate_day(d)))
         .collect();
     (world, shards)
 }
@@ -317,12 +344,11 @@ fn merged_shards_equal_sequential_ingest() {
 }
 
 /// The fused streaming pipeline must be observationally identical to the
-/// materialized one: observing a day through a (reused) `DayScratch` yields
-/// exactly the `DayShards` that `DayShards::observe` builds from the
-/// materialized `DayTraffic`. This is what licenses `Study::run` to stream.
+/// segregated replay: observing a day through a (reused) `DayScratch` yields
+/// exactly the `DayShards` that [`replay`] builds from the collected
+/// `DayTraffic`. This is what licenses `Study::run` to stream.
 #[test]
 fn streamed_day_shards_equal_materialized_day_shards() {
-    use toppling::vantage::DayScratch;
     for world_seed in [74, 77] {
         let (w, ts) = fixture(world_seed);
         let mut scratch = DayScratch::new(&w);
@@ -332,6 +358,36 @@ fn streamed_day_shards_equal_materialized_day_shards() {
             let streamed = scratch.observe_day(&w, d);
             assert_eq!(streamed, ts[d], "seed {world_seed} day {d}");
         }
+    }
+}
+
+/// The same equality over a realistic window: the small preset's full
+/// window, observed on one scratch reused across every day.
+#[test]
+fn fused_window_matches_materialized_window() {
+    let world = World::generate(WorldConfig::small(7070)).unwrap();
+    let n_days = world.config.days.len();
+    let mut scratch = DayScratch::new(&world);
+    for d in 0..n_days {
+        let fused = scratch.observe_day(&world, d);
+        let traffic = world.simulate_day(d);
+        assert_eq!(fused, replay(&world, &traffic), "day {d}");
+    }
+}
+
+/// And through the study's fan-out: fewer workers than days, so each
+/// worker's scratch is reused across days, in whatever order the workers
+/// claim them — the study's access pattern.
+#[test]
+fn pooled_scratch_across_threads_matches_materialized() {
+    let world = World::generate(WorldConfig::small(7071)).unwrap();
+    let n_days = world.config.days.len();
+    let fused = observe_day_shards(&world, n_days, 3);
+    assert_eq!(fused.len(), n_days);
+    for (d, got) in fused.into_iter().enumerate() {
+        let traffic = world.simulate_day(d);
+        let want = replay(&world, &traffic);
+        assert_eq!(got, want, "day {d}");
     }
 }
 
