@@ -26,7 +26,7 @@
 //! [`SnapshotError`]; nothing in this module panics on input bytes.
 
 use std::io::{Seek, SeekFrom, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use topple_core::{ListColumns, Study, StudyIndex};
 use topple_lists::{DomainId, DomainTable, ListSource};
@@ -157,11 +157,48 @@ fn study_identity(study: &Study, scale: &str) -> SnapshotIdentity {
 /// the placeholder with one seek. Peak memory is the `BufWriter` buffer,
 /// not the snapshot size — a prerequisite for multi-GB mmap-targeted
 /// snapshots.
+///
+/// The write is crash-safe: the file is built as the sibling `<path>.tmp`,
+/// synced, renamed over `path`, and the directory is synced. A crash or an
+/// error at any point leaves whatever snapshot was at `path` before intact;
+/// a failed write removes the temporary file it created.
 pub fn write_study(
     study: &Study,
     scale: &str,
     artifacts: &[(String, String)],
     path: &Path,
+) -> Result<String, SnapshotError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let file = std::fs::File::create(&tmp)?;
+    let written = write_study_to(study, scale, artifacts, file)
+        .and_then(|id| std::fs::rename(&tmp, path).map(|()| id).map_err(Into::into));
+    let id = match written {
+        Ok(id) => id,
+        Err(e) => {
+            // The partial file is ours; removing it is best-effort cleanup
+            // that must not mask the write error.
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
+        }
+    };
+    // A relative file name has an empty parent: the current directory.
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()?;
+    Ok(id)
+}
+
+/// Streams the snapshot of `study` into `file` and syncs it; the body of
+/// [`write_study`].
+fn write_study_to(
+    study: &Study,
+    scale: &str,
+    artifacts: &[(String, String)],
+    file: std::fs::File,
 ) -> Result<String, SnapshotError> {
     let identity = study_identity(study, scale);
     let view = View {
@@ -175,7 +212,6 @@ pub fn write_study(
         artifacts,
     };
 
-    let file = std::fs::File::create(path)?;
     let mut sink = FileSink {
         w: std::io::BufWriter::new(file),
         error: None,
@@ -811,6 +847,47 @@ mod tests {
         // The mmap-backed reader agrees end to end.
         let snap = Snapshot::read_from(&path).expect("decodes");
         assert_eq!(snap.id(), id);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn successful_write_leaves_no_temporary_file() {
+        let study = Study::run(WorldConfig::tiny(4242)).expect("tiny study");
+        let dir = std::env::temp_dir().join(format!("tpls-notmp-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("t.tpls");
+        // Overwriting an existing snapshot goes through the same rename.
+        write_study(&study, "tiny", &[], &path).expect("first write");
+        write_study(&study, "tiny", &[], &path).expect("overwrite");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("listable")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("t.tpls")]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_write_keeps_the_previous_snapshot() {
+        let study = Study::run(WorldConfig::tiny(4242)).expect("tiny study");
+        let dir = std::env::temp_dir().join(format!("tpls-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("t.tpls");
+        write_study(&study, "tiny", &[], &path).expect("first write");
+        let before = std::fs::read(&path).expect("readable");
+        // A directory squatting on the temporary name makes the next write
+        // fail before it touches anything.
+        std::fs::create_dir(dir.join("t.tpls.tmp")).expect("blocker");
+        let artifacts = vec![("note".to_owned(), "newer".to_owned())];
+        let err = write_study(&study, "tiny", &artifacts, &path).expect_err("must fail");
+        assert!(matches!(err, SnapshotError::Io(_)), "{err:?}");
+        assert_eq!(std::fs::read(&path).expect("still readable"), before);
+        let snap = Snapshot::read_from(&path).expect("previous snapshot decodes");
+        assert_eq!(snap.to_bytes(), before);
+        assert!(
+            dir.join("t.tpls.tmp").is_dir(),
+            "a foreign entry is left alone"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

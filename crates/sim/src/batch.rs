@@ -1,18 +1,18 @@
 //! Epoch-2 batched draw primitives: block-filled uniform buffers.
 //!
-//! Epoch 1 interleaves every sampler with the RNG core — each `chance` or
-//! `poisson` call steps xoshiro, and Knuth's Poisson loop steps it `~λ`
-//! times. Epoch 2 decouples the two: a [`UniformBlock`] fills a fixed slab
-//! of raw 64-bit words from the client's substream in one tight loop, and
-//! the samplers consume words from the slab. A word maps to a unit uniform
-//! by exactly the vendored-`rand` conversion ([`crate::rng::unit_f64`]), so the
-//! block replays the substream's `f64` sequence bit-for-bit — the property
-//! the proptests below pin ("same substream ⇒ same bytes"). On top of the
-//! slab, the samplers take fixed word counts: Poisson by single-uniform CDF
-//! inversion below `λ = 30` and the continuity-corrected normal
-//! approximation above (the same split the scalar sampler uses), and the
-//! alias draw by a branchless multiply-high index instead of Lemire
-//! rejection.
+//! The scalar samplers in [`crate::rng`] interleave every draw with the RNG
+//! core — each `chance` or `poisson` call steps xoshiro, and Knuth's Poisson
+//! loop steps it `~λ` times. Epoch 2 decouples the two: a [`UniformBlock`]
+//! fills a fixed slab of raw 64-bit words from the client's substream in one
+//! tight loop, and the samplers consume words from the slab. A word maps to
+//! a unit uniform by exactly the vendored-`rand` conversion
+//! ([`crate::rng::unit_f64`]), so the block replays the substream's `f64`
+//! sequence bit-for-bit — the property the proptests below pin ("same
+//! substream ⇒ same bytes"). On top of the slab, the samplers take fixed
+//! word counts: Poisson by single-uniform CDF inversion below `λ = 30` and
+//! the continuity-corrected normal approximation above (the same split the
+//! scalar sampler uses), and the alias draw by a branchless multiply-high
+//! index instead of Lemire rejection.
 //!
 //! Leftover words at the end of a client scope are discarded by
 //! [`UniformBlock::reset`]; substreams are independent, so dropping tail

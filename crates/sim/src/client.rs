@@ -56,7 +56,7 @@ impl Client {
 }
 
 /// Daily activity multiplier by `(enterprise, weekend)` — the shared
-/// constants behind [`Client::day_factor`], also used by the epoch-2
+/// constants behind [`Client::day_factor`], also used by the traffic
 /// generator, which reads the enterprise bit from the SoA flag byte instead
 /// of a `Client` record.
 #[inline]

@@ -1,7 +1,7 @@
 //! World configuration and scale presets.
 
 use crate::date::Date;
-use crate::rng::{DETERMINISM_EPOCH, GENERATION_EPOCH, SUPPORTED_EPOCHS, SUPPORTED_GEN_EPOCHS};
+use crate::rng::{GENERATION_EPOCH, SUPPORTED_GEN_EPOCHS};
 
 /// Parameters of the synthetic web ecosystem.
 ///
@@ -47,25 +47,16 @@ pub struct WorldConfig {
     /// analysis folds collect by index); `tests/determinism.rs` pins that
     /// byte-for-byte.
     pub workers: Option<usize>,
-    /// Determinism epoch to generate under: which versioned RNG draw-sequence
-    /// contract the traffic engine follows (see `rng::DETERMINISM_EPOCH` for
-    /// the history). `None` defers to the `TOPPLE_EPOCH` environment
-    /// variable, then to the current [`DETERMINISM_EPOCH`]. Unlike
-    /// [`workers`], the epoch *does* select between byte-level output
-    /// universes — each epoch is individually reproducible and pinned, and
-    /// epochs are distributionally equivalent (`tests/epoch_equivalence.rs`),
-    /// but bytes differ across epochs.
-    ///
-    /// [`workers`]: WorldConfig::workers
-    pub epoch: Option<u32>,
     /// Generation epoch to build the world under: which versioned
     /// construction contract `World::generate` follows (see
     /// `rng::GENERATION_EPOCH` for the history). `None` defers to the
     /// `TOPPLE_GEN_EPOCH` environment variable, then to the compiled-in
-    /// default. Orthogonal to [`epoch`]: generation and traffic epochs
-    /// compose freely because they consume disjoint RNG streams.
+    /// default. Unlike [`workers`], the generation epoch *does* select
+    /// between byte-level output universes. Traffic has a single epoch
+    /// (`rng::DETERMINISM_EPOCH`) and no knob; it composes with either
+    /// generation epoch because the two consume disjoint RNG streams.
     ///
-    /// [`epoch`]: WorldConfig::epoch
+    /// [`workers`]: WorldConfig::workers
     pub gen_epoch: Option<u32>,
     /// Sites/clients per generation shard under generation epoch ≥ 2. Purely
     /// a scheduling knob: entities are seeded from per-id substreams, so the
@@ -196,45 +187,21 @@ impl WorldConfig {
             infrastructure_share: 0.004,
             mechanisms: Mechanisms::default(),
             workers: None,
-            epoch: None,
             gen_epoch: None,
             gen_shard: None,
             gen_budget_bytes: None,
         }
     }
 
-    /// The effective determinism epoch: the explicit [`epoch`] field if set,
-    /// else the `TOPPLE_EPOCH` environment variable, else the current
-    /// [`DETERMINISM_EPOCH`]. Validated against [`SUPPORTED_EPOCHS`] by
-    /// [`WorldConfig::validate`] (an unparsable environment value falls back
-    /// to the default rather than erroring, matching `TOPPLE_WORKERS`).
-    ///
-    /// The environment lookup is resolved once per process: `env::var`
-    /// allocates its `String` result, and the per-day generator dispatch
-    /// sits inside the allocation-free ingest window.
-    ///
-    /// [`epoch`]: WorldConfig::epoch
-    pub fn effective_epoch(&self) -> u32 {
-        static ENV_EPOCH: std::sync::OnceLock<Option<u32>> = std::sync::OnceLock::new();
-        self.epoch
-            .or_else(|| {
-                *ENV_EPOCH.get_or_init(|| {
-                    std::env::var("TOPPLE_EPOCH")
-                        .ok()
-                        .and_then(|v| v.parse().ok())
-                })
-            })
-            .unwrap_or(DETERMINISM_EPOCH)
-    }
-
     /// The effective generation epoch: the explicit [`gen_epoch`] field if
     /// set, else the `TOPPLE_GEN_EPOCH` environment variable, else the
     /// compiled-in [`GENERATION_EPOCH`] default. Validated against
-    /// [`SUPPORTED_GEN_EPOCHS`] by [`WorldConfig::validate`]. Resolved once
-    /// per process, matching [`effective_epoch`].
+    /// [`SUPPORTED_GEN_EPOCHS`] by [`WorldConfig::validate`] (an unparsable
+    /// environment value falls back to the default rather than erroring,
+    /// matching `TOPPLE_WORKERS`). The environment lookup is resolved once
+    /// per process.
     ///
     /// [`gen_epoch`]: WorldConfig::gen_epoch
-    /// [`effective_epoch`]: WorldConfig::effective_epoch
     pub fn effective_gen_epoch(&self) -> u32 {
         static ENV_GEN_EPOCH: std::sync::OnceLock<Option<u32>> = std::sync::OnceLock::new();
         self.gen_epoch
@@ -322,12 +289,6 @@ impl WorldConfig {
         }
         if self.zipf_exponent <= 0.0 || self.mean_loads_per_day <= 0.0 {
             return Err("zipf_exponent and mean_loads_per_day must be positive".into());
-        }
-        let epoch = self.effective_epoch();
-        if !SUPPORTED_EPOCHS.contains(&epoch) {
-            return Err(format!(
-                "epoch {epoch} is not supported (supported: {SUPPORTED_EPOCHS:?})"
-            ));
         }
         let gen_epoch = self.effective_gen_epoch();
         if !SUPPORTED_GEN_EPOCHS.contains(&gen_epoch) {
@@ -426,24 +387,6 @@ mod tests {
         assert_eq!(cfg.effective_workers(), 1);
         cfg.workers = None;
         assert!(cfg.effective_workers() >= 1);
-    }
-
-    #[test]
-    fn explicit_epoch_wins_and_is_validated() {
-        let mut cfg = WorldConfig::tiny(1);
-        cfg.epoch = Some(1);
-        assert_eq!(cfg.effective_epoch(), 1);
-        assert!(cfg.validate().is_ok());
-        cfg.epoch = Some(DETERMINISM_EPOCH);
-        assert_eq!(cfg.effective_epoch(), DETERMINISM_EPOCH);
-        assert!(cfg.validate().is_ok());
-        cfg.epoch = Some(99);
-        let err = cfg.validate().expect_err("unsupported epoch must fail");
-        assert!(err.contains("epoch 99"), "{err}");
-        // Unset: defers to TOPPLE_EPOCH / the compiled-in default; either
-        // way the effective value must be a supported epoch.
-        cfg.epoch = None;
-        assert!(SUPPORTED_EPOCHS.contains(&cfg.effective_epoch()));
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub use config::{Mechanisms, WorldConfig};
 pub use date::{Date, Weekday};
 pub use ids::{ClientId, SiteId};
 pub use linkgraph::LinkGraph;
-pub use rng::{DETERMINISM_EPOCH, GENERATION_EPOCH, SUPPORTED_EPOCHS, SUPPORTED_GEN_EPOCHS};
+pub use rng::{DETERMINISM_EPOCH, GENERATION_EPOCH, SUPPORTED_GEN_EPOCHS};
 pub use site::{HostKind, Site, SiteHost};
 pub use taxonomy::{Browser, Category, Country, Platform};
 pub use traffic::{

@@ -8,37 +8,34 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Version of the *current* determinism contract: the set and order of RNG
+/// Version of the traffic determinism contract: the set and order of RNG
 /// draws reachable from the result roots (`World::simulate_day_into`,
-/// `Study::run`) under the default epoch.
+/// `Study::run`). The runtime generates traffic under this epoch only.
 ///
 /// Bump this whenever the draw sequence changes — adding, removing, or
-/// reordering any draw site listed in the per-epoch `determinism.epoch*.toml`
-/// manifests — then regenerate the manifests with `topple-lint epoch emit
-/// --write` and re-pin the snapshot digests in `tests/determinism.rs`.
-/// `topple-lint epoch verify` fails CI when sources and manifests disagree.
+/// reordering any draw site listed in the `determinism.epoch.toml` manifest
+/// — then regenerate the manifest with `topple-lint epoch emit --write` and
+/// re-pin the snapshot digest in `tests/determinism.rs`. `topple-lint epoch
+/// verify` fails CI when sources and manifest disagree.
 ///
 /// Epoch history:
 /// - **1** — per-client interleaved scalar draws from one per-day substream
-///   (`Stream::Traffic`). Kept alive as the reference implementation;
-///   selected with `WorldConfig::epoch = Some(1)` or `TOPPLE_EPOCH=1`.
+///   (`Stream::Traffic`). Retired: epoch 2 had been the default since it
+///   landed, and no default output depended on epoch 1.
 /// - **2** — batched generation from per-`(day, client)` substreams
 ///   (`Stream::TrafficClient`) through block-filled uniform buffers
 ///   (`batch::UniformBlock`) and struct-of-arrays site/client tables
-///   (`soa`). Distributionally equivalent to epoch 1 (pinned by
-///   `tests/epoch_equivalence.rs`), not byte-identical to it.
+///   (`soa`). Distributionally equivalent to epoch 1, not byte-identical to
+///   it; `crates/sim/tests/distributional.rs` checks its loads and shares
+///   against the model's own expectations.
 pub const DETERMINISM_EPOCH: u32 = 2;
-
-/// Every epoch the runtime can still generate. `DETERMINISM_EPOCH` is always
-/// the last entry; earlier entries are frozen reference implementations.
-pub const SUPPORTED_EPOCHS: &[u32] = &[1, 2];
 
 /// Version of the *default* world-generation contract: which RNG draw
 /// sequence `World::generate` follows when [`crate::config::WorldConfig`]
 /// does not pin a generation epoch.
 ///
 /// The generation dimension is independent of the traffic dimension above:
-/// any generation epoch composes with any traffic epoch, because generation
+/// any generation epoch composes with the traffic epoch, because generation
 /// and traffic consume disjoint [`Stream`] tags.
 ///
 /// Generation-epoch history:
@@ -59,10 +56,10 @@ pub const SUPPORTED_EPOCHS: &[u32] = &[1, 2];
 ///   byte-identical to it.
 pub const GENERATION_EPOCH: u32 = 1;
 
-/// Every generation epoch the runtime can still build worlds under. Unlike
-/// [`SUPPORTED_EPOCHS`], the default ([`GENERATION_EPOCH`]) is the *first*
-/// entry: the frozen reference epoch keeps the committed byte pins valid,
-/// and newer epochs opt in per tier.
+/// Every generation epoch the runtime can still build worlds under. The
+/// default ([`GENERATION_EPOCH`]) is the *first* entry: the frozen reference
+/// epoch keeps the committed byte pins valid, and newer epochs opt in per
+/// tier.
 pub const SUPPORTED_GEN_EPOCHS: &[u32] = &[1, 2];
 
 /// Domain-separation tags for RNG substreams.
@@ -78,15 +75,15 @@ pub enum Stream {
     Clients = 2,
     /// Hyperlink graph generation.
     LinkGraph = 3,
-    /// Per-day traffic; combined with the day index.
+    /// Per-day traffic of the retired traffic epoch 1. No generator draws
+    /// from it any more; the tag stays reserved so no stream reuses it.
     Traffic = 4,
     /// Domain name synthesis.
     Names = 5,
     /// Third-party dependency wiring.
     ThirdParty = 6,
-    /// Per-`(day, client)` traffic under epoch ≥ 2: the index packs
-    /// `day << 32 | client`, making every client's day order-independent of
-    /// every other client's.
+    /// Per-`(day, client)` traffic: the index packs `day << 32 | client`,
+    /// making every client's day order-independent of every other client's.
     TrafficClient = 7,
     /// Per-site attribute generation under generation epoch ≥ 2: one
     /// substream per site id, so any shard of the id range can be built on
@@ -357,8 +354,9 @@ mod tests {
 
     #[test]
     fn poisson_inversion_matches_product_method_moments() {
-        // Same distribution from one uniform (epoch 2) as from Knuth's
-        // product loop (epoch 1), checked on mean and variance.
+        // Same distribution from one uniform (the traffic sampler) as from
+        // Knuth's product loop (the scalar `poisson`), checked on mean and
+        // variance.
         let mut rng = substream(16, Stream::Traffic, 8);
         let lambda = 6.5;
         let n = 100_000;
@@ -388,12 +386,6 @@ mod tests {
             let f: f64 = direct.random();
             assert_eq!(unit_f64(w).to_bits(), f.to_bits());
         }
-    }
-
-    #[test]
-    fn epoch_constants_are_consistent() {
-        assert_eq!(SUPPORTED_EPOCHS.last(), Some(&DETERMINISM_EPOCH));
-        assert!(SUPPORTED_EPOCHS.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

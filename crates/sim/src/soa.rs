@@ -1,19 +1,20 @@
 //! Struct-of-arrays projections of the world for the epoch-2 generator.
 //!
 //! A [`crate::site::Site`] is a ~300-byte heap-pointer-rich record (domain
-//! strings, host vectors, dependency lists); the epoch-1 inner loop touches
-//! a handful of scalar fields per page load and drags the rest through the
-//! cache with them. These tables project exactly the fields the traffic
-//! engine reads into dense parallel arrays — six probability/rate arrays, a
-//! packed flag byte, host-role indices and bitmasks, and the third-party
-//! dependency lists flattened CSR-style — so a load touches a few adjacent
-//! cache lines instead of a scattered record. This is also the layout that
-//! scales to the 10M-domain tier, where the AoS `Site` universe stops
-//! fitting in memory comfortably.
+//! strings, host vectors, dependency lists); a per-load loop over those
+//! records touches a handful of scalar fields per page load and drags the
+//! rest through the cache with them. These tables project exactly the fields
+//! the traffic engine reads into dense parallel arrays — six
+//! probability/rate arrays, a packed flag byte, host-role indices and
+//! bitmasks, and the third-party dependency lists flattened CSR-style — so a
+//! load touches a few adjacent cache lines instead of a scattered record.
+//! This is also the layout that scales to the 10M-domain tier, where the AoS
+//! `Site` universe stops fitting in memory comfortably.
 //!
 //! Rates are narrowed to `f32` (their generation-time precision is far
 //! coarser than 1e-7 relative) — a deliberate epoch-2 distributional choice,
-//! covered by the cross-epoch equivalence harness rather than byte pins.
+//! covered by the distributional tests in `crates/sim/tests` rather than
+//! byte pins.
 //!
 //! The projections are pure functions of the generated world: building them
 //! consumes no RNG and therefore does not touch the determinism contract.

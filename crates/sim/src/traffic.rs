@@ -15,14 +15,13 @@
 //! streaming and collected paths draw from the same RNG stream in the
 //! same order, so they describe the *same* day.
 
-use rand::Rng;
 use topple_stats::cast;
 
 use crate::batch::UniformBlock;
 use crate::client::day_factor_for;
 use crate::date::Date;
 use crate::ids::{ClientId, SiteId};
-use crate::rng::{chance, log_normal, poisson, substream, Stream};
+use crate::rng::{substream, Stream};
 use crate::soa::{
     CLIENT_ENTERPRISE, CLIENT_MOBILE, CLIENT_PANELIST, SITE_HTTPS, SITE_PANEL_AVERSE,
 };
@@ -148,10 +147,10 @@ pub struct TrafficScratch {
     gen: u64,
     /// The current client's sites visited so far today (revisit pool).
     today: Vec<u32>,
-    /// Epoch-2 block-filled uniform buffer (idle under epoch 1).
+    /// Block-filled uniform buffer.
     block: UniformBlock,
-    /// Epoch-2 per-client site selections (phase 1 output, phase 2 input;
-    /// idle under epoch 1). Pre-sized so pushes never reallocate.
+    /// Per-client site selections (phase 1 output, phase 2 input).
+    /// Pre-sized so pushes never reallocate.
     picks: Vec<u32>,
 }
 
@@ -176,22 +175,12 @@ impl TrafficScratch {
             picks: Vec::with_capacity(picks_cap),
         }
     }
-
-    /// Starts a fresh (client, day) scope: one bump invalidates all stamps.
-    fn next_client(&mut self) {
-        self.gen += 1; // u64 never wraps in any feasible run
-        self.today.clear();
-    }
-
-    /// Marks `site`'s zone as contacted by the current client; returns
-    /// whether this was the first contact (a stub-cache miss).
-    fn stub_fresh(&mut self, site: SiteId) -> bool {
-        stub_fresh_at(&mut self.stub_gen, self.gen, site.index())
-    }
 }
 
-/// The stamp update behind [`TrafficScratch::stub_fresh`], usable on the
-/// destructured scratch (the epoch-2 loop splits the scratch borrows).
+/// Marks `site`'s zone as contacted by the client whose scope is
+/// `generation`; returns whether this was the first contact (a stub-cache
+/// miss). Takes the destructured scratch, whose borrows the generator loop
+/// splits.
 #[inline]
 fn stub_fresh_at(stub_gen: &mut [u64], generation: u64, site: usize) -> bool {
     let slot = &mut stub_gen[site];
@@ -270,6 +259,10 @@ impl World {
     /// (see [`TrafficScratch`]); reuse is what makes the fused ingestion
     /// path allocation-free per day.
     ///
+    /// There is one traffic generator: the batched one of traffic epoch
+    /// [`DETERMINISM_EPOCH`](crate::DETERMINISM_EPOCH), whose draw sites
+    /// `determinism.epoch.toml` pins. This function issues no draws itself.
+    ///
     /// # Panics
     ///
     /// Panics if `day_index` is outside the configured window or `scratch`
@@ -280,163 +273,15 @@ impl World {
         scratch: &mut TrafficScratch,
         sink: &mut S,
     ) {
-        // Pure dispatch — this function issues no draws itself, so each
-        // epoch's contract is exactly its implementation's reachable set.
-        // `World::generate` validated the effective epoch against
-        // `SUPPORTED_EPOCHS`; any epoch above 1 is the batched generator.
-        if self.config.effective_epoch() == 1 {
-            self.simulate_day_epoch1(day_index, scratch, sink);
-        } else {
-            self.simulate_day_epoch2(day_index, scratch, sink);
-        }
-    }
-
-    /// Epoch-1 traffic generation: per-client interleaved scalar draws from
-    /// one per-day substream (`Stream::Traffic`). Frozen as the reference
-    /// implementation — its output is pinned byte-for-byte by
-    /// `tests/determinism.rs` and must never change.
-    fn simulate_day_epoch1<S: EventSink>(
-        &self,
-        day_index: usize,
-        scratch: &mut TrafficScratch,
-        sink: &mut S,
-    ) {
-        let day = self.config.days[day_index];
-        let weekend = day.weekday().is_weekend();
-        let mut rng = substream(
-            self.config.seed,
-            Stream::Traffic,
-            cast::u64_from_usize(day_index),
-        );
-
-        // topple-lint: hot-path-begin
-        for client in &self.clients {
-            scratch.next_client();
-            let loads = poisson(
-                &mut rng,
-                f64::from(client.activity) * client.day_factor(weekend),
-            );
-            let mobile = client.platform.is_mobile();
-            let table = self.nav_tables.get(client.country, mobile, weekend);
-            for _ in 0..loads {
-                // Personal browsing is bursty: about a third of loads return
-                // to a site already visited today (mail, feeds, forums). This
-                // is what separates raw-count metrics from unique-visitor
-                // metrics on the server side.
-                let mut site_idx = if !scratch.today.is_empty() && chance(&mut rng, 0.35) {
-                    cast::usize_from_u32(scratch.today[rng.random_range(0..scratch.today.len())])
-                } else {
-                    cast::usize_from_u32(table.sample(&mut rng))
-                };
-                // Panel selection bias: extension panelists under-visit
-                // sensitive categories. Rejection-resampling (up to twice,
-                // 90% each) implements the demographic skew without touching
-                // the global traffic model: sensitive-category visits by
-                // panelists drop to a few percent of their population rate.
-                if client.alexa_panelist && self.config.mechanisms.panel_aversion {
-                    for _ in 0..2 {
-                        if self.sites[site_idx].category.panel_averse() && chance(&mut rng, 0.9) {
-                            site_idx = cast::usize_from_u32(table.sample(&mut rng));
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                let site = &self.sites[site_idx];
-
-                let host_idx = cast::u8_from_usize(site.nav_host(mobile, rng.random()));
-                let private_mode = chance(&mut rng, site.private_share);
-                let completed = chance(&mut rng, site.completion_rate);
-                let dwell_secs = if completed {
-                    cast::u16_from_f64(log_normal(&mut rng, site.dwell_mu, 0.9).min(3600.0))
-                } else {
-                    0
-                };
-                let own_requests = if completed {
-                    cast::u16_from_u64(poisson(&mut rng, site.subresource_mean).min(2000))
-                } else {
-                    cast::u16_from_u64(poisson(&mut rng, 1.0).min(10))
-                };
-                let total = u32::from(own_requests) + 1;
-                let non200 = cast::u16_from_u64(
-                    poisson(&mut rng, f64::from(total) * site.error_rate).min(u64::from(total)),
-                );
-                // Connection reuse: roughly one handshake per 8 requests.
-                let tls_handshakes = if site.https {
-                    cast::u16_from_u64(1 + poisson(&mut rng, f64::from(own_requests) / 8.0))
-                } else {
-                    0
-                };
-                let is_root_path = matches!(
-                    site.hosts[usize::from(host_idx)].kind,
-                    crate::site::HostKind::Apex | crate::site::HostKind::Www
-                ) && chance(&mut rng, site.root_nav_share);
-                let link_click = chance(&mut rng, 0.72);
-                let dns_fresh = scratch.stub_fresh(site.id);
-                if scratch.today.len() < 64 && !scratch.today.contains(&site.id.0) {
-                    scratch.today.push(site.id.0);
-                }
-
-                sink.page_load(&PageLoad {
-                    client: client.id,
-                    site: site.id,
-                    host_idx,
-                    is_root_path,
-                    link_click,
-                    private_mode,
-                    completed,
-                    dwell_secs,
-                    own_requests,
-                    non200,
-                    tls_handshakes,
-                    dns_fresh,
-                });
-
-                // Third-party expansion (only completed loads execute embeds).
-                if completed {
-                    for &(dep, p) in &site.third_party {
-                        if chance(&mut rng, f64::from(p)) {
-                            let dep_site = &self.sites[dep.index()];
-                            let requests = cast::u16_from_u64(1 + poisson(&mut rng, 2.0));
-                            let non200 = cast::u16_from_u64(
-                                poisson(&mut rng, f64::from(requests) * dep_site.error_rate)
-                                    .min(u64::from(requests)),
-                            );
-                            let tls = if dep_site.https { 1 } else { 0 };
-                            let fresh = scratch.stub_fresh(dep);
-                            sink.third_party(&ThirdPartyFetch {
-                                client: client.id,
-                                site: dep,
-                                host_idx: cast::u8_from_usize(dep_site.service_host(rng.random())),
-                                requests,
-                                non200,
-                                tls_handshakes: tls,
-                                dns_fresh: fresh,
-                                private_mode,
-                            });
-                        }
-                    }
-                }
-            }
-
-            // Background DNS noise: a few automatic queries per device-day.
-            let n_bg = poisson(&mut rng, 2.5);
-            let name_count = cast::u64_from_usize(self.background_names.len());
-            for _ in 0..n_bg {
-                let name_idx = cast::u16_from_u64(rng.random::<u64>() % name_count);
-                sink.background(&BackgroundQuery {
-                    client: client.id,
-                    name_idx,
-                });
-            }
-        }
-        // topple-lint: hot-path-end
+        self.simulate_day_epoch2(day_index, scratch, sink);
     }
 
     /// Epoch-2 traffic generation: batched struct-of-arrays draws.
     ///
-    /// Differences from epoch 1, all legalized by the epoch bump and proven
-    /// distributionally equivalent by `tests/epoch_equivalence.rs`:
+    /// The `_epoch2` suffix is load-bearing: `topple-lint epoch` keys the
+    /// traffic manifest on it, which keeps these draw sites out of the
+    /// generation manifests. What distinguishes the epoch from the retired
+    /// scalar epoch 1 (see `rng::DETERMINISM_EPOCH`):
     ///
     /// - **Per-client substreams.** Each `(day, client)` pair derives its own
     ///   RNG (`Stream::TrafficClient`, index `day << 32 | client`), so one
@@ -445,14 +290,14 @@ impl World {
     /// - **Block-filled uniforms.** Raw words are filled into the scratch
     ///   [`UniformBlock`] slab-at-a-time and consumed by fixed-word-count
     ///   samplers: single-uniform Poisson inversion below `λ = 30`,
-    ///   multiply-high alias and index picks, unconditional root-path coin.
+    ///   multiply-high alias and index picks.
     /// - **SoA tables.** Per-load attributes come from `World::soa` dense
     ///   arrays instead of the ~300-byte `Site` records; third-party
     ///   dependency lists are walked in CSR layout.
     ///
     /// Event semantics (field invariants, stub-cache behavior, revisit pool,
     /// emission order of page loads → third-party → background per client)
-    /// are identical to epoch 1.
+    /// are those documented on [`EventSink`].
     fn simulate_day_epoch2<S: EventSink>(
         &self,
         day_index: usize,
@@ -492,10 +337,13 @@ impl World {
             let loads = block.take_poisson(&mut rng, lambda);
             let table = self.nav_tables.get(clients.country[ci], mobile, weekend);
 
-            // Phase 1: batched site selection. Semantics mirror epoch 1: a
-            // ~third of loads revisit today's pool, the rest draw from the
-            // popularity alias table, and panelists rejection-resample
-            // sensitive categories (up to twice, 90% each).
+            // Phase 1: batched site selection. Personal browsing is bursty:
+            // a ~third of loads revisit today's pool (mail, feeds, forums),
+            // which separates raw-count metrics from unique-visitor metrics.
+            // The rest draw from the popularity alias table. Panelists
+            // rejection-resample sensitive categories (up to twice, 90%
+            // each), so their sensitive-category visits drop to a few
+            // percent of the population rate.
             picks.clear();
             for _ in 0..loads {
                 let mut site_idx = if !today.is_empty() && block.take_chance(&mut rng, 0.35) {
@@ -561,9 +409,7 @@ impl World {
                 } else {
                     0
                 };
-                // The root-path coin is drawn unconditionally (epoch 1
-                // short-circuits it behind the host-role test): one word per
-                // load regardless of host, same conditional distribution.
+                // The root-path coin is drawn only for apex and `www` hosts.
                 let is_root_path = sites.is_root_candidate(s, host_idx)
                     && block.take_chance(&mut rng, f64::from(sites.root_nav_share[s]));
                 let link_click = block.take_chance(&mut rng, 0.72);

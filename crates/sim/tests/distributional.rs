@@ -7,7 +7,10 @@
 
 use std::collections::HashMap;
 
-use topple_sim::{Browser, Category, Country, Platform, World, WorldConfig};
+use topple_sim::{
+    BackgroundQuery, Browser, Category, Country, EventSink, HostKind, PageLoad, Platform,
+    ThirdPartyFetch, TrafficScratch, World, WorldConfig,
+};
 
 fn world() -> World {
     World::generate(WorldConfig::medium(7777)).unwrap()
@@ -211,5 +214,161 @@ fn certify_boosts_exist_but_are_rare_and_never_grey() {
             "{:?} site should not be certified",
             s.category
         );
+    }
+}
+
+/// An event count: observed total, expected total, and the variance of the
+/// draws behind it.
+type Tally = [f64; 3];
+
+fn add(acc: &mut Tally, observed: f64, mean: f64, var: f64) {
+    acc[0] += observed;
+    acc[1] += mean;
+    acc[2] += var;
+}
+
+/// Adds one Bernoulli(`p`) coin to `acc`.
+fn coin(acc: &mut Tally, hit: bool, p: f64) {
+    add(acc, f64::from(u8::from(hit)), p, p * (1.0 - p));
+}
+
+fn assert_within_6_sigma(label: &str, [observed, mean, var]: Tally) {
+    assert!(
+        (observed - mean).abs() <= 6.0 * var.sqrt(),
+        "{label}: observed {observed}, expected {mean:.1} ± {:.1} at 6σ",
+        6.0 * var.sqrt()
+    );
+}
+
+/// One traffic window's event counts next to the model's expectation for
+/// exactly the loads that happened.
+#[derive(Default)]
+struct ExpectationSink {
+    /// Page loads per client index.
+    per_client: Vec<u64>,
+    loads: u64,
+    completed: Tally,
+    private_mode: Tally,
+    root_path: Tally,
+    /// Embed coins of completed loads against the fetches they produced.
+    third_party: Tally,
+    /// Same-site requests beyond the document: Poisson draws, so the mean
+    /// is also the variance. The caps on the draw (2000, or 10 for
+    /// incomplete loads) are far in the tails and are ignored.
+    own_requests: Tally,
+    background: Tally,
+}
+
+/// Pairs an [`ExpectationSink`] with the world it reads probabilities from.
+struct Observer<'w> {
+    world: &'w World,
+    sink: ExpectationSink,
+}
+
+impl EventSink for Observer<'_> {
+    fn page_load(&mut self, pl: &PageLoad) {
+        let t = &mut self.sink;
+        t.loads += 1;
+        t.per_client[pl.client.index()] += 1;
+        let site = &self.world.sites[pl.site.index()];
+        coin(&mut t.completed, pl.completed, site.completion_rate);
+        coin(&mut t.private_mode, pl.private_mode, site.private_share);
+        // Only apex and `www` navigations can land on the root path.
+        let root_host = matches!(
+            site.hosts[usize::from(pl.host_idx)].kind,
+            HostKind::Apex | HostKind::Www
+        );
+        let p_root = if root_host { site.root_nav_share } else { 0.0 };
+        coin(&mut t.root_path, pl.is_root_path, p_root);
+        let lambda = if pl.completed {
+            site.subresource_mean
+        } else {
+            1.0
+        };
+        add(
+            &mut t.own_requests,
+            f64::from(pl.own_requests),
+            lambda,
+            lambda,
+        );
+        if pl.completed {
+            for &(_, p) in &site.third_party {
+                let p = f64::from(p);
+                add(&mut t.third_party, 0.0, p, p * (1.0 - p));
+            }
+        }
+    }
+    fn third_party(&mut self, _tp: &ThirdPartyFetch) {
+        self.sink.third_party[0] += 1.0;
+    }
+    fn background(&mut self, _bg: &BackgroundQuery) {
+        self.sink.background[0] += 1.0;
+    }
+}
+
+/// Streams the first week of `world`'s window into an [`ExpectationSink`].
+fn first_week(world: &World) -> ExpectationSink {
+    let mut observer = Observer {
+        world,
+        sink: ExpectationSink {
+            per_client: vec![0; world.clients.len()],
+            ..ExpectationSink::default()
+        },
+    };
+    let mut scratch = TrafficScratch::for_world(world);
+    for day in 0..7 {
+        world.simulate_day_into(day, &mut scratch, &mut observer);
+    }
+    let mut sink = observer.sink;
+    // Every client-day adds Poisson(2.5) background queries.
+    let background = 2.5 * (world.clients.len() * 7) as f64;
+    add(&mut sink.background, 0.0, background, background);
+    sink
+}
+
+/// A client's weekly load count is a sum of daily Poisson draws with means
+/// `activity × day_factor`, so it must sit within Poisson noise of their
+/// sum for every client, and the aggregate within noise of the total.
+#[test]
+fn weekly_client_loads_match_activity_budget() {
+    let w = World::generate(WorldConfig::small(4242)).unwrap();
+    let sink = first_week(&w);
+    let mut total = Tally::default();
+    for (client, &n) in w.clients.iter().zip(&sink.per_client) {
+        let lambda: f64 = w.config.days[..7]
+            .iter()
+            .map(|d| f64::from(client.activity) * client.day_factor(d.weekday().is_weekend()))
+            .sum();
+        add(&mut total, n as f64, lambda, lambda);
+        // 6σ plus slack for small means covers the 2000-client
+        // multiplicity deterministically at this seed.
+        assert!(
+            (n as f64 - lambda).abs() <= 6.0 * lambda.sqrt() + 10.0,
+            "client {:?}: {n} loads in the week, expected {lambda:.1}",
+            client.id
+        );
+    }
+    assert_within_6_sigma("weekly page loads", total);
+}
+
+/// Every per-load outcome is a draw whose parameters are attributes of the
+/// site (and, for the root path, of the navigated host). Over the loads
+/// that actually happened, the completed, private-mode and root-path counts
+/// and the third-party, same-site request and background volumes must each
+/// match the sum of those expectations within 6σ.
+#[test]
+fn load_outcomes_match_site_probabilities() {
+    let w = World::generate(WorldConfig::small(4242)).unwrap();
+    let sink = first_week(&w);
+    assert!(sink.loads > 100_000, "a small week yields plenty of loads");
+    for (label, tally) in [
+        ("completed", sink.completed),
+        ("private-mode", sink.private_mode),
+        ("root-path", sink.root_path),
+        ("third-party", sink.third_party),
+        ("own requests", sink.own_requests),
+        ("background", sink.background),
+    ] {
+        assert_within_6_sigma(label, tally);
     }
 }

@@ -25,12 +25,8 @@ proptest! {
     }
 
     #[test]
-    fn traffic_invariants_for_any_seed(seed in any::<u64>(), day in 0usize..7, epoch in 1u32..=2) {
-        let config = WorldConfig {
-            epoch: Some(epoch),
-            ..WorldConfig::tiny(seed)
-        };
-        let w = World::generate(config).unwrap();
+    fn traffic_invariants_for_any_seed(seed in any::<u64>(), day in 0usize..7) {
+        let w = World::generate(WorldConfig::tiny(seed)).unwrap();
         let t = w.simulate_day(day);
         for pl in &t.page_loads {
             prop_assert!(pl.site.index() < w.sites.len());

@@ -69,32 +69,20 @@ fn fnv1a(text: &str) -> u64 {
     h
 }
 
-/// Per-epoch pinned digests of `snapshot(4242)`. When the draw sequence
-/// changes intentionally: bump `DETERMINISM_EPOCH` in `crates/sim`, re-run
-/// `topple-lint epoch emit --write`, and add the new `(epoch, digest)` row
-/// here (printed by this test on mismatch). `topple-lint epoch verify` keeps
-/// sources and manifest honest; this pin keeps the *bytes* honest.
-const EPOCH_SNAPSHOTS: &[(u32, u64)] = &[(1, 0x7df2_7435_1dc0_93e3), (2, 0xc733_5963_64ad_8625)];
+/// Pinned digest of `snapshot(4242)` under traffic epoch
+/// `DETERMINISM_EPOCH` (2). When the draw sequence changes intentionally:
+/// bump `DETERMINISM_EPOCH` in `crates/sim`, re-run `topple-lint epoch emit
+/// --write`, and re-pin the digest here (printed by this test on mismatch).
+/// `topple-lint epoch verify` keeps sources and manifest honest; this pin
+/// keeps the *bytes* honest.
+const EPOCH_SNAPSHOT: u64 = 0xc733_5963_64ad_8625;
 
 #[test]
 fn epoch_snapshot_digest_is_pinned() {
-    // Key on the *runtime* epoch (field → TOPPLE_EPOCH → default), so CI's
-    // TOPPLE_EPOCH matrix pins both universes with the same test.
-    let epoch = WorldConfig::tiny(4242).effective_epoch();
     let got = fnv1a(&snapshot(4242));
-    let pinned = EPOCH_SNAPSHOTS
-        .iter()
-        .find(|(e, _)| *e == epoch)
-        .map(|(_, d)| *d)
-        .unwrap_or_else(|| {
-            panic!(
-                "effective epoch is {epoch} but EPOCH_SNAPSHOTS has no row for it; \
-                 measured digest is {got:#018x} — pin it"
-            )
-        });
     assert_eq!(
-        got, pinned,
-        "snapshot digest for epoch {epoch} is {got:#018x}, pinned {pinned:#018x}; \
+        got, EPOCH_SNAPSHOT,
+        "snapshot digest is {got:#018x}, pinned {EPOCH_SNAPSHOT:#018x}; \
          an unbumped draw-sequence change slipped past `topple-lint epoch verify`"
     );
 }
