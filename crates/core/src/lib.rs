@@ -51,4 +51,4 @@ pub use compare::{
 pub use error::CoreError;
 pub use index::{ListColumns, StudyIndex};
 pub use methodology::{against_cloudflare, against_cloudflare_ids, cf_subset, Evaluation};
-pub use study::{observe_day_shards, Study};
+pub use study::{observe_day_shards, Study, StudyPrefix};

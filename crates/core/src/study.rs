@@ -13,6 +13,11 @@
 //! are byte-identical at any worker count (`tests/determinism.rs`), and the
 //! fan-out's admission window keeps at most `2 × workers` days of shards
 //! waiting for the fold.
+//!
+//! Every study goes through one [`StudyPrefix`]: the state that grows day by
+//! day (world, vantages, crawl, daily lists). Its fallible `fold` is the
+//! only way days get in, and [`Study::from_prefix`] is the only assemble,
+//! so the offline run, the shard rebuild and the live engine share one path.
 
 use topple_lists::{
     alexa, crux, majestic, secrank, tranco, trexa, umbrella, BucketedList, DomainId, DomainTable,
@@ -26,6 +31,7 @@ use topple_vantage::{
     PanelVantage, ScoreVec,
 };
 
+use crate::error::CoreError;
 use crate::index::{ColumnsSet, ListColumns, StudyIndex};
 
 /// How many Alexa picks per Tranco pick in the Trexa interleave.
@@ -58,14 +64,17 @@ impl NormalizedSet {
     }
 }
 
-/// The five traffic-ingesting vantage accumulators a study folds shards
-/// into, bundled so the pipeline can pass them around as one unit.
+/// Everything a study folds each day into: the five traffic-ingesting
+/// vantage accumulators, and the daily Alexa and Umbrella lists built from
+/// them, one per folded day.
 struct Accumulators {
     cdn: CdnVantage,
     chrome: ChromeVantage,
     umbrella_dns: DnsVantage,
     china_dns: DnsVantage,
     panel: PanelVantage,
+    alexa_daily: Vec<RankedList>,
+    umbrella_daily: Vec<RankedList>,
 }
 
 impl Accumulators {
@@ -76,37 +85,64 @@ impl Accumulators {
             umbrella_dns: DnsVantage::new(Resolver::Umbrella),
             china_dns: DnsVantage::new(Resolver::ChinaVoting),
             panel: PanelVantage::new(world),
+            alexa_daily: Vec::new(),
+            umbrella_daily: Vec::new(),
         }
     }
 
-    /// Folds one day's shards in. Must be called in ascending day order —
-    /// the vantages assert it.
-    fn fold(&mut self, world: &World, shards: DayShards) {
+    /// Days folded so far.
+    fn days(&self) -> usize {
+        self.panel.day_count()
+    }
+
+    /// Validates `shards`, then folds them in and builds the daily lists of
+    /// the days they add. See [`StudyPrefix::fold`] for what is checked;
+    /// nothing is touched unless every check passes.
+    fn fold(&mut self, world: &World, shards: DayShards) -> Result<(), CoreError> {
+        let days = shards.coverage().ok_or(CoreError::ShardWindow {
+            context: "the five vantage shards disagree about day coverage",
+        })?;
+        if days.is_empty() {
+            return Err(CoreError::EmptyWindow);
+        }
+        let start = self.days();
+        let end = start + days.len();
+        if days.iter().copied().ne(start..end) {
+            return Err(CoreError::ShardWindow {
+                context: "day coverage is not the next contiguous run after the folded days",
+            });
+        }
+        if end > world.config.days.len() {
+            return Err(CoreError::ShardWindow {
+                context: "shards cover more days than the world's window",
+            });
+        }
+        shards.check_ids(world).map_err(CoreError::ShardIds)?;
+
         self.cdn.ingest_shard(shards.cdn);
         self.chrome.ingest_shard(shards.chrome);
         self.umbrella_dns.ingest_shard(world, shards.umbrella);
         self.china_dns.ingest_shard(world, shards.china);
         self.panel.ingest_shard(shards.panel);
-    }
-}
 
-/// Simulates and ingests every day of the window through the fused
-/// streaming pipeline ([`DayScratch::observe_day`]): each day's traffic is
-/// observed by all five vantages as it is generated, with no materialized
-/// `DayTraffic` and all per-day working state in reusable scratch.
-///
-/// Runs on [`for_each_ordered`]: each worker builds one [`DayScratch`] and
-/// reuses its warmed capacity for every day it claims, and the calling
-/// thread folds the days' [`DayShards`] in strict day order, with at most
-/// `2 × workers` days of shards awaiting the fold.
-fn run_days(world: &World, acc: &mut Accumulators, workers: usize) {
-    for_each_ordered(
-        world.config.days.len(),
-        workers,
-        || DayScratch::new(world),
-        |scratch, d| scratch.observe_day(world, d),
-        |_, shards| acc.fold(world, shards),
-    );
+        let list_len = world.sites.len();
+        for d in start..end {
+            // Alexa averages every ingested day (a window of `d + 1` starts
+            // at day 0), so day `d`'s list reads days `0..=d`.
+            self.alexa_daily
+                .push(alexa::build_daily(world, &self.panel, d, d + 1, list_len));
+            // Umbrella daily snapshots fold a short trailing window (see the
+            // builder's docs for the scale rationale): days `d-2..=d`.
+            self.umbrella_daily.push(umbrella::build_daily(
+                world,
+                &self.umbrella_dns,
+                d,
+                3,
+                list_len,
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Observes days `0..n_days` of the world into per-day [`DayShards`] without
@@ -127,6 +163,99 @@ pub fn observe_day_shards(world: &World, n_days: usize, workers: usize) -> Vec<D
         |_, shards| out.push(shards),
     );
     out
+}
+
+/// The part of a study that grows with its day window: the world, the
+/// crawl and its Majestic list (both fixed for the world), the five vantage
+/// accumulators, and the daily Alexa and Umbrella lists of every folded day.
+///
+/// Every study is built through one. [`Study::run`] folds each simulated
+/// day as it completes, [`Study::from_shards`] folds the merged shards
+/// once, and the live engine keeps one resident and folds only each
+/// delta's new days. All three give the same bytes: shard counters are
+/// integer sums and every vantage walks a shard's days in ascending order,
+/// so folding is exact at any grouping of contiguous days; and no list of
+/// an earlier day changes when later days arrive (Alexa's day `d` reads
+/// days `0..=d`, Umbrella's reads `d-2..=d`). [`Study::from_prefix`]
+/// derives the rest of the study from the prefix, and
+/// [`Study::into_prefix`] hands the prefix back so a longer window can be
+/// folded on without re-folding a day.
+pub struct StudyPrefix {
+    world: World,
+    crawl: CrawlerVantage,
+    majestic: RankedList,
+    acc: Accumulators,
+}
+
+impl StudyPrefix {
+    /// An empty prefix over `world`: no day folded yet. Runs the crawl and
+    /// builds the Majestic list, which the day window does not change.
+    pub fn new(world: World) -> StudyPrefix {
+        let crawl = CrawlerVantage::crawl(&world, 25, usize::MAX);
+        let majestic = majestic::build(&world, &crawl, world.sites.len());
+        let acc = Accumulators::new(&world);
+        StudyPrefix {
+            world,
+            crawl,
+            majestic,
+            acc,
+        }
+    }
+
+    /// The world the days are folded from.
+    pub fn world(&self) -> &World {
+        &self.world
+    }
+
+    /// Days folded so far: the prefix covers days `0..days()`.
+    pub fn days(&self) -> usize {
+        self.acc.days()
+    }
+
+    /// Folds `shards`, which must cover exactly the next contiguous days
+    /// `days()..days() + k` with `k >= 1`, and builds those days' daily
+    /// lists.
+    ///
+    /// Validates before it touches anything, so on error the prefix is
+    /// unchanged:
+    /// - the five vantage shards must agree about which days they cover,
+    ///   and those days must be the next contiguous run inside the world's
+    ///   window ([`CoreError::ShardWindow`]);
+    /// - they must cover at least one day ([`CoreError::EmptyWindow`]);
+    /// - every site, host, client and name they name must exist in the
+    ///   world ([`CoreError::ShardIds`]).
+    pub fn fold(&mut self, shards: DayShards) -> Result<(), CoreError> {
+        self.acc.fold(&self.world, shards)
+    }
+
+    /// Simulates days `days()..n_days` (`n_days` clamped to the world's
+    /// window) through the fused streaming pipeline and folds each one.
+    ///
+    /// Runs on [`for_each_ordered`]: each worker builds one [`DayScratch`]
+    /// and reuses its warmed capacity for every day it claims
+    /// ([`DayScratch::observe_day`]: all five vantages observe a day's
+    /// events as they are generated, with no materialized `DayTraffic`),
+    /// and the calling thread folds the days' [`DayShards`] in strict day
+    /// order, with at most `2 × workers` days of shards awaiting the fold.
+    /// Stops folding at the first error, which it returns.
+    pub fn simulate_through(&mut self, n_days: usize, workers: usize) -> Result<(), CoreError> {
+        let StudyPrefix { world, acc, .. } = self;
+        let start = acc.days();
+        let end = n_days.min(world.config.days.len()).max(start);
+        let mut folded = Ok(());
+        for_each_ordered(
+            end - start,
+            workers,
+            || DayScratch::new(world),
+            |scratch, i| scratch.observe_day(world, start + i),
+            |_, shards| {
+                if folded.is_ok() {
+                    folded = acc.fold(world, shards);
+                }
+            },
+        );
+        folded
+    }
 }
 
 /// A fully-materialized study: the world, every vantage's accumulated view,
@@ -172,90 +301,69 @@ impl Study {
     /// Day simulation *and* vantage observation run on
     /// `config.effective_workers()` worker threads (days are
     /// RNG-independent and shard construction is pure); the shards are then
-    /// folded into the accumulators in strict day order, so the worker
+    /// folded into a [`StudyPrefix`] in strict day order, so the worker
     /// count never affects results.
     pub fn run(config: WorldConfig) -> Result<Study, WorldError> {
         let workers = config.effective_workers();
-        let world = World::generate(config)?;
-        let n_days = world.config.days.len();
-        let mut acc = Accumulators::new(&world);
-        run_days(&world, &mut acc, workers);
-        Ok(Study::assemble(world, acc, n_days))
+        let mut prefix = StudyPrefix::new(World::generate(config)?);
+        let n_days = prefix.world().config.days.len();
+        prefix
+            .simulate_through(n_days, workers)
+            .and_then(|()| Study::from_prefix(prefix))
+            .map_err(|e| WorldError(format!("the world's own days did not fold: {e}")))
     }
 
     /// Builds a study from pre-observed day shards instead of simulating the
-    /// window inline — the live-serving entry point.
+    /// window inline — the cold oracle the live engine's resident prefix
+    /// is checked against.
     ///
     /// The shards are merged (order-insensitively — [`DayShards`] is a
-    /// commutative monoid) and must cover a contiguous prefix of the world's
-    /// day window starting at day 0; `world` must be the same world the
-    /// shards were observed from. The resulting study is byte-identical to
-    /// [`Study::run`] over the same prefix: the merged shard is folded into
-    /// the accumulators exactly as the streaming pipeline would have folded
-    /// the per-day shards in day order. Shards naming sites, clients or
-    /// names that `world` lacks are refused with [`CoreError::ShardIds`]
-    /// before anything is folded.
-    ///
-    /// [`CoreError::ShardIds`]: crate::error::CoreError::ShardIds
-    pub fn from_shards(
-        world: World,
-        shards: Vec<DayShards>,
-    ) -> Result<Study, crate::error::CoreError> {
-        use crate::error::CoreError;
+    /// commutative monoid) and folded once into a fresh [`StudyPrefix`], so
+    /// they must cover a contiguous prefix of the world's day window
+    /// starting at day 0; `world` must be the same world the shards were
+    /// observed from. The resulting study is byte-identical to
+    /// [`Study::run`] over the same prefix. Shards that cover no day, leave
+    /// a gap, or name sites, clients or names that `world` lacks are
+    /// refused by [`StudyPrefix::fold`] before anything is folded.
+    pub fn from_shards(world: World, shards: Vec<DayShards>) -> Result<Study, CoreError> {
         use topple_vantage::Shard as _;
 
         let mut merged = DayShards::identity();
         for s in shards {
             merged.merge(s);
         }
-        let days = merged.coverage().ok_or(CoreError::ShardWindow {
-            context: "the five vantage shards disagree about day coverage",
-        })?;
-        let n_days = days.len();
-        if n_days == 0 {
-            return Err(CoreError::EmptyWindow);
-        }
-        if days.iter().copied().ne(0..n_days) {
-            return Err(CoreError::ShardWindow {
-                context: "day coverage is not a contiguous prefix starting at day 0",
-            });
-        }
-        if n_days > world.config.days.len() {
-            return Err(CoreError::ShardWindow {
-                context: "shards cover more days than the world's window",
-            });
-        }
-        merged.check_ids(&world).map_err(CoreError::ShardIds)?;
-        let mut acc = Accumulators::new(&world);
-        acc.fold(&world, merged);
-        Ok(Study::assemble(world, acc, n_days))
+        let mut prefix = StudyPrefix::new(world);
+        prefix.fold(merged)?;
+        Study::from_prefix(prefix)
     }
 
-    /// Everything after ingestion: build every list and the columnar index
-    /// from accumulators that have folded days `0..n_days`.
-    fn assemble(world: World, acc: Accumulators, n_days: usize) -> Study {
+    /// Everything after ingestion: builds the lists that read the whole
+    /// window (Secrank, Tranco, Trexa, CrUX and Umbrella's monthly list),
+    /// normalizes every list and builds the columnar index, all borrowing
+    /// the prefix's state; the study then takes that state over as its own
+    /// fields. Refuses a prefix with no folded day
+    /// ([`CoreError::EmptyWindow`]).
+    pub fn from_prefix(prefix: StudyPrefix) -> Result<Study, CoreError> {
+        let n_days = prefix.days();
+        let StudyPrefix {
+            world,
+            crawl,
+            majestic,
+            acc:
+                Accumulators {
+                    cdn,
+                    chrome,
+                    umbrella_dns,
+                    china_dns,
+                    panel,
+                    alexa_daily,
+                    umbrella_daily,
+                },
+        } = prefix;
+        let Some(alexa_month) = alexa_daily.last() else {
+            return Err(CoreError::EmptyWindow);
+        };
         let list_len = world.sites.len();
-        let Accumulators {
-            cdn,
-            chrome,
-            umbrella_dns,
-            china_dns,
-            panel,
-        } = acc;
-
-        // The crawl is time-independent within the window.
-        let crawl = CrawlerVantage::crawl(&world, 25, usize::MAX);
-
-        // Daily lists.
-        let alexa_daily: Vec<RankedList> = (0..n_days)
-            .map(|d| alexa::build_daily(&world, &panel, d, n_days, list_len))
-            .collect();
-        // Umbrella daily snapshots fold a short trailing window (see the
-        // builder's docs for the scale rationale).
-        let umbrella_daily: Vec<RankedList> = (0..n_days)
-            .map(|d| umbrella::build_daily(&world, &umbrella_dns, d, 3, list_len))
-            .collect();
-        let majestic = majestic::build(&world, &crawl, list_len);
         let secrank = secrank::build(&world, &china_dns, n_days, list_len);
 
         // Every normalization from here on shares one `Normalizer`: the
@@ -285,9 +393,6 @@ impl Study {
             tranco_inputs.push(&majestic);
         }
         let tranco = tranco::build(&tranco_inputs, list_len);
-        #[allow(clippy::expect_used)]
-        // topple-lint: allow(unwrap): both callers guarantee n_days >= 1 (WorldConfig::validate rejects an empty window; from_shards rejects empty coverage)
-        let alexa_month = alexa_daily.last().expect("window is non-empty");
         let trexa = trexa::build(&tranco, alexa_month, TREXA_ALEXA_WEIGHT, list_len);
 
         let magnitudes: Vec<usize> = world
@@ -347,7 +452,7 @@ impl Study {
             .collect();
         let index = StudyIndex::new(table, site_ids, is_cf, monthly, alexa_cols, umbrella_cols);
 
-        Study {
+        Ok(Study {
             world,
             cdn,
             chrome,
@@ -364,6 +469,27 @@ impl Study {
             crux,
             normalized,
             index,
+        })
+    }
+
+    /// Takes the study apart into the [`StudyPrefix`] it was assembled
+    /// from, dropping everything [`Study::from_prefix`] derived — so more
+    /// days can be folded on and the study assembled again without
+    /// re-folding a day.
+    pub fn into_prefix(self) -> StudyPrefix {
+        StudyPrefix {
+            world: self.world,
+            crawl: self.crawl,
+            majestic: self.majestic,
+            acc: Accumulators {
+                cdn: self.cdn,
+                chrome: self.chrome,
+                umbrella_dns: self.umbrella_dns,
+                china_dns: self.china_dns,
+                panel: self.panel,
+                alexa_daily: self.alexa_daily,
+                umbrella_daily: self.umbrella_daily,
+            },
         }
     }
 
@@ -412,6 +538,7 @@ impl Study {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use topple_vantage::Shard as _;
 
     #[test]
     fn full_pipeline_runs_on_tiny_world() {
@@ -492,12 +619,12 @@ mod tests {
         shards.remove(2); // days 0, 1, 3 — a hole at day 2
         assert!(matches!(
             Study::from_shards(world, shards),
-            Err(crate::error::CoreError::ShardWindow { .. })
+            Err(CoreError::ShardWindow { .. })
         ));
         let world = World::generate(WorldConfig::tiny(207)).unwrap();
         assert!(matches!(
             Study::from_shards(world, Vec::new()),
-            Err(crate::error::CoreError::EmptyWindow)
+            Err(CoreError::EmptyWindow)
         ));
     }
 
@@ -509,7 +636,69 @@ mod tests {
         let tiny = World::generate(WorldConfig::tiny(208)).unwrap();
         assert!(matches!(
             Study::from_shards(tiny, shards),
-            Err(crate::error::CoreError::ShardIds(_))
+            Err(CoreError::ShardIds(_))
+        ));
+    }
+
+    #[test]
+    fn prefix_folded_in_runs_matches_the_cold_rebuild() {
+        let world = World::generate(WorldConfig::tiny(209)).unwrap();
+        let n = world.config.days.len();
+        let mut shards = observe_day_shards(&world, n, 1).into_iter();
+        let cold_world = World::generate(WorldConfig::tiny(209)).unwrap();
+        let cold = Study::from_shards(cold_world, observe_day_shards(&world, n, 1)).unwrap();
+        // Days 0..2 merged, then 2..5 merged, then one at a time, assembling
+        // and taking the study apart between runs as the live engine does.
+        let mut prefix = StudyPrefix::new(world);
+        for run in [2usize, 3, 1, 1] {
+            let mut merged = DayShards::identity();
+            for s in shards.by_ref().take(run) {
+                merged.merge(s);
+            }
+            prefix.fold(merged).unwrap();
+            prefix = Study::from_prefix(prefix).unwrap().into_prefix();
+        }
+        assert_eq!(prefix.days(), n);
+        let warm = Study::from_prefix(prefix).unwrap();
+        assert_eq!(warm.alexa_daily, cold.alexa_daily);
+        assert_eq!(warm.umbrella_daily, cold.umbrella_daily);
+        assert_eq!(warm.tranco, cold.tranco);
+        assert_eq!(warm.secrank, cold.secrank);
+        assert_eq!(warm.crux.to_csv(), cold.crux.to_csv());
+        let m = CfMetric::final_seven()[0];
+        assert_eq!(warm.cf_monthly_domains(m), cold.cf_monthly_domains(m));
+    }
+
+    #[test]
+    fn prefix_fold_refuses_anything_but_the_next_days_and_stays_unchanged() {
+        let world = World::generate(WorldConfig::tiny(210)).unwrap();
+        let mut shards = observe_day_shards(&world, 4, 1);
+        let mut prefix = StudyPrefix::new(world);
+        prefix.fold(shards.remove(0)).unwrap();
+        // Day 2 over a prefix of one day skips day 1.
+        let day2 = shards.remove(1);
+        assert!(matches!(
+            prefix.fold(day2),
+            Err(CoreError::ShardWindow { .. })
+        ));
+        // Day 0 again is behind the prefix.
+        let again = observe_day_shards(prefix.world(), 1, 1).remove(0);
+        assert!(matches!(
+            prefix.fold(again),
+            Err(CoreError::ShardWindow { .. })
+        ));
+        assert!(matches!(
+            prefix.fold(DayShards::identity()),
+            Err(CoreError::EmptyWindow)
+        ));
+        assert_eq!(prefix.days(), 1);
+        // The refusals left nothing behind: day 1 still folds.
+        prefix.fold(shards.remove(0)).unwrap();
+        assert_eq!(prefix.days(), 2);
+        let empty = StudyPrefix::new(World::generate(WorldConfig::tiny(210)).unwrap());
+        assert!(matches!(
+            Study::from_prefix(empty),
+            Err(CoreError::EmptyWindow)
         ));
     }
 

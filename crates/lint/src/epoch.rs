@@ -16,13 +16,17 @@
 //!
 //! A workspace may keep several draw-sequence universes alive at once (a
 //! frozen reference generator next to its restructured successor). Epoch
-//! membership is declared by function-name suffix: `simulate_day_epoch1`
-//! belongs to epoch 1 only, `simulate_day_epoch2` to epoch 2 only, and
-//! unsuffixed functions to every epoch. Each epoch gets its own reachable
-//! set — computed by cutting the *other* epochs' suffixed functions out of
-//! the traversal — and its own manifest file (`determinism.epoch1.toml`,
-//! `determinism.epoch2.toml`; the suffix-free `determinism.epoch.toml` name
-//! is kept for single-epoch workspaces).
+//! membership is declared by function-name suffix: a function named
+//! `…_epoch{N}` belongs to traffic epoch N only, and unsuffixed functions
+//! to every epoch. Each epoch gets its own reachable set — computed by
+//! cutting the *other* epochs' suffixed functions out of the traversal —
+//! and its own manifest file, `determinism.epoch{N}.toml`; a workspace with
+//! one traffic epoch keeps the suffix-free `determinism.epoch.toml`. This
+//! workspace has one: `simulate_day_epoch2`, whose suffix stays because
+//! the generation carve below keys on it. The live example of several
+//! epochs side by side is the generation pair `generate_gen1` /
+//! `generate_gen2`, pinned in `determinism.gen1.toml` and
+//! `determinism.gen2.toml`.
 //!
 //! # The generation dimension
 //!

@@ -4,20 +4,25 @@
 //! `tpls` snapshot, serve it immutably. This module makes the window
 //! extensible while the daemon runs. New day-shards arrive as checksummed
 //! [`Delta`] containers (`POST /v1/admin/ingest`); a background engine
-//! merges them into its day pool, rebuilds the full [`QuerySnapshot`] —
-//! columnar index, pre-rendered hot cache and all — *off* the serving path,
-//! and atomically installs it. Readers never block on a rebuild and never
-//! see a half-updated index: a request is served entirely from whichever
-//! `Arc<QuerySnapshot>` its worker shard held when the request was parsed.
+//! folds each newly contiguous day into its resident study state, rebuilds
+//! the full [`QuerySnapshot`] — columnar index, pre-rendered hot cache and
+//! all — *off* the serving path, and atomically installs it. Readers never
+//! block on a rebuild and never see a half-updated index: a request is
+//! served entirely from whichever `Arc<QuerySnapshot>` its worker shard
+//! held when the request was parsed.
 //!
 //! Determinism doctrine, extended to time: shards are commutative monoids
 //! ([`Shard::merge`](topple_vantage::Shard::merge)), so the serving state
 //! after any set of accepted deltas is a pure function of *which* days were
-//! ingested, not when or in what order. Every rebuild runs the exact
-//! offline pipeline ([`Study::from_shards`] → [`encode_study`] →
-//! [`Snapshot::from_bytes`]), so a live-swapped generation's response
-//! bodies are byte-identical to a cold daemon serving a from-scratch
-//! snapshot of the same days (pinned by the swap-smoke CI job and
+//! ingested, not when or in what order. The engine keeps one
+//! [`StudyPrefix`] resident from boot and folds each day into it exactly
+//! once; every swap assembles it through the same [`Study::from_prefix`]
+//! the offline pipeline uses, then [`encode_study`] →
+//! [`Snapshot::from_bytes`]. [`Study::from_shards`] — merge every day,
+//! fold once into a fresh prefix — is the cold oracle: a live-swapped
+//! generation's response bodies are byte-identical to a cold daemon
+//! serving a from-scratch snapshot of the same days (pinned by this
+//! module's per-swap tests, the swap-smoke CI job and
 //! `tests/delta_equivalence.rs`).
 //!
 //! Split of responsibilities:
@@ -28,10 +33,12 @@
 //!   performs the atomic swap (install snapshot, clear the compare cache,
 //!   then publish the generation).
 //! * [`LiveEngine`] — the single background rebuild thread. At boot it
-//!   regenerates the base world, re-observes the base days' shards to seed
-//!   its pool, and *verifies* the loaded snapshot by rebuilding it — a
-//!   byte-level self-check that the serving file really is this world's
-//!   prefix. On any verification or rebuild failure the store is
+//!   generates the base world once, folds the base days into a fresh
+//!   [`StudyPrefix`], and *verifies* the loaded snapshot by rebuilding it
+//!   — a byte-level self-check that the serving file really is this
+//!   world's prefix. Afterwards it pools only the delta bundles above the
+//!   folded prefix and folds, merged into one shard, the whole bundles
+//!   that extend it. On any verification or rebuild failure the store is
 //!   **poisoned**: the last good snapshot keeps serving, further ingests
 //!   are refused with `503`, and nothing is ever swapped in unverified.
 //!
@@ -45,7 +52,7 @@ use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use topple_core::Study;
+use topple_core::{Study, StudyPrefix};
 use topple_sim::{World, WorldConfig};
 use topple_stats::cast;
 use topple_vantage::DayShards;
@@ -278,8 +285,17 @@ impl DeltaIdentity {
     }
 }
 
-/// The background rebuild engine: owns the day-shard pool and runs the
-/// offline pipeline per applied delta.
+/// One delta's shards waiting in the engine's pool for the days below them.
+struct Pending {
+    /// Highest day the bundle covers.
+    last_day: u32,
+    /// How many days it covers (its days need not be contiguous).
+    n_days: u32,
+    shards: DayShards,
+}
+
+/// The background rebuild engine: keeps the study's [`StudyPrefix`]
+/// resident and folds each delta's newly contiguous days into it.
 pub struct LiveEngine {
     store: Arc<LiveStore>,
     config: WorldConfig,
@@ -289,15 +305,11 @@ pub struct LiveEngine {
     /// experiments crate. Lineage makes the carry-over visible.
     artifacts: Vec<(String, String)>,
     workers: usize,
-    /// One entry per ingested shard bundle (base days first, then deltas
-    /// in application order). Rebuilds merge a clone of everything.
-    pool: Vec<DayShards>,
-    /// Day indices present in the pool.
-    days_present: BTreeSet<u32>,
+    /// Delta bundles above the folded prefix, held until the days below
+    /// them arrive.
+    pool: Vec<Pending>,
     /// Delta ids applied so far, oldest first.
     lineage: Vec<String>,
-    /// Days covered by the snapshot currently serving.
-    built_prefix: u32,
 }
 
 impl LiveEngine {
@@ -309,7 +321,6 @@ impl LiveEngine {
         let snapshot = current.snapshot();
         let scale = snapshot.identity.scale.clone();
         let artifacts = snapshot.artifacts.clone();
-        let built_prefix = snapshot.identity.n_days;
         drop(current);
         LiveEngine {
             store,
@@ -318,25 +329,29 @@ impl LiveEngine {
             artifacts,
             workers: workers.max(1),
             pool: Vec::new(),
-            days_present: BTreeSet::new(),
             lineage: Vec::new(),
-            built_prefix,
         }
     }
 
     /// Runs the engine until [`LiveStore::shutdown`]: boot verification,
-    /// then one pool-merge (+ rebuild and swap, when the ingested days form
-    /// a longer contiguous prefix) per queued delta.
+    /// then one pool insert (+ fold, rebuild and swap, when the pooled
+    /// bundles extend the folded prefix) per queued delta.
     pub fn run(mut self) {
-        if let Err(why) = self.boot() {
-            self.store.poison(why);
-            return;
-        }
-        while let Some(delta) = self.store.next_delta() {
-            if let Err(why) = self.apply(delta) {
+        let mut prefix = match self.boot() {
+            Ok(prefix) => prefix,
+            Err(why) => {
                 self.store.poison(why);
                 return;
             }
+        };
+        while let Some(delta) = self.store.next_delta() {
+            prefix = match self.apply(prefix, delta) {
+                Ok(prefix) => prefix,
+                Err(why) => {
+                    self.store.poison(why);
+                    return;
+                }
+            };
         }
     }
 
@@ -347,10 +362,10 @@ impl LiveEngine {
             .spawn(move || self.run())
     }
 
-    /// Seeds the pool with the base days' shards and proves the loaded
-    /// snapshot is exactly this world's prefix by rebuilding it.
-    fn boot(&mut self) -> Result<(), String> {
-        let base_days = cast::usize_from_u32(self.store.base_days());
+    /// Regenerates the base world, folds the base days into a fresh
+    /// prefix, and proves the loaded snapshot is exactly this world's
+    /// prefix by rebuilding it.
+    fn boot(&self) -> Result<StudyPrefix, String> {
         let world = World::generate(self.config.clone())
             .map_err(|e| format!("base world regeneration failed: {e}"))?;
         if world.sites.len() as u64 != self.store.base_identity.n_sites
@@ -360,10 +375,12 @@ impl LiveEngine {
                 "world config does not reproduce the base snapshot's site/client counts".to_owned(),
             );
         }
-        let shards = topple_core::observe_day_shards(&world, base_days, self.workers);
-        self.days_present = (0..cast::u32_from_usize(shards.len())).collect();
-        self.pool = shards;
-        let rebuilt = self.rebuild_bytes(world)?;
+        let base_days = cast::usize_from_u32(self.store.base_days());
+        let mut prefix = StudyPrefix::new(world);
+        prefix
+            .simulate_through(base_days, self.workers)
+            .map_err(|e| format!("base days did not fold: {e}"))?;
+        let (rebuilt, prefix) = self.encode(prefix)?;
         let rebuilt_id = Snapshot::from_bytes(&rebuilt)
             .map_err(|e| format!("boot verification rebuild did not decode: {e}"))?
             .id();
@@ -374,68 +391,77 @@ impl LiveEngine {
                  the snapshot is not this world's day prefix"
             ));
         }
-        Ok(())
+        Ok(prefix)
     }
 
-    /// Merges one validated delta into the pool; rebuilds and swaps when
-    /// the ingested days now form a longer contiguous prefix from day 0.
-    fn apply(&mut self, delta: Delta) -> Result<(), String> {
+    /// Pools one validated delta; when the pool now extends the folded
+    /// prefix, folds those bundles into it, rebuilds and swaps.
+    fn apply(&mut self, mut prefix: StudyPrefix, delta: Delta) -> Result<StudyPrefix, String> {
         self.lineage.push(delta.id());
-        for &day in delta.days() {
-            self.days_present.insert(day);
-        }
-        self.pool.push(delta.into_shards());
-        let prefix = self.contiguous_prefix();
-        if prefix <= self.built_prefix {
+        let days = delta.days();
+        let pending = Pending {
+            last_day: days.last().copied().unwrap_or(0),
+            n_days: cast::u32_from_usize(days.len()),
+            shards: delta.into_shards(),
+        };
+        self.pool.push(pending);
+        let Some(shards) = self.take_foldable(prefix.days()) else {
             // Out-of-order arrival left a gap below the new days: hold the
             // shards, swap nothing. The generation advances when the gap
             // fills — the serving index is always a verified prefix.
-            return Ok(());
-        }
-        let world = World::generate(self.config.clone())
-            .map_err(|e| format!("world regeneration failed: {e}"))?;
-        let bytes = self.rebuild_bytes(world)?;
+            return Ok(prefix);
+        };
+        prefix
+            .fold(shards)
+            .map_err(|e| format!("shard fold rejected the pool: {e}"))?;
+        let (bytes, prefix) = self.encode(prefix)?;
         let snapshot = Snapshot::from_bytes(&bytes)
             .map_err(|e| format!("rebuilt snapshot did not decode: {e}"))?;
         let generation = self.store.generation() + 1;
         let next = QuerySnapshot::with_generation(snapshot, generation, &self.lineage);
         self.store.swap(Arc::new(next));
-        self.built_prefix = prefix;
-        Ok(())
+        Ok(prefix)
     }
 
-    /// Length of the contiguous day prefix starting at 0 in the pool.
-    fn contiguous_prefix(&self) -> u32 {
-        let mut n = 0u32;
-        for &d in &self.days_present {
-            if d != n {
-                break;
+    /// Removes from the pool, merged into one shard, the bundles that
+    /// extend the `folded` prefix furthest: the longest run of days
+    /// `folded..m` that bundles lying wholly below `m` cover exactly.
+    /// `None` when no such run exists.
+    ///
+    /// Bundles count whole: one whose days straddle a gap ({3, 5} over
+    /// days 0–2) waits until the gap fills. Pooled days are distinct and
+    /// all `>= folded` (submit refuses a day twice), so the bundles wholly
+    /// below `m` cover `folded..m` exactly when they hold `m - folded`
+    /// days.
+    fn take_foldable(&mut self, folded: usize) -> Option<DayShards> {
+        use topple_vantage::Shard as _;
+
+        self.pool.sort_by_key(|p| p.last_day);
+        let mut held = 0usize;
+        let mut take = 0;
+        for (i, p) in self.pool.iter().enumerate() {
+            held += cast::usize_from_u32(p.n_days);
+            if cast::usize_from_u32(p.last_day) + 1 == folded + held {
+                take = i + 1;
             }
-            n += 1;
         }
-        n
+        if take == 0 {
+            return None;
+        }
+        let mut merged = DayShards::identity();
+        for p in self.pool.drain(..take) {
+            merged.merge(p.shards);
+        }
+        Some(merged)
     }
 
-    /// Runs the offline pipeline over a clone of the pool's contiguous
-    /// prefix: merge → fold → encode. Consumes the world.
-    fn rebuild_bytes(&self, world: World) -> Result<Vec<u8>, String> {
-        let prefix = self.contiguous_prefix();
-        let bundles: Vec<DayShards> = self
-            .pool
-            .iter()
-            .filter(|b| {
-                // A bundle joins the rebuild only when *all* its days are
-                // inside the prefix; coverage() is Some by construction
-                // (validated at submit / observed directly).
-                b.coverage()
-                    .map(|days| days.iter().all(|&d| cast::u32_from_usize(d) < prefix))
-                    .unwrap_or(false)
-            })
-            .cloned()
-            .collect();
-        let study = Study::from_shards(world, bundles)
-            .map_err(|e| format!("shard fold rejected the pool: {e}"))?;
-        Ok(encode_study(&study, &self.scale, &self.artifacts))
+    /// Assembles the prefix into a study, encodes it, and takes the study
+    /// apart again so the prefix stays resident.
+    fn encode(&self, prefix: StudyPrefix) -> Result<(Vec<u8>, StudyPrefix), String> {
+        let study =
+            Study::from_prefix(prefix).map_err(|e| format!("study did not assemble: {e}"))?;
+        let bytes = encode_study(&study, &self.scale, &self.artifacts);
+        Ok((bytes, study.into_prefix()))
     }
 }
 
@@ -509,33 +535,93 @@ mod tests {
         ));
     }
 
+    /// Submits `delta` and applies it from the store's queue: one step of
+    /// [`LiveEngine::run`] after boot.
+    fn step(
+        store: &LiveStore,
+        engine: &mut LiveEngine,
+        prefix: StudyPrefix,
+        delta: &Delta,
+    ) -> StudyPrefix {
+        store.submit(&delta.to_bytes()).expect("accepts");
+        let queued = store.next_delta().expect("queued");
+        engine.apply(prefix, queued).expect("applies")
+    }
+
     #[test]
     fn engine_boot_verifies_and_applies_deltas_in_order() {
-        let (store, engine) = live_fixture(3);
+        let (store, mut engine) = live_fixture(3);
         let base_id = store.current().id().to_owned();
+        let mut prefix = engine.boot().expect("boot verifies");
+        let window = tiny_world().config.days.len();
+        for day in 3..window {
+            prefix = step(&store, &mut engine, prefix, &delta_for_day(day));
+            assert!(store.poisoned().is_none(), "{:?}", store.poisoned());
+            let generation = (day - 2) as u64;
+            assert_eq!(store.generation(), generation);
+            let now = store.current();
+            assert_eq!(now.generation(), generation);
+            assert_ne!(now.id(), base_id);
+            assert!(now.id().ends_with(&format!("-g{generation}")));
+            assert_eq!(now.snapshot().identity.n_days as usize, day + 1);
+            // Each swapped snapshot is byte-identical to a cold offline
+            // build of the same days (same artifacts), modulo the
+            // generation stamp, and nothing is left waiting in the pool.
+            assert_eq!(
+                now.snapshot().id(),
+                base_snapshot(day + 1).snapshot().id(),
+                "live fold of days 0..={day} must equal the offline rebuild"
+            );
+            assert!(engine.pool.is_empty(), "day {day} left bundles pooled");
+            assert_eq!(prefix.days(), day + 1);
+            let body = std::str::from_utf8(now.snapshot_bytes()).expect("utf8");
+            assert!(body.contains(&format!("\"generation\":{generation}")));
+            assert!(body.contains("tpld-v1-"), "{body}");
+        }
+    }
+
+    #[test]
+    fn engine_run_drains_the_queue_and_applies_deltas_in_order() {
+        let (store, engine) = live_fixture(3);
         store.submit(&delta_for_day(3).to_bytes()).expect("day 3");
         store.submit(&delta_for_day(4).to_bytes()).expect("day 4");
         store.shutdown();
-        engine.run(); // drains the queue, then exits on stop
-
+        engine.run(); // boots, drains the queue, then exits on stop
         assert!(store.poisoned().is_none(), "{:?}", store.poisoned());
         assert_eq!(store.generation(), 2);
-        let now = store.current();
-        assert_eq!(now.generation(), 2);
-        assert_ne!(now.id(), base_id);
-        assert!(now.id().ends_with("-g2"));
-        assert_eq!(now.snapshot().identity.n_days, 5);
-        // The swapped snapshot is byte-identical to a cold offline build of
-        // the same five days (same artifacts), modulo the generation stamp.
-        let offline = base_snapshot(5);
         assert_eq!(
-            now.snapshot().id(),
-            offline.snapshot().id(),
-            "live rebuild must equal the offline rebuild"
+            store.current().snapshot().id(),
+            base_snapshot(5).snapshot().id()
         );
-        let body = std::str::from_utf8(now.snapshot_bytes()).expect("utf8");
-        assert!(body.contains("\"generation\":2"));
-        assert!(body.contains("tpld-v1-"), "{body}");
+    }
+
+    #[test]
+    fn a_bundle_straddling_a_gap_waits_for_the_gap() {
+        let (store, mut engine) = live_fixture(3);
+        let base_id = store.current().snapshot().id();
+        let mut prefix = engine.boot().expect("boot verifies");
+        // Days {3, 5} in one bundle: day 3 extends the prefix, but the
+        // bundle also holds day 5 above the hole at day 4, so nothing folds.
+        let straddling =
+            Delta::compact(vec![delta_for_day(3), delta_for_day(5)]).expect("compacts");
+        assert_eq!(straddling.days(), &[3u32, 5]);
+        prefix = step(&store, &mut engine, prefix, &straddling);
+        assert!(store.poisoned().is_none(), "{:?}", store.poisoned());
+        assert_eq!(store.generation(), 0, "no swap while day 4 is missing");
+        assert_eq!(store.current().snapshot().id(), base_id);
+        assert_eq!(prefix.days(), 3);
+        assert_eq!(engine.pool.len(), 1);
+        // Day 4 fills the hole: one swap, to six days.
+        prefix = step(&store, &mut engine, prefix, &delta_for_day(4));
+        assert!(store.poisoned().is_none(), "{:?}", store.poisoned());
+        assert_eq!(store.generation(), 1);
+        assert_eq!(store.current().snapshot().identity.n_days, 6);
+        assert_eq!(
+            store.current().snapshot().id(),
+            base_snapshot(6).snapshot().id()
+        );
+        assert_eq!(prefix.days(), 6);
+        assert!(engine.pool.is_empty());
     }
 
     #[test]

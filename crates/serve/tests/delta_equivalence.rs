@@ -1,11 +1,14 @@
-//! Property tests for the live-update algebra (ISSUE 9): applying day
-//! deltas over a base — in any order, and through `compact` — rebuilds a
-//! snapshot byte-identical to a cold full build, and any corruption or
-//! truncation of a `tpld` container fails closed with a typed error.
+//! Property tests for the live-update algebra: applying day deltas over a
+//! base — in any order, and through `compact` — rebuilds a snapshot
+//! byte-identical to a cold full build, and any corruption or truncation
+//! of a `tpld` container fails closed with a typed error.
 //!
-//! This is the offline proof behind the serving-path guarantee: since the
-//! live engine's rebuild is exactly `Study::from_shards` over the delta
-//! pool, byte-equality here means a hot-swapped server answers every query
+//! `Study::from_shards` is the cold oracle here. The live engine never
+//! runs it per delta: it folds each day once into a resident
+//! `StudyPrefix`, and `from_shards` folds the same merged days once into
+//! a fresh one, so both go through one fold and one assemble. Byte-equality
+//! of every base/delta split and order here, together with the per-swap
+//! checks in `live.rs`, means a hot-swapped server answers every query
 //! with the same bytes a freshly-restarted one would.
 
 // Test harness: aborting on a broken fixture is the correct failure mode

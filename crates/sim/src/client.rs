@@ -49,16 +49,18 @@ impl Client {
     /// Daily activity multiplier for a given weekday class.
     ///
     /// Enterprise clients browse at work (weekday-heavy); consumers browse
-    /// slightly more on weekends.
+    /// slightly more on weekends. The scalar reference for the traffic
+    /// generator's [`day_factor_for`] on the SoA flag byte.
+    #[cfg(test)]
     pub fn day_factor(&self, weekend: bool) -> f64 {
         day_factor_for(self.enterprise, weekend)
     }
 }
 
-/// Daily activity multiplier by `(enterprise, weekend)` — the shared
-/// constants behind [`Client::day_factor`], also used by the traffic
-/// generator, which reads the enterprise bit from the SoA flag byte instead
-/// of a `Client` record.
+/// Daily activity multiplier by `(enterprise, weekend)`. Enterprise
+/// clients browse at work (weekday-heavy); consumers browse slightly more
+/// on weekends. The traffic generator reads the enterprise bit from the
+/// SoA flag byte instead of a `Client` record.
 #[inline]
 pub fn day_factor_for(enterprise: bool, weekend: bool) -> f64 {
     match (enterprise, weekend) {

@@ -1,7 +1,6 @@
 //! Websites: the ground-truth objects whose popularity the top lists estimate.
 
 use topple_psl::{DomainName, Origin, Scheme};
-use topple_stats::cast;
 
 use crate::ids::SiteId;
 use crate::taxonomy::{Category, Country};
@@ -105,7 +104,9 @@ impl Site {
     /// Index of the preferred navigation host for a platform class.
     ///
     /// Mobile clients prefer the `m.` host when one exists; desktop clients
-    /// split between `www` and the apex.
+    /// split between `www` and the apex. The scalar reference for the SoA
+    /// projection `SiteSoa::nav_host` the traffic generator calls.
+    #[cfg(test)]
     pub fn nav_host(&self, mobile: bool, coin: f64) -> usize {
         if mobile {
             if let Some(i) = self.hosts.iter().position(|h| h.kind == HostKind::Mobile) {
@@ -120,11 +121,10 @@ impl Site {
         }
     }
 
-    /// Index of a service host for third-party fetches (falls back to apex).
+    /// Index of a service host for third-party fetches (falls back to
+    /// apex). The scalar reference for `SiteSoa::service_host`.
+    #[cfg(test)]
     pub fn service_host(&self, coin: f64) -> usize {
-        // Runs once per third-party fetch on the fused ingestion hot path:
-        // pick the n-th service host by a second scan instead of collecting
-        // the candidate indices (`tests/ingest_alloc.rs` pins zero allocs).
         let n = self
             .hosts
             .iter()
@@ -133,7 +133,7 @@ impl Site {
         if n == 0 {
             return 0;
         }
-        let pick = cast::floor_index(coin * n as f64, n);
+        let pick = topple_stats::cast::floor_index(coin * n as f64, n);
         self.hosts
             .iter()
             .enumerate()

@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 
+use topple_sim::client::day_factor_for;
 use topple_sim::{
     BackgroundQuery, Browser, Category, Country, EventSink, HostKind, PageLoad, Platform,
     ThirdPartyFetch, TrafficScratch, World, WorldConfig,
@@ -337,7 +338,10 @@ fn weekly_client_loads_match_activity_budget() {
     for (client, &n) in w.clients.iter().zip(&sink.per_client) {
         let lambda: f64 = w.config.days[..7]
             .iter()
-            .map(|d| f64::from(client.activity) * client.day_factor(d.weekday().is_weekend()))
+            .map(|d| {
+                f64::from(client.activity)
+                    * day_factor_for(client.enterprise, d.weekday().is_weekend())
+            })
             .sum();
         add(&mut total, n as f64, lambda, lambda);
         // 6σ plus slack for small means covers the 2000-client
