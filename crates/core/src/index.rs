@@ -55,19 +55,33 @@ impl ListColumns {
     /// Extracts the id columns from a normalized list, marking the
     /// Cloudflare-served entries via `is_cf`.
     pub fn from_normalized(list: &NormalizedList, is_cf: impl Fn(DomainId) -> bool) -> Self {
+        let values = list.entries.iter().map(|&(_, v)| v).collect();
+        ListColumns::new(list.ids.clone(), values, list.ordered, is_cf)
+    }
+
+    /// Wraps an id column and its parallel value column (value-ascending,
+    /// as a [`Normalizer`](topple_lists::Normalizer) emits them), marking
+    /// the Cloudflare-served entries via `is_cf`.
+    pub fn new(
+        ids: Vec<DomainId>,
+        values: Vec<u32>,
+        ordered: bool,
+        is_cf: impl Fn(DomainId) -> bool,
+    ) -> Self {
+        debug_assert_eq!(ids.len(), values.len());
         let mut cf_ids = Vec::new();
-        let mut cf_prefix = Vec::with_capacity(list.ids.len() + 1);
+        let mut cf_prefix = Vec::with_capacity(ids.len() + 1);
         cf_prefix.push(0);
-        for &id in &list.ids {
+        for &id in &ids {
             if is_cf(id) {
                 cf_ids.push(id);
             }
             cf_prefix.push(cf_ids.len() as u32);
         }
         ListColumns {
-            ids: list.ids.clone(),
-            values: list.entries.iter().map(|&(_, v)| v).collect(),
-            ordered: list.ordered,
+            ids,
+            values,
+            ordered,
             cf_ids,
             cf_prefix,
         }

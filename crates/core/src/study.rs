@@ -21,7 +21,7 @@
 
 use topple_lists::{
     alexa, crux, majestic, secrank, tranco, trexa, umbrella, BucketedList, DomainId, DomainTable,
-    ListSource, NormalizedList, Normalizer, RankedList,
+    ListSource, NormalizedColumns, NormalizedList, Normalizer, RankedList,
 };
 use topple_psl::DomainName;
 use topple_sim::{Resolver, World, WorldConfig, WorldError};
@@ -360,7 +360,7 @@ impl Study {
                     umbrella_daily,
                 },
         } = prefix;
-        let Some(alexa_month) = alexa_daily.last() else {
+        let Some((alexa_month, alexa_earlier)) = alexa_daily.split_last() else {
             return Err(CoreError::EmptyWindow);
         };
         let list_len = world.sites.len();
@@ -369,7 +369,10 @@ impl Study {
         // Every normalization from here on shares one `Normalizer`: the
         // world's site domains are interned first (so site `i` has domain id
         // `i`), and the memoized PSL cache maps each distinct raw entry to
-        // its registrable domain exactly once for the whole study.
+        // its registrable domain exactly once for the whole study. Each list
+        // is normalized once, and the interning order is fixed: site
+        // domains, the Umbrella dailies, the seven monthly lists, then the
+        // Alexa dailies. Ids, and so snapshot bytes, follow that order.
         let mut table = DomainTable::with_capacity(world.sites.len());
         let site_ids: Vec<DomainId> = world
             .sites
@@ -378,21 +381,29 @@ impl Study {
             .collect();
         let mut norm = Normalizer::with_table(&world.psl, table);
 
+        // Daily snapshots keep only their id and value columns; analyses
+        // never re-normalize inside a day loop.
+        let umbrella_daily_norm: Vec<NormalizedColumns> = umbrella_daily
+            .iter()
+            .map(|l| norm.ranked_columns(l))
+            .collect();
+
         // Tranco: Dowdall over every daily snapshot of its three inputs
         // (Majestic's list is stable, so each day contributes the same one).
         // Real Tranco aggregates at pay-level-domain granularity, so
-        // Umbrella's FQDN entries are PSL-filtered first.
-        let umbrella_domains: Vec<RankedList> = umbrella_daily
-            .iter()
-            .map(|l| norm.ranked(l).to_ranked_list())
-            .collect();
-        let mut tranco_inputs: Vec<&RankedList> = Vec::new();
-        tranco_inputs.extend(alexa_daily.iter());
-        tranco_inputs.extend(umbrella_domains.iter());
-        for _ in 0..n_days {
-            tranco_inputs.push(&majestic);
+        // Umbrella's FQDN entries enter PSL-filtered: the normalized
+        // dailies above, ranked 1..n, their names read off the table.
+        let mut dowdall = tranco::Dowdall::new();
+        for l in &alexa_daily {
+            dowdall.add_list(l);
         }
-        let tranco = tranco::build(&tranco_inputs, list_len);
+        for u in &umbrella_daily_norm {
+            dowdall.add_sorted_names(u.ids.iter().map(|&id| norm.table().name(id).as_str()));
+        }
+        for _ in 0..n_days {
+            dowdall.add_list(&majestic);
+        }
+        let tranco = dowdall.finish(list_len);
         let trexa = trexa::build(&tranco, alexa_month, TREXA_ALEXA_WEIGHT, list_len);
 
         let magnitudes: Vec<usize> = world
@@ -415,13 +426,12 @@ impl Study {
             crux: norm.bucketed(&crux),
         };
 
-        // Daily snapshots, normalized once here — analyses only ever see the
-        // id columns, never a re-normalization inside a day loop. The
-        // `NormalizedList`s are transient; only the columns survive.
-        let alexa_daily_norm: Vec<NormalizedList> =
-            alexa_daily.iter().map(|l| norm.ranked(l)).collect();
-        let umbrella_daily_norm: Vec<NormalizedList> =
-            umbrella_daily.iter().map(|l| norm.ranked(l)).collect();
+        // The Alexa month list is the last daily one, already normalized
+        // above; only the days before it are left.
+        let alexa_daily_norm: Vec<NormalizedColumns> = alexa_earlier
+            .iter()
+            .map(|l| norm.ranked_columns(l))
+            .collect();
 
         // Interning is complete: freeze the table and precompute the
         // CDN-served flag per id (one `is_cloudflare` probe per distinct
@@ -442,14 +452,10 @@ impl Study {
             trexa: ListColumns::from_normalized(&normalized.trexa, cf),
             crux: ListColumns::from_normalized(&normalized.crux, cf),
         };
-        let alexa_cols: Vec<ListColumns> = alexa_daily_norm
-            .iter()
-            .map(|nl| ListColumns::from_normalized(nl, cf))
-            .collect();
-        let umbrella_cols: Vec<ListColumns> = umbrella_daily_norm
-            .iter()
-            .map(|nl| ListColumns::from_normalized(nl, cf))
-            .collect();
+        let daily = |c: NormalizedColumns| ListColumns::new(c.ids, c.values, c.ordered, cf);
+        let mut alexa_cols: Vec<ListColumns> = alexa_daily_norm.into_iter().map(daily).collect();
+        alexa_cols.push(monthly.alexa.clone());
+        let umbrella_cols: Vec<ListColumns> = umbrella_daily_norm.into_iter().map(daily).collect();
         let index = StudyIndex::new(table, site_ids, is_cf, monthly, alexa_cols, umbrella_cols);
 
         Ok(Study {

@@ -38,5 +38,7 @@ pub use interner::{DomainId, DomainTable};
 pub use model::{
     BucketedEntry, BucketedList, ListParseError, ListSource, RankedEntry, RankedList, TopList,
 };
-pub use normalize::{normalize, normalize_bucketed, normalize_ranked, NormalizedList, Normalizer};
+pub use normalize::{
+    normalize, normalize_bucketed, normalize_ranked, NormalizedColumns, NormalizedList, Normalizer,
+};
 pub use stability::{stability, StabilityReport};

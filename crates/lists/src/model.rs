@@ -126,10 +126,14 @@ impl RankedList {
             let (rank_str, name) = line
                 .split_once(',')
                 .ok_or(ListParseError::MissingComma { line: i + 1 })?;
+            // Ranks are 1-based: rank 0 would score `1/0 = inf` under
+            // Tranco's Dowdall rule.
             let rank: u32 = rank_str
                 .trim()
                 .parse()
-                .map_err(|_| ListParseError::BadRank { line: i + 1 })?;
+                .ok()
+                .filter(|&r| r > 0)
+                .ok_or(ListParseError::BadRank { line: i + 1 })?;
             if let Some(last) = entries.last() {
                 let last: &RankedEntry = last;
                 if rank <= last.rank {
@@ -234,7 +238,7 @@ pub enum ListParseError {
         /// 1-based line number.
         line: usize,
     },
-    /// A rank failed to parse as an integer.
+    /// A rank failed to parse as a positive integer.
     BadRank {
         /// 1-based line number.
         line: usize,
@@ -250,7 +254,9 @@ impl fmt::Display for ListParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ListParseError::MissingComma { line } => write!(f, "line {line}: missing comma"),
-            ListParseError::BadRank { line } => write!(f, "line {line}: unparseable rank"),
+            ListParseError::BadRank { line } => {
+                write!(f, "line {line}: rank is not a positive integer")
+            }
             ListParseError::OutOfOrder { line } => write!(f, "line {line}: ranks out of order"),
         }
     }
@@ -287,6 +293,18 @@ mod tests {
         assert_eq!(
             RankedList::from_csv(ListSource::Alexa, "2,a.com\n1,b.com"),
             Err(ListParseError::OutOfOrder { line: 2 })
+        );
+    }
+
+    #[test]
+    fn csv_rejects_rank_zero() {
+        assert_eq!(
+            RankedList::from_csv(ListSource::Alexa, "0,a.com\n1,b.com"),
+            Err(ListParseError::BadRank { line: 1 })
+        );
+        assert_eq!(
+            RankedList::from_csv(ListSource::Alexa, "1,a.com\n0,b.com"),
+            Err(ListParseError::BadRank { line: 2 })
         );
     }
 

@@ -9,15 +9,20 @@
 //! domain is the "deviation" reported in Table 2.
 //!
 //! Normalization is the analysis stage's hottest string operation — a study
-//! normalizes the same raw names across 28 daily lists and many magnitude
-//! cuts — so the work-horse here is the stateful [`Normalizer`]: it memoizes
+//! normalizes the same raw names across 56 daily lists and seven monthly
+//! ones — so the work-horse here is the stateful [`Normalizer`]: it memoizes
 //! the outcome of every distinct raw entry (via [`RegistrableCache`] for the
 //! PSL walk) and interns each resulting registrable domain into a shared
-//! [`DomainTable`], emitting a dense-ID column alongside the name column.
-//! The free functions ([`normalize_ranked`] and friends) remain as one-shot
-//! wrappers over a throwaway `Normalizer` and produce identical output.
+//! [`DomainTable`]. Grouping runs on dense ids: a reused id-indexed slot
+//! column points each touched id at its row in a reused row buffer, so a
+//! list costs one memo probe per raw entry and one sort of its rows, with
+//! no per-list map. [`Normalizer::ranked_columns`] stops there and yields
+//! only the id and value columns ([`NormalizedColumns`]); the named
+//! [`NormalizedList`] adds one `DomainName` clone per entry on top. The free
+//! functions ([`normalize_ranked`] and friends) remain as one-shot wrappers
+//! over a throwaway `Normalizer` and produce identical output.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use topple_psl::{DomainName, PublicSuffixList, RegistrableCache};
 
@@ -115,6 +120,44 @@ impl NormalizedList {
     }
 }
 
+/// A list normalized to dense ids only: a [`NormalizedList`] without its
+/// name column. This is all the columnar index keeps of a daily snapshot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NormalizedColumns {
+    /// Which methodology produced the list.
+    pub source: ListSource,
+    /// Interned ids sorted ascending by value, ties broken by domain name.
+    pub ids: Vec<DomainId>,
+    /// The min rank (ordered) or min bucket (bucketed), parallel to `ids`.
+    pub values: Vec<u32>,
+    /// Whether `values` are individual ranks (true) or bucket sizes (false).
+    pub ordered: bool,
+    /// Raw entries inspected.
+    pub raw_len: usize,
+    /// Raw entries whose name deviated from its registrable domain.
+    pub deviating: usize,
+}
+
+impl NormalizedColumns {
+    /// Adds the name column from the table that issued the ids.
+    pub fn into_list(self, table: &DomainTable) -> NormalizedList {
+        let entries = self
+            .ids
+            .iter()
+            .zip(&self.values)
+            .map(|(&id, &v)| (table.name(id).clone(), v))
+            .collect();
+        NormalizedList {
+            source: self.source,
+            entries,
+            ids: self.ids,
+            ordered: self.ordered,
+            raw_len: self.raw_len,
+            deviating: self.deviating,
+        }
+    }
+}
+
 /// Extracts the host from a raw list entry (strips an origin's scheme/port).
 fn entry_host(raw: &str) -> Option<DomainName> {
     if let Some((_scheme, rest)) = raw.split_once("://") {
@@ -135,6 +178,9 @@ enum EntryOutcome {
     Dropped,
 }
 
+/// Marks an id with no row in the list being grouped.
+const UNSEEN: u32 = u32::MAX;
+
 /// Stateful, memoizing normalizer shared across a study's lists.
 ///
 /// Each distinct raw entry string is parsed, PSL-walked, and interned exactly
@@ -147,6 +193,11 @@ pub struct Normalizer<'a> {
     cache: RegistrableCache,
     table: DomainTable,
     entry_memo: HashMap<String, EntryOutcome>,
+    /// `slot[id]` is the row of `id` in `rows` while a list is grouped, and
+    /// [`UNSEEN`] otherwise: every list resets the slots it touched.
+    slot: Vec<u32>,
+    /// `(id, best value)` of the list being grouped, one row per id.
+    rows: Vec<(DomainId, u32)>,
 }
 
 impl<'a> Normalizer<'a> {
@@ -163,6 +214,8 @@ impl<'a> Normalizer<'a> {
             cache: RegistrableCache::new(),
             table,
             entry_memo: HashMap::new(),
+            slot: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -189,38 +242,12 @@ impl<'a> Normalizer<'a> {
 
     /// Normalizes a ranked list.
     pub fn ranked(&mut self, list: &RankedList) -> NormalizedList {
-        let iter: Vec<(&str, u32)> = list
-            .entries
-            .iter()
-            .map(|e| (e.name.as_str(), e.rank))
-            .collect();
-        let (entries, ids, raw_len, deviating) = self.normalize_entries(&iter);
-        NormalizedList {
-            source: list.source,
-            entries,
-            ids,
-            ordered: true,
-            raw_len,
-            deviating,
-        }
+        self.ranked_columns(list).into_list(&self.table)
     }
 
     /// Normalizes a bucketed list.
     pub fn bucketed(&mut self, list: &BucketedList) -> NormalizedList {
-        let iter: Vec<(&str, u32)> = list
-            .entries
-            .iter()
-            .map(|e| (e.name.as_str(), e.bucket))
-            .collect();
-        let (entries, ids, raw_len, deviating) = self.normalize_entries(&iter);
-        NormalizedList {
-            source: list.source,
-            entries,
-            ids,
-            ordered: false,
-            raw_len,
-            deviating,
-        }
+        self.bucketed_columns(list).into_list(&self.table)
     }
 
     /// Normalizes either format.
@@ -228,6 +255,30 @@ impl<'a> Normalizer<'a> {
         match list {
             TopList::Ranked(l) => self.ranked(l),
             TopList::Bucketed(l) => self.bucketed(l),
+        }
+    }
+
+    /// Normalizes a ranked list to its id and value columns only — the
+    /// same ids, values and counts as [`ranked`](Self::ranked), without
+    /// cloning a name per entry.
+    pub fn ranked_columns(&mut self, list: &RankedList) -> NormalizedColumns {
+        let raw = list.entries.iter().map(|e| (e.name.as_str(), e.rank));
+        self.columns(list.source, true, raw)
+    }
+
+    /// Normalizes a bucketed list to its id and value columns only.
+    pub fn bucketed_columns(&mut self, list: &BucketedList) -> NormalizedColumns {
+        let raw = list.entries.iter().map(|e| (e.name.as_str(), e.bucket));
+        self.columns(list.source, false, raw)
+    }
+
+    /// Whether a raw entry deviates from its registrable domain, as counted
+    /// in [`NormalizedList::deviating`]: unparseable entries (dropped from
+    /// the list) deviate too. Memoized like every other entry lookup.
+    pub fn deviates(&mut self, raw: &str) -> bool {
+        match self.entry_outcome(raw) {
+            EntryOutcome::Dropped => true,
+            EntryOutcome::Kept { deviates, .. } => deviates,
         }
     }
 
@@ -245,56 +296,78 @@ impl<'a> Normalizer<'a> {
                 // bare public suffixes). An origin whose host IS the apex
                 // (https://example.com) does not deviate — the paper's
                 // Table 2 measures name-shape, not scheme.
-                let (key, deviates) = match self.cache.registrable(self.psl, &host) {
-                    Some(reg) => (reg.clone(), *reg != host),
-                    None => (host, true),
+                let (id, deviates) = match self.cache.registrable(self.psl, &host) {
+                    Some(reg) => (self.table.intern(reg), *reg != host),
+                    None => (self.table.intern(&host), true),
                 };
-                EntryOutcome::Kept {
-                    id: self.table.intern(&key),
-                    deviates,
-                }
+                EntryOutcome::Kept { id, deviates }
             }
         };
         self.entry_memo.insert(raw.to_owned(), outcome);
         outcome
     }
 
-    fn normalize_entries(
-        &mut self,
-        raw: &[(&str, u32)],
-    ) -> (Vec<(DomainName, u32)>, Vec<DomainId>, usize, usize) {
-        // Group by id instead of by name: a BTreeMap over dense u32 ids keeps
-        // the integer comparisons cheap while staying iteration-deterministic.
-        let mut best: BTreeMap<DomainId, u32> = BTreeMap::new();
-        let raw_len = raw.len();
+    /// Groups `raw` by registrable domain into `rows`, keeping each id's
+    /// smallest value, and sorts the rows. Returns `(raw_len, deviating)`.
+    fn group<'r>(&mut self, raw: impl Iterator<Item = (&'r str, u32)>) -> (usize, usize) {
+        self.rows.clear();
+        let mut raw_len = 0usize;
         let mut deviating = 0usize;
-        for &(name, value) in raw {
-            match self.entry_outcome(name) {
-                EntryOutcome::Dropped => deviating += 1,
-                EntryOutcome::Kept { id, deviates } => {
-                    if deviates {
-                        deviating += 1;
-                    }
-                    best.entry(id)
-                        .and_modify(|v| *v = (*v).min(value))
-                        .or_insert(value);
+        for (name, value) in raw {
+            raw_len += 1;
+            let id = match self.entry_outcome(name) {
+                EntryOutcome::Dropped => {
+                    deviating += 1;
+                    continue;
                 }
+                EntryOutcome::Kept { id, deviates } => {
+                    deviating += usize::from(deviates);
+                    id
+                }
+            };
+            if self.slot.len() <= id.index() {
+                self.slot.resize(self.table.len(), UNSEEN);
+            }
+            let slot = &mut self.slot[id.index()];
+            if *slot == UNSEEN {
+                *slot = self.rows.len() as u32;
+                self.rows.push((id, value));
+            } else {
+                let best = &mut self.rows[*slot as usize].1;
+                *best = (*best).min(value);
             }
         }
-        let mut rows: Vec<(DomainId, u32)> = best.into_iter().collect();
-        // Same total order as the historical name-keyed path: ascending by
-        // value, ties broken by domain name. Names are unique, so this is a
-        // total order and the result is independent of grouping order.
-        rows.sort_by(|a, b| {
+        for &(id, _) in &self.rows {
+            self.slot[id.index()] = UNSEEN;
+        }
+        // Ascending by value, ties broken by domain name. Names are unique
+        // per id, so this is a total order and the result does not depend
+        // on the grouping order. Ranks are unique within a ranked list, so
+        // its groups' min ranks are too, and for ranked input the name
+        // comparison never runs.
+        let table = &self.table;
+        self.rows.sort_unstable_by(|a, b| {
             a.1.cmp(&b.1)
-                .then_with(|| self.table.name(a.0).cmp(self.table.name(b.0)))
+                .then_with(|| table.name(a.0).cmp(table.name(b.0)))
         });
-        let ids: Vec<DomainId> = rows.iter().map(|&(id, _)| id).collect();
-        let entries: Vec<(DomainName, u32)> = rows
-            .into_iter()
-            .map(|(id, v)| (self.table.name(id).clone(), v))
-            .collect();
-        (entries, ids, raw_len, deviating)
+        (raw_len, deviating)
+    }
+
+    fn columns<'r>(
+        &mut self,
+        source: ListSource,
+        ordered: bool,
+        raw: impl Iterator<Item = (&'r str, u32)>,
+    ) -> NormalizedColumns {
+        let (raw_len, deviating) = self.group(raw);
+        NormalizedColumns {
+            source,
+            ids: self.rows.iter().map(|&(id, _)| id).collect(),
+            values: self.rows.iter().map(|&(_, v)| v).collect(),
+            ordered,
+            raw_len,
+            deviating,
+        }
     }
 }
 

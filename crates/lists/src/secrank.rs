@@ -15,8 +15,6 @@
 //! The vantage is a Chinese resolver, so the list inherits a strong
 //! geographic skew — exactly the paper's finding.
 
-use std::collections::BTreeMap;
-
 use topple_sim::{SiteId, World};
 use topple_vantage::DnsVantage;
 
@@ -31,35 +29,32 @@ pub fn build(
     window_days: usize,
     max_len: usize,
 ) -> RankedList {
-    // Ascending `(ip, site)` order.
+    // Ascending `(ip, site)` order, so each IP's votes form one run.
     let votes = resolver.votes();
-    // Pass 1: per-IP totals for trust computation.
-    let mut ip_domains: BTreeMap<u32, u32> = BTreeMap::new();
-    let mut ip_queries: BTreeMap<u32, u64> = BTreeMap::new();
-    for ((ip, _site), cell) in &votes {
-        *ip_domains.entry(*ip).or_default() += 1;
-        *ip_queries.entry(*ip).or_default() += u64::from(cell.queries);
-    }
-    let trust: BTreeMap<u32, f64> = ip_domains
-        .iter()
-        .map(|(ip, &d)| {
-            let q = ip_queries[ip] as f64;
-            (*ip, (1.0 + f64::from(d)).ln() / (1.0 + (1.0 + q).ln()))
-        })
-        .collect();
-
-    // Pass 2: weighted votes per domain. Accumulate in key order —
-    // floating-point addition is not associative, so any other fold order
-    // could change the list in the last ulp (and therefore in tie ordering).
     let window = window_days.max(1) as f64;
-    let mut scores: BTreeMap<SiteId, f64> = BTreeMap::new();
-    for ((ip, site), cell) in &votes {
-        let days_active = f64::from(cell.day_mask.count_ones());
-        let vote = (f64::from(cell.queries)).sqrt() * (days_active / window);
-        *scores.entry(*site).or_default() += trust[ip] * vote;
+    // One score per site, `None` until the site gets a vote.
+    let mut scores: Vec<Option<f64>> = vec![None; world.sites.len()];
+    for run in votes.chunk_by(|a, b| a.0 .0 == b.0 .0) {
+        // Per-IP totals for trust: distinct domains is the run length.
+        let domains = run.len() as u32;
+        let queries: u64 = run.iter().map(|(_, cell)| u64::from(cell.queries)).sum();
+        let trust = (1.0 + f64::from(domains)).ln() / (1.0 + (1.0 + queries as f64).ln());
+        // Weighted votes per domain, added in vote order: floating-point
+        // addition is not associative, so any other order could change a
+        // score in the last ulp (and therefore tie ordering).
+        for ((_, site), cell) in run {
+            let days_active = f64::from(cell.day_mask.count_ones());
+            let vote = (f64::from(cell.queries)).sqrt() * (days_active / window);
+            *scores[site.index()].get_or_insert(0.0) += trust * vote;
+        }
     }
 
-    let mut scored: Vec<(SiteId, f64)> = scores.into_iter().collect();
+    // Voted sites, best score first, ties by domain name.
+    let mut scored: Vec<(SiteId, f64)> = scores
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, score)| Some((SiteId(i as u32), score?)))
+        .collect();
     scored.sort_by(|a, b| {
         b.1.total_cmp(&a.1).then_with(|| {
             world.sites[a.0.index()]
@@ -110,6 +105,67 @@ mod tests {
             china_home as f64 / k as f64 > 0.5,
             "Secrank head should be Chinese-home-heavy: {china_home}/{k}"
         );
+    }
+
+    /// Reference build: the `BTreeMap`-keyed per-IP totals and per-site
+    /// scores the dense columns replaced.
+    fn reference_build(
+        world: &World,
+        resolver: &DnsVantage,
+        window_days: usize,
+        max_len: usize,
+    ) -> RankedList {
+        use std::collections::BTreeMap;
+
+        let votes = resolver.votes();
+        let mut ip_domains: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut ip_queries: BTreeMap<u32, u64> = BTreeMap::new();
+        for ((ip, _site), cell) in &votes {
+            *ip_domains.entry(*ip).or_default() += 1;
+            *ip_queries.entry(*ip).or_default() += u64::from(cell.queries);
+        }
+        let trust: BTreeMap<u32, f64> = ip_domains
+            .iter()
+            .map(|(ip, &d)| {
+                let q = ip_queries[ip] as f64;
+                (*ip, (1.0 + f64::from(d)).ln() / (1.0 + (1.0 + q).ln()))
+            })
+            .collect();
+        let window = window_days.max(1) as f64;
+        let mut scores: BTreeMap<SiteId, f64> = BTreeMap::new();
+        for ((ip, site), cell) in &votes {
+            let days_active = f64::from(cell.day_mask.count_ones());
+            let vote = (f64::from(cell.queries)).sqrt() * (days_active / window);
+            *scores.entry(*site).or_default() += trust[ip] * vote;
+        }
+        let mut scored: Vec<(SiteId, f64)> = scores.into_iter().collect();
+        scored.sort_by(|a, b| {
+            b.1.total_cmp(&a.1).then_with(|| {
+                world.sites[a.0.index()]
+                    .domain
+                    .cmp(&world.sites[b.0.index()].domain)
+            })
+        });
+        scored.truncate(max_len);
+        RankedList::from_sorted_names(
+            ListSource::Secrank,
+            scored
+                .into_iter()
+                .map(|(site, _)| world.sites[site.index()].domain.as_str().to_owned())
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn dense_columns_match_the_map_reference() {
+        let (w, v) = setup();
+        for (window, max_len) in [(5, usize::MAX), (5, 100), (28, usize::MAX), (1, 7)] {
+            assert_eq!(
+                build(&w, &v, window, max_len),
+                reference_build(&w, &v, window, max_len),
+                "window {window}, max_len {max_len}"
+            );
+        }
     }
 
     #[test]

@@ -7,9 +7,67 @@
 //! paper shows — it inherits and averages its inputs' biases rather than
 //! fixing them.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use crate::model::{ListSource, RankedList};
+
+/// Dowdall accumulator: one score per distinct name, summed in the order the
+/// terms arrive.
+///
+/// Scores live in a dense `(name, score)` column indexed by a name's
+/// first-seen slot; the name → slot map is only ever probed, never
+/// iterated, so the output order comes from the final sort alone (score
+/// descending, name ascending). Every name's terms are added in input
+/// order, so its float sum does not depend on how other names are stored.
+#[derive(Debug, Default)]
+pub struct Dowdall<'a> {
+    slot: HashMap<&'a str, usize>,
+    scores: Vec<(&'a str, f64)>,
+}
+
+impl<'a> Dowdall<'a> {
+    /// An empty accumulator.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds the term `1/rank` to `name`'s score.
+    fn add(&mut self, name: &'a str, rank: u32) {
+        let Dowdall { slot, scores } = self;
+        let at = *slot.entry(name).or_insert_with(|| {
+            scores.push((name, 0.0));
+            scores.len() - 1
+        });
+        scores[at].1 += 1.0 / f64::from(rank);
+    }
+
+    /// Adds one snapshot, every entry at its published rank.
+    pub fn add_list(&mut self, list: &'a RankedList) {
+        for e in &list.entries {
+            self.add(e.name.as_str(), e.rank);
+        }
+    }
+
+    /// Adds one snapshot given as names already in rank order (ranks
+    /// `1..=n`), e.g. a normalized list read off a domain table.
+    pub fn add_sorted_names(&mut self, names: impl IntoIterator<Item = &'a str>) {
+        for (i, name) in names.into_iter().enumerate() {
+            self.add(name, i as u32 + 1);
+        }
+    }
+
+    /// Ranks every name by total score (ties by name) and keeps the best
+    /// `max_len`.
+    pub fn finish(self, max_len: usize) -> RankedList {
+        let mut scored = self.scores;
+        scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+        scored.truncate(max_len);
+        RankedList::from_sorted_names(
+            ListSource::Tranco,
+            scored.into_iter().map(|(n, _)| n.to_owned()).collect(),
+        )
+    }
+}
 
 /// Aggregates input lists with the Dowdall rule into a Tranco-style list.
 ///
@@ -17,19 +75,11 @@ use crate::model::{ListSource, RankedList};
 /// providers. Names are aggregated exactly as published (no normalization —
 /// real Tranco contains Umbrella's FQDN entries verbatim).
 pub fn build(inputs: &[&RankedList], max_len: usize) -> RankedList {
-    let mut scores: BTreeMap<&str, f64> = BTreeMap::new();
+    let mut dowdall = Dowdall::new();
     for list in inputs {
-        for e in &list.entries {
-            *scores.entry(e.name.as_str()).or_default() += 1.0 / f64::from(e.rank);
-        }
+        dowdall.add_list(list);
     }
-    let mut scored: Vec<(&str, f64)> = scores.into_iter().collect();
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-    scored.truncate(max_len);
-    RankedList::from_sorted_names(
-        ListSource::Tranco,
-        scored.into_iter().map(|(n, _)| n.to_owned()).collect(),
-    )
+    dowdall.finish(max_len)
 }
 
 #[cfg(test)]
