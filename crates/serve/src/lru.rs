@@ -1,8 +1,9 @@
 //! A small sharded LRU for hot compare cells.
 //!
-//! `/v1/compare` recomputes a sorted top-k cut pair per request; repeated
-//! queries for the same `(a, b, k)` cell — the common dashboard pattern —
-//! hit this cache instead. Keys are the request parameters alone and values
+//! A `/v1/compare` miss walks the shorter top-k cut against the other
+//! list's position column and formats a body; repeated queries for the same
+//! `(a, b, k)` cell — the common dashboard pattern — hit this cache instead
+//! and skip both the walk and the formatting. Keys are the request parameters alone and values
 //! are the full response bodies, so a hit returns exactly the bytes a miss
 //! would have computed: the cache can change latency, never content.
 //!

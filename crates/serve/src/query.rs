@@ -4,17 +4,18 @@
 //! Everything here is a pure function of the snapshot bytes: response bodies
 //! are built with hand-rolled JSON in a fixed key order, floats are rendered
 //! through `Display` (shortest round-trip form), and all lookups run over
-//! sorted id columns ([`IdCut`] binary searches, merge-walk intersections).
-//! That is what makes the daemon's byte-identical guarantee hold across
-//! worker counts and restarts.
+//! id columns: a dense position column per monthly list (one index per
+//! rank lookup, one walk of the shorter top-k cut per compare) and an
+//! [`IdCut`] binary search per daily list. That is what makes the daemon's
+//! byte-identical guarantee hold across worker counts and restarts.
 
+use std::fmt::Write as _;
 use std::path::Path;
 
 use topple_core::compare::IdCut;
 use topple_core::ListColumns;
-use topple_lists::ListSource;
+use topple_lists::{DomainId, ListSource};
 use topple_psl::DomainName;
-use topple_stats::sets::jaccard_sorted;
 
 use crate::error::SnapshotError;
 use crate::snapshot::Snapshot;
@@ -79,8 +80,7 @@ impl HotCache {
 
         let table = snapshot.snapshot.index.table();
         let mut rank = Vec::with_capacity(ListSource::ALL.len());
-        let mut movement_id_set: std::collections::BTreeSet<u32> =
-            std::collections::BTreeSet::new();
+        let mut movement_ids: Vec<u32> = Vec::new();
         for &source in ListSource::ALL.iter() {
             let cols = snapshot.snapshot.index.monthly(source);
             let k = cols.ids.len().min(HOT_K);
@@ -89,17 +89,17 @@ impl HotCache {
                 let name = table.name(id);
                 let body = snapshot.rank(list_url_name(source), name.as_str()).body;
                 ranges.push(push(&mut arena, &body));
-                movement_id_set.insert(id.raw());
+                movement_ids.push(id.raw());
             }
             rank.push(ranges);
         }
 
-        let mut movement_ids = Vec::with_capacity(movement_id_set.len());
-        let mut movement_ranges = Vec::with_capacity(movement_id_set.len());
-        for raw in movement_id_set {
-            let name = table.name(topple_lists::DomainId::from_raw(raw));
+        movement_ids.sort_unstable();
+        movement_ids.dedup();
+        let mut movement_ranges = Vec::with_capacity(movement_ids.len());
+        for &raw in &movement_ids {
+            let name = table.name(DomainId::from_raw(raw));
             let body = snapshot.movement(name.as_str()).body;
-            movement_ids.push(raw);
             movement_ranges.push(push(&mut arena, &body));
         }
 
@@ -117,9 +117,81 @@ impl HotCache {
     }
 }
 
-/// A snapshot prepared for point queries: per-list [`IdCut`]s for O(log n)
-/// rank lookups, the precomputed sorted id column of every monthly list,
-/// and the hot cache of pre-rendered top-K response bodies.
+/// One monthly list's dense position column: `pos[id]` is the best-first
+/// position of raw id `id`, or [`PosColumn::ABSENT`] when the list does not
+/// hold it. Sized to the domain table, built once per snapshot (and so once
+/// per live swap).
+///
+/// A rank lookup is one index, and "is `id` in this list's top-k cut" is
+/// `pos[id] < top_len(k)` because every cut is a best-first prefix. Decode
+/// rejects a list that names an id twice, so each id has one position.
+struct PosColumn(Box<[u32]>);
+
+impl PosColumn {
+    /// Marks an id the list does not hold.
+    const ABSENT: u32 = u32::MAX;
+
+    /// Builds the column for a best-first list of unique ids, each below
+    /// `table_len` (decode guarantees both).
+    fn new(ids: &[DomainId], table_len: usize) -> Self {
+        let mut pos = vec![PosColumn::ABSENT; table_len].into_boxed_slice();
+        for (i, id) in ids.iter().enumerate() {
+            if let Some(slot) = pos.get_mut(id.raw() as usize) {
+                *slot = i as u32;
+            }
+        }
+        PosColumn(pos)
+    }
+
+    /// The 0-based best-first position of `id`, if the list holds it.
+    fn rank_of(&self, id: u32) -> Option<u32> {
+        self.0
+            .get(id as usize)
+            .copied()
+            .filter(|&p| p != PosColumn::ABSENT)
+    }
+
+    /// How many of `ids` sit within this list's first `cut_len` positions.
+    fn count_within(&self, ids: &[DomainId], cut_len: usize) -> usize {
+        ids.iter()
+            .filter(|id| {
+                self.0
+                    .get(id.raw() as usize)
+                    .is_some_and(|&p| (p as usize) < cut_len)
+            })
+            .count()
+    }
+}
+
+/// Intersection and Jaccard index of two top-k cuts, each given as its
+/// best-first id prefix and the list's [`PosColumn`]. Walks the shorter cut
+/// once and probes the other list's column; no sort, no temporary buffer.
+///
+/// The Jaccard value is `topple_stats::sets::jaccard_sorted`'s expression
+/// (`inter / union` in `f64`, and 1.0 when both cuts are empty), so the
+/// rendered digits match the sorted merge-walk it replaces.
+fn cut_overlap(
+    cut_a: &[DomainId],
+    pos_a: &PosColumn,
+    cut_b: &[DomainId],
+    pos_b: &PosColumn,
+) -> (usize, f64) {
+    let inter = if cut_a.len() <= cut_b.len() {
+        pos_b.count_within(cut_a, cut_b.len())
+    } else {
+        pos_a.count_within(cut_b, cut_a.len())
+    };
+    if cut_a.is_empty() && cut_b.is_empty() {
+        return (inter, 1.0);
+    }
+    let union = cut_a.len() + cut_b.len() - inter;
+    (inter, inter as f64 / union as f64)
+}
+
+/// A snapshot prepared for point queries: a dense position column per monthly
+/// list for O(1) rank lookups and O(k) compares, an [`IdCut`] per daily
+/// list for O(log n) trajectory lookups, and the hot cache of pre-rendered
+/// top-K response bodies.
 pub struct QuerySnapshot {
     snapshot: Snapshot,
     id: String,
@@ -128,8 +200,9 @@ pub struct QuerySnapshot {
     generation: u64,
     /// Pre-rendered `GET /v1/snapshot` body (id, generation, lineage).
     snapshot_body: String,
-    /// One cut per monthly list, indexed like [`ListSource::ALL`].
-    monthly_cuts: Vec<IdCut>,
+    /// One position column per monthly list, indexed like
+    /// [`ListSource::ALL`].
+    positions: [PosColumn; ListSource::ALL.len()],
     alexa_daily_cuts: Vec<IdCut>,
     umbrella_daily_cuts: Vec<IdCut>,
     hot: HotCache,
@@ -205,25 +278,6 @@ fn all_index(source: ListSource) -> usize {
         .unwrap_or(0)
 }
 
-/// Count of common elements between two sorted slices (one merge-walk).
-fn intersection_sorted(a: &[u32], b: &[u32]) -> usize {
-    let mut i = 0;
-    let mut j = 0;
-    let mut n = 0;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
-}
-
 impl QuerySnapshot {
     /// Prepares a decoded snapshot for serving at generation 0 (the form
     /// every offline consumer uses; ids carry no generation suffix).
@@ -259,11 +313,10 @@ impl QuerySnapshot {
             snapshot_body.push('"');
         }
         snapshot_body.push_str("]}");
+        let table_len = snapshot.index.table().len();
+        let positions =
+            ListSource::ALL.map(|s| PosColumn::new(&snapshot.index.monthly(s).ids, table_len));
         let cut = |cols: &ListColumns| IdCut::new(&cols.ids);
-        let monthly_cuts = ListSource::ALL
-            .iter()
-            .map(|&s| cut(snapshot.index.monthly(s)))
-            .collect();
         let alexa_daily_cuts = snapshot.index.alexa_daily().iter().map(cut).collect();
         let umbrella_daily_cuts = snapshot.index.umbrella_daily().iter().map(cut).collect();
         let mut qs = QuerySnapshot {
@@ -271,7 +324,7 @@ impl QuerySnapshot {
             id,
             generation,
             snapshot_body,
-            monthly_cuts,
+            positions,
             alexa_daily_cuts,
             umbrella_daily_cuts,
             hot: HotCache::empty(),
@@ -326,10 +379,7 @@ impl QuerySnapshot {
     pub fn hot_rank(&self, source: ListSource, domain: &str) -> Option<&[u8]> {
         // topple-lint: hot-path-begin
         let id = self.snapshot.index.table().id(domain)?;
-        let pos = self
-            .monthly_cuts
-            .get(all_index(source))?
-            .rank_of(id.raw())?;
+        let pos = self.positions[all_index(source)].rank_of(id.raw())?;
         let range = *self.hot.rank.get(all_index(source))?.get(pos as usize)?;
         Some(self.hot.slice(range))
         // topple-lint: hot-path-end
@@ -359,7 +409,7 @@ impl QuerySnapshot {
     /// The 0-based position of `domain` in a monthly list, if present.
     fn monthly_pos(&self, source: ListSource, domain: &str) -> Option<u32> {
         let id = self.snapshot.index.table().id(domain)?;
-        self.monthly_cuts.get(all_index(source))?.rank_of(id.raw())
+        self.positions[all_index(source)].rank_of(id.raw())
     }
 
     /// `GET /v1/rank/{list}/{domain}`.
@@ -417,26 +467,30 @@ impl QuerySnapshot {
     }
 
     /// The compare response body (cache value) for parsed parameters.
+    ///
+    /// O(min(len_a, len_b)) over the monthly position columns; the body
+    /// `String` is the only allocation, at a capacity that fits it.
     pub fn compare_body(&self, a: ListSource, b: ListSource, k: usize) -> String {
-        let sorted_cut = |s: ListSource| {
-            let cols = self.snapshot.index.monthly(s);
-            let mut v: Vec<u32> = cols.top_ids(k).iter().map(|d| d.raw()).collect();
-            v.sort_unstable();
-            v
-        };
-        let ca = sorted_cut(a);
-        let cb = sorted_cut(b);
-        let inter = intersection_sorted(&ca, &cb);
-        let jac = jaccard_sorted(&ca, &cb);
-        format!(
+        let cut_a = self.snapshot.index.monthly(a).top_ids(k);
+        let cut_b = self.snapshot.index.monthly(b).top_ids(k);
+        let (inter, jac) = cut_overlap(
+            cut_a,
+            &self.positions[all_index(a)],
+            cut_b,
+            &self.positions[all_index(b)],
+        );
+        let mut body = String::with_capacity(COMPARE_BODY_CAPACITY + self.id.len());
+        let _ = write!(
+            body,
             "{{\"snapshot\":\"{}\",\"a\":\"{}\",\"b\":\"{}\",\"k\":{k},\
              \"len_a\":{},\"len_b\":{},\"intersection\":{inter},\"jaccard\":{jac}}}",
             self.id,
             list_url_name(a),
             list_url_name(b),
-            ca.len(),
-            cb.len(),
-        )
+            cut_a.len(),
+            cut_b.len(),
+        );
+        body
     }
 
     /// `GET /v1/movement/{domain}`: monthly rank on every list plus the
@@ -460,7 +514,7 @@ impl QuerySnapshot {
             body.push_str(list_url_name(source));
             body.push_str("\":");
             let entry = id.and_then(|raw| {
-                let pos = self.monthly_cuts.get(all_index(source))?.rank_of(raw)?;
+                let pos = self.positions[all_index(source)].rank_of(raw)?;
                 let cols = self.snapshot.index.monthly(source);
                 if cols.ordered {
                     Some(pos + 1)
@@ -499,6 +553,10 @@ impl QuerySnapshot {
         }
     }
 }
+
+/// Bytes of a compare body beside the snapshot id: the keys (~80), two
+/// list names (≤ 8 each), four integers (≤ 20 each) and a float (≤ 24).
+const COMPARE_BODY_CAPACITY: usize = 200;
 
 /// Renders a `[rank|null, ...]` array of one daily provider's trajectory.
 fn push_daily(body: &mut String, id: Option<u32>, cuts: &[IdCut]) {
@@ -602,6 +660,73 @@ mod tests {
     #[test]
     fn escape_handles_specials() {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    }
+
+    /// The compare arithmetic the position columns replaced: sort both cuts,
+    /// then merge-walk them for the intersection and the Jaccard index.
+    fn sorted_overlap(cut_a: &[DomainId], cut_b: &[DomainId]) -> (usize, f64) {
+        let sorted = |cut: &[DomainId]| {
+            let mut v: Vec<u32> = cut.iter().map(|d| d.raw()).collect();
+            v.sort_unstable();
+            v
+        };
+        let (a, b) = (sorted(cut_a), sorted(cut_b));
+        (
+            topple_stats::sets::intersection_size_sorted(&a, &b),
+            topple_stats::sets::jaccard_sorted(&a, &b),
+        )
+    }
+
+    /// A best-first list over `0..table_len`: ids ordered by `keys`, first
+    /// `len` kept. Unique by construction.
+    fn keyed_list(table_len: usize, keys: &[u64], len: usize) -> Vec<DomainId> {
+        let mut ids: Vec<u32> = (0..table_len as u32).collect();
+        ids.sort_by_key(|&i| keys[i as usize]);
+        ids.truncate(len);
+        ids.into_iter().map(DomainId::from_raw).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn cut_overlap_matches_the_sorted_merge_walk(
+            table_len in 1usize..300,
+            keys_a in proptest::collection::vec(proptest::prelude::any::<u64>(), 300),
+            keys_b in proptest::collection::vec(proptest::prelude::any::<u64>(), 300),
+            len_a in 0usize..300,
+            len_b in 0usize..300,
+            k in 1usize..320,
+            same in proptest::prelude::any::<bool>(),
+        ) {
+            let list_a = keyed_list(table_len, &keys_a, len_a);
+            let list_b = if same {
+                list_a.clone()
+            } else {
+                keyed_list(table_len, &keys_b, len_b)
+            };
+            let (pos_a, pos_b) = (
+                PosColumn::new(&list_a, table_len),
+                PosColumn::new(&list_b, table_len),
+            );
+            let cut_a = &list_a[..k.min(list_a.len())];
+            let cut_b = &list_b[..k.min(list_b.len())];
+            let (inter, jac) = cut_overlap(cut_a, &pos_a, cut_b, &pos_b);
+            let (want_inter, want_jac) = sorted_overlap(cut_a, cut_b);
+            proptest::prop_assert_eq!(inter, want_inter);
+            proptest::prop_assert_eq!(jac.to_bits(), want_jac.to_bits());
+            for (i, id) in list_a.iter().enumerate() {
+                proptest::prop_assert_eq!(pos_a.rank_of(id.raw()), Some(i as u32));
+            }
+        }
+    }
+
+    #[test]
+    fn two_empty_cuts_are_identical() {
+        let pos = PosColumn::new(&[], 4);
+        assert_eq!(cut_overlap(&[], &pos, &[], &pos), (0, 1.0));
+        assert_eq!(pos.rank_of(2), None);
+        assert_eq!(pos.rank_of(99), None);
     }
 
     #[test]

@@ -616,9 +616,58 @@ fn read_ids(
     Ok(raw.into_iter().map(DomainId::from_raw).collect())
 }
 
-fn read_columns(r: &mut Reader<'_>, table_len: usize) -> Result<ListColumns, SnapshotError> {
+/// Rejects a list column that names one domain twice, in O(n) per list:
+/// `stamp[id]` holds the tag of the last list that named `id`, and every
+/// list checks under a fresh tag, so one table-sized column serves them all
+/// with no clearing and no sort. This makes "one position per id" — which
+/// the query layer's dense position columns rely on — a decode guarantee.
+struct UniqueIds {
+    stamp: Vec<u32>,
+    tag: u32,
+}
+
+impl UniqueIds {
+    fn new(table_len: usize) -> Self {
+        UniqueIds {
+            stamp: vec![0; table_len],
+            tag: 0,
+        }
+    }
+
+    /// `ids` must already be bounds-checked against the table.
+    fn check(&mut self, ids: &[DomainId]) -> Result<(), SnapshotError> {
+        self.tag = self.tag.wrapping_add(1);
+        if self.tag == 0 {
+            self.stamp.fill(0);
+            self.tag = 1;
+        }
+        for id in ids {
+            match self.stamp.get_mut(id.raw() as usize) {
+                Some(slot) if *slot == self.tag => {
+                    return Err(SnapshotError::Malformed {
+                        context: "list column names one domain twice",
+                    })
+                }
+                Some(slot) => *slot = self.tag,
+                None => {
+                    return Err(SnapshotError::Malformed {
+                        context: "id column points past the domain table",
+                    })
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+fn read_columns(
+    r: &mut Reader<'_>,
+    table_len: usize,
+    unique: &mut UniqueIds,
+) -> Result<ListColumns, SnapshotError> {
     let n = r.count(4)?;
     let ids = read_ids(r, n, table_len)?;
+    unique.check(&ids)?;
     let values = r.u32_vec(n)?;
     let ordered = match r.u8()? {
         0 => false,
@@ -724,12 +773,13 @@ fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         });
     }
     let mut monthly: Vec<Option<ListColumns>> = (0..TAG_ORDER.len()).map(|_| None).collect();
+    let mut unique = UniqueIds::new(table_len);
     for _ in 0..n_monthly {
         let tag = r.u8()?;
         let source = tag_source(tag).ok_or(SnapshotError::Malformed {
             context: "unknown list source tag",
         })?;
-        let cols = read_columns(&mut r, table_len)?;
+        let cols = read_columns(&mut r, table_len, &mut unique)?;
         let slot = &mut monthly[source_tag(source) as usize];
         if slot.is_some() {
             return Err(SnapshotError::Malformed {
@@ -742,12 +792,12 @@ fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     let n_alexa = r.count(13)?;
     let mut alexa_daily = Vec::with_capacity(n_alexa);
     for _ in 0..n_alexa {
-        alexa_daily.push(read_columns(&mut r, table_len)?);
+        alexa_daily.push(read_columns(&mut r, table_len, &mut unique)?);
     }
     let n_umbrella = r.count(13)?;
     let mut umbrella_daily = Vec::with_capacity(n_umbrella);
     for _ in 0..n_umbrella {
-        umbrella_daily.push(read_columns(&mut r, table_len)?);
+        umbrella_daily.push(read_columns(&mut r, table_len, &mut unique)?);
     }
     if alexa_daily.len() as u32 != identity.n_days || umbrella_daily.len() as u32 != identity.n_days
     {
@@ -937,6 +987,66 @@ mod tests {
             Snapshot::from_bytes(&extended),
             Err(SnapshotError::TrailingBytes { extra: 1 })
         ));
+    }
+
+    /// Overwrites the 4 bytes after the first occurrence of `pattern` in
+    /// the payload with `with`, then recomputes the header CRC so only the
+    /// structural check can refuse the file.
+    fn patch_after(bytes: &mut [u8], pattern: &[u8], with: u32) {
+        let payload = &bytes[HEADER_LEN..];
+        let at = payload
+            .windows(pattern.len())
+            .position(|w| w == pattern)
+            .expect("pattern occurs in the payload");
+        let off = HEADER_LEN + at + pattern.len();
+        bytes[off..off + 4].copy_from_slice(&with.to_le_bytes());
+        let crc = crc32(&bytes[HEADER_LEN..]);
+        bytes[16..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// The little-endian bytes of a column's count followed by its first
+    /// `take` ids: a pattern that locates the column in the payload.
+    fn column_head(cols: &ListColumns, take: usize) -> Vec<u8> {
+        let mut p = (cols.ids.len() as u32).to_le_bytes().to_vec();
+        for id in &cols.ids[..take] {
+            p.extend_from_slice(&id.raw().to_le_bytes());
+        }
+        p
+    }
+
+    #[test]
+    fn rejects_a_list_that_names_one_domain_twice() {
+        let bytes = tiny_snapshot_bytes();
+        let snap = Snapshot::from_bytes(&bytes).expect("decodes");
+        let monthly = snap.index.monthly(topple_lists::ListSource::Tranco);
+        let daily = &snap.index.alexa_daily()[2];
+        assert!(monthly.len() > 8 && daily.len() > 8);
+
+        // Monthly: the second entry repeats the first.
+        let mut dup = bytes.clone();
+        let first = monthly.ids[0].raw();
+        patch_after(&mut dup, &column_head(monthly, 1), first);
+        assert!(matches!(
+            Snapshot::from_bytes(&dup),
+            Err(SnapshotError::Malformed {
+                context: "list column names one domain twice"
+            })
+        ));
+
+        // Daily, far apart: the last entry repeats the first.
+        let mut dup = bytes.clone();
+        let first = daily.ids[0].raw();
+        patch_after(&mut dup, &column_head(daily, daily.len() - 1), first);
+        assert!(matches!(
+            Snapshot::from_bytes(&dup),
+            Err(SnapshotError::Malformed {
+                context: "list column names one domain twice"
+            })
+        ));
+
+        // One domain in many lists is fine: the valid file still decodes
+        // and re-encodes to its own bytes.
+        assert_eq!(snap.to_bytes(), bytes);
     }
 
     #[test]
