@@ -20,7 +20,7 @@ use topple_sim::SiteId;
 use topple_vantage::ScoreVec;
 
 /// One normalized list as dense-id columns.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ListColumns {
     /// Entry ids in normalized (value-ascending) order — rank order for
     /// ordered lists.
@@ -134,13 +134,16 @@ impl ListColumns {
     /// Reassembles columns from their raw parts (snapshot import), checking
     /// every structural invariant the prefix-view accessors rely on; a
     /// corrupted or hand-built input fails closed instead of producing
-    /// out-of-bounds cuts later.
+    /// out-of-bounds cuts later. `is_cf` holds the table's CDN-served flags
+    /// (`is_cf[id]`): the Cloudflare columns must be exactly the list's
+    /// flagged ids in list order, which one walk over the list checks.
     pub fn from_raw_parts(
         ids: Vec<DomainId>,
         values: Vec<u32>,
         ordered: bool,
         cf_ids: Vec<DomainId>,
         cf_prefix: Vec<u32>,
+        is_cf: &[bool],
     ) -> Result<Self, &'static str> {
         if values.len() != ids.len() {
             return Err("values column length differs from ids column");
@@ -151,11 +154,20 @@ impl ListColumns {
         if cf_prefix.first() != Some(&0) {
             return Err("cf_prefix must start at 0");
         }
-        if cf_prefix.windows(2).any(|w| w[1] < w[0] || w[1] - w[0] > 1) {
-            return Err("cf_prefix must grow by 0 or 1 per entry");
-        }
         if cf_prefix.last().copied().unwrap_or(0) as usize != cf_ids.len() {
             return Err("cf_prefix total differs from cf_ids length");
+        }
+        for (i, &id) in ids.iter().enumerate() {
+            let Some(&flagged) = is_cf.get(id.index()) else {
+                return Err("id column points past the cloudflare flags");
+            };
+            let (at, next) = (cf_prefix[i], cf_prefix[i + 1]);
+            if next != at + u32::from(flagged) {
+                return Err("cf_prefix steps where the cloudflare flags do not");
+            }
+            if flagged && cf_ids.get(at as usize) != Some(&id) {
+                return Err("cf_ids entry is not the list's own id at its step");
+            }
         }
         if values.windows(2).any(|w| w[1] < w[0]) {
             return Err("values column must be sorted ascending");
@@ -232,6 +244,14 @@ impl StudyIndex {
             alexa_daily,
             umbrella_daily,
         }
+    }
+
+    /// Takes the index apart into what a resident study prefix keeps: the
+    /// table, the site ids, the CDN-served flags and the Umbrella daily
+    /// columns (`study::Interning`). The monthly and Alexa columns are
+    /// dropped; the next assemble re-derives them.
+    pub(crate) fn into_resident(self) -> (DomainTable, Vec<DomainId>, Vec<bool>, Vec<ListColumns>) {
+        (self.table, self.site_ids, self.is_cf, self.umbrella_daily)
     }
 
     /// Reassembles an index from snapshot-loaded columns. `monthly` is

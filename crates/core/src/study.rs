@@ -21,7 +21,7 @@
 
 use topple_lists::{
     alexa, crux, majestic, secrank, tranco, trexa, umbrella, BucketedList, DomainId, DomainTable,
-    ListSource, NormalizedColumns, NormalizedList, Normalizer, RankedList,
+    ListSource, NormalizedColumns, NormalizedList, Normalizer, NormalizerMemo, RankedList,
 };
 use topple_psl::DomainName;
 use topple_sim::{Resolver, World, WorldConfig, WorldError};
@@ -165,6 +165,54 @@ pub fn observe_day_shards(world: &World, n_days: usize, workers: usize) -> Vec<D
     out
 }
 
+/// The study's domain universe, kept between assembles.
+///
+/// Ids follow one interning order: site domains, the Umbrella dailies in
+/// day order, the seven monthly lists, then the Alexa dailies before the
+/// last. Sites and Umbrella dailies form the *stable region*: no earlier
+/// day's list changes when a day is folded, so the region only grows at its
+/// end. Each assemble [rewinds](Normalizer::rewind) the table to the
+/// region, normalizes only the Umbrella dailies of days it has not seen,
+/// [seals](Normalizer::seal) the region again, and re-interns the monthly
+/// lists and the Alexa dailies behind it. That gives every id the value a
+/// fresh normalizer would give it, while the memo answers every raw name it
+/// has met before with one probe.
+struct Interning {
+    /// Issued ids; lent to the [`StudyIndex`] while a study is assembled.
+    table: DomainTable,
+    memo: NormalizerMemo,
+    /// `site_ids[i]` is site `i`'s id (the identity: sites come first).
+    site_ids: Vec<DomainId>,
+    /// `is_cf[id]`, dense over the table.
+    is_cf: Vec<bool>,
+    /// The Umbrella daily columns normalized so far, one per day.
+    umbrella: Vec<ListColumns>,
+}
+
+impl Interning {
+    /// The site region of `world`, with nothing else interned yet.
+    fn new(world: &World) -> Interning {
+        let mut table = DomainTable::with_capacity(world.sites.len());
+        let site_ids: Vec<DomainId> = world
+            .sites
+            .iter()
+            .map(|s| table.intern(&s.domain))
+            .collect();
+        let is_cf = table
+            .names()
+            .iter()
+            .map(|n| world.is_cloudflare(n))
+            .collect();
+        Interning {
+            table,
+            memo: NormalizerMemo::new(),
+            site_ids,
+            is_cf,
+            umbrella: Vec::new(),
+        }
+    }
+}
+
 /// The part of a study that grows with its day window: the world, the
 /// crawl and its Majestic list (both fixed for the world), the five vantage
 /// accumulators, and the daily Alexa and Umbrella lists of every folded day.
@@ -179,12 +227,16 @@ pub fn observe_day_shards(world: &World, n_days: usize, workers: usize) -> Vec<D
 /// days `0..=d`, Umbrella's reads `d-2..=d`). [`Study::from_prefix`]
 /// derives the rest of the study from the prefix, and
 /// [`Study::into_prefix`] hands the prefix back so a longer window can be
-/// folded on without re-folding a day.
+/// folded on without re-folding a day. The prefix also keeps the study's
+/// domain universe between assembles (`Interning`), so an assemble
+/// normalizes only the Umbrella dailies of the new days and answers every
+/// raw name it has met before from the memo.
 pub struct StudyPrefix {
     world: World,
     crawl: CrawlerVantage,
     majestic: RankedList,
     acc: Accumulators,
+    interning: Interning,
 }
 
 impl StudyPrefix {
@@ -194,11 +246,13 @@ impl StudyPrefix {
         let crawl = CrawlerVantage::crawl(&world, 25, usize::MAX);
         let majestic = majestic::build(&world, &crawl, world.sites.len());
         let acc = Accumulators::new(&world);
+        let interning = Interning::new(&world);
         StudyPrefix {
             world,
             crawl,
             majestic,
             acc,
+            interning,
         }
     }
 
@@ -293,6 +347,8 @@ pub struct Study {
     normalized: NormalizedSet,
     /// The interned columnar analysis index (see [`crate::index`]).
     index: StudyIndex,
+    /// The normalizer memo, kept for [`Study::into_prefix`].
+    memo: NormalizerMemo,
 }
 
 impl Study {
@@ -310,6 +366,7 @@ impl Study {
         prefix
             .simulate_through(n_days, workers)
             .and_then(|()| Study::from_prefix(prefix))
+            .map(Study::release_memo)
             .map_err(|e| WorldError(format!("the world's own days did not fold: {e}")))
     }
 
@@ -334,7 +391,15 @@ impl Study {
         }
         let mut prefix = StudyPrefix::new(world);
         prefix.fold(merged)?;
-        Study::from_prefix(prefix)
+        Study::from_prefix(prefix).map(Study::release_memo)
+    }
+
+    /// Frees the normalizer memo of a study built in one go, which will
+    /// most likely never be assembled again; [`Study::into_prefix`] still
+    /// works, and its next assemble meets every raw name afresh.
+    fn release_memo(mut self) -> Study {
+        self.memo.release();
+        self
     }
 
     /// Everything after ingestion: builds the lists that read the whole
@@ -359,6 +424,14 @@ impl Study {
                     alexa_daily,
                     umbrella_daily,
                 },
+            interning:
+                Interning {
+                    table,
+                    memo,
+                    site_ids,
+                    mut is_cf,
+                    umbrella: mut umbrella_cols,
+                },
         } = prefix;
         let Some((alexa_month, alexa_earlier)) = alexa_daily.split_last() else {
             return Err(CoreError::EmptyWindow);
@@ -366,27 +439,33 @@ impl Study {
         let list_len = world.sites.len();
         let secrank = secrank::build(&world, &china_dns, n_days, list_len);
 
-        // Every normalization from here on shares one `Normalizer`: the
-        // world's site domains are interned first (so site `i` has domain id
-        // `i`), and the memoized PSL cache maps each distinct raw entry to
-        // its registrable domain exactly once for the whole study. Each list
-        // is normalized once, and the interning order is fixed: site
-        // domains, the Umbrella dailies, the seven monthly lists, then the
-        // Alexa dailies. Ids, and so snapshot bytes, follow that order.
-        let mut table = DomainTable::with_capacity(world.sites.len());
-        let site_ids: Vec<DomainId> = world
-            .sites
-            .iter()
-            .map(|s| table.intern(&s.domain))
-            .collect();
-        let mut norm = Normalizer::with_table(&world.psl, table);
+        // Every normalization shares the prefix's resident `Normalizer`
+        // state (see `Interning` for the interning order). Back to the
+        // stable region first: the site domains (site `i` has id `i`) and
+        // the Umbrella dailies already normalized, whose columns are kept.
+        let mut norm = Normalizer::resume(&world.psl, table, memo);
+        norm.rewind();
+        // Extends the CDN-served flags over ids interned since the last
+        // call (one `is_cloudflare` probe per distinct domain).
+        let flag_new_ids = |is_cf: &mut Vec<bool>, table: &DomainTable| {
+            is_cf.truncate(table.len());
+            let seen = is_cf.len();
+            is_cf.extend(table.names()[seen..].iter().map(|n| world.is_cloudflare(n)));
+        };
+        flag_new_ids(&mut is_cf, norm.table());
 
         // Daily snapshots keep only their id and value columns; analyses
-        // never re-normalize inside a day loop.
-        let umbrella_daily_norm: Vec<NormalizedColumns> = umbrella_daily
+        // never re-normalize inside a day loop. Only the days folded since
+        // the last assemble are new.
+        let new_umbrella: Vec<NormalizedColumns> = umbrella_daily[umbrella_cols.len()..]
             .iter()
             .map(|l| norm.ranked_columns(l))
             .collect();
+        norm.seal();
+        flag_new_ids(&mut is_cf, norm.table());
+        let cf = |id: DomainId| is_cf[id.index()];
+        let daily = |c: NormalizedColumns| ListColumns::new(c.ids, c.values, c.ordered, cf);
+        umbrella_cols.extend(new_umbrella.into_iter().map(daily));
 
         // Tranco: Dowdall over every daily snapshot of its three inputs
         // (Majestic's list is stable, so each day contributes the same one).
@@ -397,12 +476,10 @@ impl Study {
         for l in &alexa_daily {
             dowdall.add_list(l);
         }
-        for u in &umbrella_daily_norm {
+        for u in &umbrella_cols {
             dowdall.add_sorted_names(u.ids.iter().map(|&id| norm.table().name(id).as_str()));
         }
-        for _ in 0..n_days {
-            dowdall.add_list(&majestic);
-        }
+        dowdall.add_list_repeated(&majestic, n_days);
         let tranco = dowdall.finish(list_len);
         let trexa = trexa::build(&tranco, alexa_month, TREXA_ALEXA_WEIGHT, list_len);
 
@@ -433,15 +510,9 @@ impl Study {
             .map(|l| norm.ranked_columns(l))
             .collect();
 
-        // Interning is complete: freeze the table and precompute the
-        // CDN-served flag per id (one `is_cloudflare` probe per distinct
-        // domain for the whole study).
-        let table = norm.into_table();
-        let is_cf: Vec<bool> = table
-            .names()
-            .iter()
-            .map(|n| world.is_cloudflare(n))
-            .collect();
+        // Interning is complete: flag the ids past the stable region.
+        let (table, memo) = norm.into_parts();
+        flag_new_ids(&mut is_cf, &table);
         let cf = |id: DomainId| is_cf[id.index()];
         let monthly = ColumnsSet {
             alexa: ListColumns::from_normalized(&normalized.alexa, cf),
@@ -455,7 +526,6 @@ impl Study {
         let daily = |c: NormalizedColumns| ListColumns::new(c.ids, c.values, c.ordered, cf);
         let mut alexa_cols: Vec<ListColumns> = alexa_daily_norm.into_iter().map(daily).collect();
         alexa_cols.push(monthly.alexa.clone());
-        let umbrella_cols: Vec<ListColumns> = umbrella_daily_norm.into_iter().map(daily).collect();
         let index = StudyIndex::new(table, site_ids, is_cf, monthly, alexa_cols, umbrella_cols);
 
         Ok(Study {
@@ -475,14 +545,18 @@ impl Study {
             crux,
             normalized,
             index,
+            memo,
         })
     }
 
     /// Takes the study apart into the [`StudyPrefix`] it was assembled
     /// from, dropping everything [`Study::from_prefix`] derived — so more
     /// days can be folded on and the study assembled again without
-    /// re-folding a day.
+    /// re-folding a day. The domain table, the normalizer memo and the
+    /// Umbrella daily columns go back into the prefix, so the next
+    /// assemble re-normalizes only what follows the stable region.
     pub fn into_prefix(self) -> StudyPrefix {
+        let (table, site_ids, is_cf, umbrella) = self.index.into_resident();
         StudyPrefix {
             world: self.world,
             crawl: self.crawl,
@@ -495,6 +569,13 @@ impl Study {
                 panel: self.panel,
                 alexa_daily: self.alexa_daily,
                 umbrella_daily: self.umbrella_daily,
+            },
+            interning: Interning {
+                table,
+                memo: self.memo,
+                site_ids,
+                is_cf,
+                umbrella,
             },
         }
     }
@@ -646,15 +727,38 @@ mod tests {
         ));
     }
 
+    /// Asserts two studies carry the same index: the table's names in id
+    /// order, the site ids, the CDN-served flags, and every monthly and
+    /// daily column.
+    fn assert_same_index(warm: &Study, cold: &Study) {
+        let (w, c) = (warm.index(), cold.index());
+        assert_eq!(w.table().names(), c.table().names());
+        assert_eq!(w.site_ids(), c.site_ids());
+        assert_eq!(w.cf_flags(), c.cf_flags());
+        for source in ListSource::ALL {
+            assert_eq!(w.monthly(source), c.monthly(source), "{source} monthly");
+        }
+        assert_eq!(w.alexa_daily(), c.alexa_daily());
+        assert_eq!(w.umbrella_daily(), c.umbrella_daily());
+    }
+
     #[test]
     fn prefix_folded_in_runs_matches_the_cold_rebuild() {
         let world = World::generate(WorldConfig::tiny(209)).unwrap();
         let n = world.config.days.len();
-        let mut shards = observe_day_shards(&world, n, 1).into_iter();
-        let cold_world = World::generate(WorldConfig::tiny(209)).unwrap();
-        let cold = Study::from_shards(cold_world, observe_day_shards(&world, n, 1)).unwrap();
+        let all = observe_day_shards(&world, n, 1);
+        let cold_at = |days: usize| {
+            let cold_world = World::generate(WorldConfig::tiny(209)).unwrap();
+            Study::from_shards(cold_world, all[..days].to_vec()).unwrap()
+        };
+        let mut shards = all.clone().into_iter();
         // Days 0..2 merged, then 2..5 merged, then one at a time, assembling
         // and taking the study apart between runs as the live engine does.
+        // The resident normalizer must issue every id a fresh one would.
+        // (Simulated worlds put every name in the stable region, so the
+        // rewind past the seal is pinned at the normalizer's level, by
+        // `rewound_normalizer_issues_the_ids_of_a_fresh_one` in
+        // topple-lists.)
         let mut prefix = StudyPrefix::new(world);
         for run in [2usize, 3, 1, 1] {
             let mut merged = DayShards::identity();
@@ -662,10 +766,15 @@ mod tests {
                 merged.merge(s);
             }
             prefix.fold(merged).unwrap();
-            prefix = Study::from_prefix(prefix).unwrap().into_prefix();
+            let warm = Study::from_prefix(prefix).unwrap();
+            assert_same_index(&warm, &cold_at(warm.alexa_daily.len()));
+            prefix = warm.into_prefix();
         }
         assert_eq!(prefix.days(), n);
+        // Re-assembling with nothing new folded changes nothing either.
         let warm = Study::from_prefix(prefix).unwrap();
+        let cold = cold_at(n);
+        assert_same_index(&warm, &cold);
         assert_eq!(warm.alexa_daily, cold.alexa_daily);
         assert_eq!(warm.umbrella_daily, cold.umbrella_daily);
         assert_eq!(warm.tranco, cold.tranco);

@@ -123,6 +123,26 @@ impl DomainTable {
     pub fn names(&self) -> &[DomainName] {
         &self.names
     }
+
+    /// Forgets every id from `len` on, so the next new name is issued id
+    /// `len` again. Costs O(names removed): each dropped name leaves the
+    /// name → id map by one probe. A no-op when `len >= self.len()`.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.names.len() {
+            return;
+        }
+        for name in self.names.drain(len..) {
+            // A name repeated by `from_names` maps to its first id, which
+            // may sit below the cut and must stay.
+            if self
+                .index
+                .get(name.as_str())
+                .is_some_and(|id| id.index() >= len)
+            {
+                self.index.remove(name.as_str());
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -159,6 +179,28 @@ mod tests {
         for (i, n) in t.names().iter().enumerate() {
             assert_eq!(rebuilt.id(n.as_str()).map(|id| id.index()), Some(i));
         }
+    }
+
+    #[test]
+    fn truncate_reissues_the_cut_ids() {
+        let mut t = DomainTable::new();
+        for s in ["a.com", "b.com", "c.com"] {
+            t.intern(&name(s));
+        }
+        t.truncate(1);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.id("b.com"), None);
+        assert_eq!(t.id("c.com"), None);
+        // The next name takes the first cut id, exactly as in a table
+        // that never held the cut names.
+        assert_eq!(t.intern(&name("c.com")).raw(), 1);
+        assert_eq!(t.id("a.com").map(|id| id.raw()), Some(0));
+        t.truncate(5);
+        assert_eq!(t.len(), 2);
+        // A repeated name keeps its surviving first id.
+        let mut dup = DomainTable::from_names(vec![name("a.com"), name("a.com")]);
+        dup.truncate(1);
+        assert_eq!(dup.id("a.com").map(|id| id.raw()), Some(0));
     }
 
     #[test]

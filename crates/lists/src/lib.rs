@@ -40,5 +40,6 @@ pub use model::{
 };
 pub use normalize::{
     normalize, normalize_bucketed, normalize_ranked, NormalizedColumns, NormalizedList, Normalizer,
+    NormalizerMemo,
 };
 pub use stability::{stability, StabilityReport};

@@ -21,6 +21,18 @@
 //! [`NormalizedList`] adds one `DomainName` clone per entry on top. The free
 //! functions ([`normalize_ranked`] and friends) remain as one-shot wrappers
 //! over a throwaway `Normalizer` and produce identical output.
+//!
+//! A normalizer can also stay resident across assembles of a growing study
+//! ([`Normalizer::into_parts`] / [`Normalizer::resume`]; the PSL is
+//! re-borrowed each time). Ids are issued in interning order, so a caller
+//! whose first lists only ever grow at their end (the live study: site
+//! domains, then one Umbrella daily per day) marks them as a *stable
+//! region* with [`Normalizer::seal`]. The next assemble
+//! [rewinds](Normalizer::rewind) the table to the seal in O(tail),
+//! forgetting only the memo entries that name cut ids, normalizes the
+//! lists that extend the region, seals again, and re-normalizes the rest.
+//! Every id is then the one a fresh normalizer fed the same lists in the
+//! same order would issue.
 
 use std::collections::HashMap;
 
@@ -181,23 +193,75 @@ enum EntryOutcome {
 /// Marks an id with no row in the list being grouped.
 const UNSEEN: u32 = u32::MAX;
 
+/// Everything a [`Normalizer`] keeps between lists except its PSL borrow
+/// and its [`DomainTable`]: the PSL memo, the entry memo and the grouping
+/// buffers. It owns no borrow, so a caller can keep it resident between
+/// normalizer lifetimes ([`Normalizer::resume`] / [`Normalizer::into_parts`]).
+///
+/// The entry memo holds interned ids, so it is only meaningful beside the
+/// table it was filled against. It is split at the *seal*
+/// ([`Normalizer::seal`]): outcomes that name an id below the sealed
+/// length live in `entry_memo` for good, outcomes that name a later id live
+/// in `tail_memo` and are forgotten with those ids by
+/// [`Normalizer::rewind`].
+#[derive(Debug, Default)]
+pub struct NormalizerMemo {
+    cache: RegistrableCache,
+    entry_memo: HashMap<String, EntryOutcome>,
+    tail_memo: HashMap<String, EntryOutcome>,
+    /// The table length at the last seal; `None` until the first one, and
+    /// again after each rewind, while every new id extends the stable
+    /// region.
+    sealed: Option<usize>,
+    /// `slot[id]` is the row of `id` in `rows` while a list is grouped, and
+    /// [`UNSEEN`] otherwise: every list resets the slots it touched.
+    slot: Vec<u32>,
+    /// `(id, best value)` of the list being grouped, one row per id.
+    rows: Vec<(DomainId, u32)>,
+}
+
+impl NormalizerMemo {
+    /// An empty memo: no entry seen, nothing sealed.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Frees every memoized outcome and buffer but keeps the seal, so a
+    /// normalizer resumed on it still rewinds to the stable region and
+    /// issues the same ids; it only has to meet every raw name again. For a
+    /// holder that may never normalize again and would rather not keep the
+    /// memory.
+    pub fn release(&mut self) {
+        *self = NormalizerMemo {
+            sealed: self.sealed,
+            ..NormalizerMemo::default()
+        };
+    }
+}
+
 /// Stateful, memoizing normalizer shared across a study's lists.
 ///
 /// Each distinct raw entry string is parsed, PSL-walked, and interned exactly
 /// once; re-normalizing a list (or a later day's list sharing most entries)
 /// costs one hash lookup per entry. The accumulated [`DomainTable`] is the
 /// study's domain universe, recoverable via [`into_table`](Self::into_table).
+///
+/// A normalizer can also outlive the borrow of its PSL: [`into_parts`]
+/// hands back the table and the [`NormalizerMemo`], and [`resume`] picks
+/// them up again. Between the two, [`seal`] marks the ids interned so far
+/// as a stable region and [`rewind`] cuts the table back to it, so a caller
+/// whose lists keep their order can re-normalize only what follows the
+/// stable region (the live study's assemble, `topple-core`).
+///
+/// [`into_parts`]: Self::into_parts
+/// [`resume`]: Self::resume
+/// [`seal`]: Self::seal
+/// [`rewind`]: Self::rewind
 #[derive(Debug)]
 pub struct Normalizer<'a> {
     psl: &'a PublicSuffixList,
-    cache: RegistrableCache,
     table: DomainTable,
-    entry_memo: HashMap<String, EntryOutcome>,
-    /// `slot[id]` is the row of `id` in `rows` while a list is grouped, and
-    /// [`UNSEEN`] otherwise: every list resets the slots it touched.
-    slot: Vec<u32>,
-    /// `(id, best value)` of the list being grouped, one row per id.
-    rows: Vec<(DomainId, u32)>,
+    memo: NormalizerMemo,
 }
 
 impl<'a> Normalizer<'a> {
@@ -209,13 +273,37 @@ impl<'a> Normalizer<'a> {
     /// Creates a normalizer over a pre-seeded table (e.g. one already holding
     /// the world's site domains, so site index == id; see `topple-core`).
     pub fn with_table(psl: &'a PublicSuffixList, table: DomainTable) -> Self {
-        Normalizer {
-            psl,
-            cache: RegistrableCache::new(),
-            table,
-            entry_memo: HashMap::new(),
-            slot: Vec::new(),
-            rows: Vec::new(),
+        Self::resume(psl, table, NormalizerMemo::new())
+    }
+
+    /// Picks up a table and the memo that was filled against it (both from
+    /// [`into_parts`](Self::into_parts)). `memo` must come from the same
+    /// table: its ids index it.
+    pub fn resume(psl: &'a PublicSuffixList, table: DomainTable, memo: NormalizerMemo) -> Self {
+        Normalizer { psl, table, memo }
+    }
+
+    /// Consumes the normalizer, yielding the table and the memo for a
+    /// later [`resume`](Self::resume).
+    pub fn into_parts(self) -> (DomainTable, NormalizerMemo) {
+        (self.table, self.memo)
+    }
+
+    /// Marks every id interned so far as the stable region: a later
+    /// [`rewind`](Self::rewind) cuts the table back to here.
+    pub fn seal(&mut self) {
+        self.memo.sealed = Some(self.table.len());
+    }
+
+    /// Cuts the table back to the last [`seal`](Self::seal) and forgets
+    /// every memoized outcome that names a cut id, in O(ids and entries
+    /// past the seal); outcomes that name a stable id stay memoized. Names
+    /// interned from here until the next seal extend the stable region. A
+    /// no-op before the first seal.
+    pub fn rewind(&mut self) {
+        if let Some(len) = self.memo.sealed.take() {
+            self.table.truncate(len);
+            self.memo.tail_memo.clear();
         }
     }
 
@@ -237,7 +325,7 @@ impl<'a> Normalizer<'a> {
 
     /// The underlying PSL memo (hit/miss counters for diagnostics).
     pub fn cache(&self) -> &RegistrableCache {
-        &self.cache
+        &self.memo.cache
     }
 
     /// Normalizes a ranked list.
@@ -283,7 +371,11 @@ impl<'a> Normalizer<'a> {
     }
 
     fn entry_outcome(&mut self, raw: &str) -> EntryOutcome {
-        if let Some(&o) = self.entry_memo.get(raw) {
+        let memo = &mut self.memo;
+        if let Some(&o) = memo.entry_memo.get(raw) {
+            return o;
+        }
+        if let Some(&o) = memo.tail_memo.get(raw) {
             return o;
         }
         let outcome = match entry_host(raw) {
@@ -296,21 +388,31 @@ impl<'a> Normalizer<'a> {
                 // bare public suffixes). An origin whose host IS the apex
                 // (https://example.com) does not deviate — the paper's
                 // Table 2 measures name-shape, not scheme.
-                let (id, deviates) = match self.cache.registrable(self.psl, &host) {
+                let (id, deviates) = match memo.cache.registrable(self.psl, &host) {
                     Some(reg) => (self.table.intern(reg), *reg != host),
                     None => (self.table.intern(&host), true),
                 };
                 EntryOutcome::Kept { id, deviates }
             }
         };
-        self.entry_memo.insert(raw.to_owned(), outcome);
+        // Only an outcome naming an id past the seal can go stale.
+        let past_seal = match (outcome, memo.sealed) {
+            (EntryOutcome::Kept { id, .. }, Some(len)) => id.index() >= len,
+            _ => false,
+        };
+        let into = if past_seal {
+            &mut memo.tail_memo
+        } else {
+            &mut memo.entry_memo
+        };
+        into.insert(raw.to_owned(), outcome);
         outcome
     }
 
     /// Groups `raw` by registrable domain into `rows`, keeping each id's
     /// smallest value, and sorts the rows. Returns `(raw_len, deviating)`.
     fn group<'r>(&mut self, raw: impl Iterator<Item = (&'r str, u32)>) -> (usize, usize) {
-        self.rows.clear();
+        self.memo.rows.clear();
         let mut raw_len = 0usize;
         let mut deviating = 0usize;
         for (name, value) in raw {
@@ -325,20 +427,22 @@ impl<'a> Normalizer<'a> {
                     id
                 }
             };
-            if self.slot.len() <= id.index() {
-                self.slot.resize(self.table.len(), UNSEEN);
+            let NormalizerMemo { slot, rows, .. } = &mut self.memo;
+            if slot.len() <= id.index() {
+                slot.resize(self.table.len(), UNSEEN);
             }
-            let slot = &mut self.slot[id.index()];
+            let slot = &mut slot[id.index()];
             if *slot == UNSEEN {
-                *slot = self.rows.len() as u32;
-                self.rows.push((id, value));
+                *slot = rows.len() as u32;
+                rows.push((id, value));
             } else {
-                let best = &mut self.rows[*slot as usize].1;
+                let best = &mut rows[*slot as usize].1;
                 *best = (*best).min(value);
             }
         }
-        for &(id, _) in &self.rows {
-            self.slot[id.index()] = UNSEEN;
+        let NormalizerMemo { slot, rows, .. } = &mut self.memo;
+        for &(id, _) in rows.iter() {
+            slot[id.index()] = UNSEEN;
         }
         // Ascending by value, ties broken by domain name. Names are unique
         // per id, so this is a total order and the result does not depend
@@ -346,7 +450,7 @@ impl<'a> Normalizer<'a> {
         // its groups' min ranks are too, and for ranked input the name
         // comparison never runs.
         let table = &self.table;
-        self.rows.sort_unstable_by(|a, b| {
+        rows.sort_unstable_by(|a, b| {
             a.1.cmp(&b.1)
                 .then_with(|| table.name(a.0).cmp(table.name(b.0)))
         });
@@ -360,10 +464,11 @@ impl<'a> Normalizer<'a> {
         raw: impl Iterator<Item = (&'r str, u32)>,
     ) -> NormalizedColumns {
         let (raw_len, deviating) = self.group(raw);
+        let rows = &self.memo.rows;
         NormalizedColumns {
             source,
-            ids: self.rows.iter().map(|&(id, _)| id).collect(),
-            values: self.rows.iter().map(|&(_, v)| v).collect(),
+            ids: rows.iter().map(|&(id, _)| id).collect(),
+            values: rows.iter().map(|&(_, v)| v).collect(),
             ordered,
             raw_len,
             deviating,

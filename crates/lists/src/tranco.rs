@@ -48,6 +48,37 @@ impl<'a> Dowdall<'a> {
         }
     }
 
+    /// Adds one snapshot `times` times over, exactly as `times` calls of
+    /// [`add_list`](Self::add_list) would: copy after copy, entry after
+    /// entry, so every score receives the same terms in the same order and
+    /// keeps its float bits. Only the name → slot probes are saved: each
+    /// entry's slot is found once, not once per copy.
+    pub fn add_list_repeated(&mut self, list: &'a RankedList, times: usize) {
+        if times == 0 {
+            return;
+        }
+        let Dowdall { slot, scores } = self;
+        let terms: Vec<(usize, f64)> = list
+            .entries
+            .iter()
+            .map(|e| {
+                let at = *slot.entry(e.name.as_str()).or_insert_with(|| {
+                    scores.push((e.name.as_str(), 0.0));
+                    scores.len() - 1
+                });
+                (at, 1.0 / f64::from(e.rank))
+            })
+            .collect();
+        for _ in 0..times {
+            for &(at, term) in &terms {
+                // `at` was issued above, so the slot exists.
+                if let Some((_, score)) = scores.get_mut(at) {
+                    *score += term;
+                }
+            }
+        }
+    }
+
     /// Adds one snapshot given as names already in rank order (ranks
     /// `1..=n`), e.g. a normalized list read off a domain table.
     pub fn add_sorted_names(&mut self, names: impl IntoIterator<Item = &'a str>) {
@@ -91,6 +122,35 @@ mod tests {
             ListSource::Alexa,
             names.iter().map(|s| s.to_string()).collect(),
         )
+    }
+
+    #[test]
+    fn repeated_list_adds_the_terms_of_repeated_calls_bit_for_bit() {
+        // Ranks whose reciprocals round, a name listed twice, and a name
+        // already scored by an earlier list: the float sums must match
+        // `times` separate calls to the last bit, slot order included.
+        let earlier = list(&["b.com", "q.com"]);
+        let mut repeated = list(&["a.com", "b.com", "c.com", "a.com", "d.com"]);
+        for (e, rank) in repeated.entries.iter_mut().zip([3, 7, 11, 13, 49]) {
+            e.rank = rank;
+        }
+        for times in [0, 1, 2, 28] {
+            let mut calls = Dowdall::new();
+            calls.add_list(&earlier);
+            for _ in 0..times {
+                calls.add_list(&repeated);
+            }
+            let mut once = Dowdall::new();
+            once.add_list(&earlier);
+            once.add_list_repeated(&repeated, times);
+            let bits = |d: &Dowdall| -> Vec<(String, u64)> {
+                d.scores
+                    .iter()
+                    .map(|&(n, s)| (n.to_owned(), s.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&once), bits(&calls), "{times} copies");
+        }
     }
 
     #[test]

@@ -292,4 +292,52 @@ proptest! {
         let rematerialized = normalize_ranked(&psl, &umbrella).to_ranked_list();
         prop_assert_eq!(got, reference_tranco(&[&alexa, &rematerialized], usize::MAX));
     }
+
+    #[test]
+    fn rewound_normalizer_issues_the_ids_of_a_fresh_one(
+        stable in proptest::collection::vec(raw_entries(), 1..4),
+        tail in proptest::collection::vec(raw_entries(), 1..3),
+        added in proptest::collection::vec(raw_entries(), 1..3),
+        release in any::<bool>(),
+    ) {
+        // The live study's assemble: a stable region of lists that only
+        // grows at its end, then tail lists re-normalized behind it. A
+        // resident normalizer that rewinds to the seal and normalizes only
+        // the added stable lists must give every list the columns, and the
+        // table the names, of a fresh normalizer over the whole sequence,
+        // whether or not its memo was released in between.
+        let psl = PublicSuffixList::builtin();
+        let ranked = |names: &Vec<String>| {
+            RankedList::from_sorted_names(ListSource::Umbrella, names.clone())
+        };
+        let stable: Vec<RankedList> = stable.iter().chain(&added).map(ranked).collect();
+        let tail: Vec<RankedList> = tail.iter().map(ranked).collect();
+        let first = stable.len() - added.len();
+
+        let mut resident = Normalizer::new(&psl);
+        for l in &stable[..first] {
+            resident.ranked_columns(l);
+        }
+        resident.seal();
+        for l in &tail {
+            resident.ranked_columns(l);
+        }
+        let (table, mut memo) = resident.into_parts();
+        if release {
+            // A released memo keeps only the seal: same ids, all misses.
+            memo.release();
+        }
+        let mut resident = Normalizer::resume(&psl, table, memo);
+        resident.rewind();
+        let added_cols: Vec<_> = stable[first..].iter().map(|l| resident.ranked_columns(l)).collect();
+        resident.seal();
+        let tail_cols: Vec<_> = tail.iter().map(|l| resident.ranked_columns(l)).collect();
+
+        let mut fresh = Normalizer::new(&psl);
+        let want_stable: Vec<_> = stable.iter().map(|l| fresh.ranked_columns(l)).collect();
+        let want_tail: Vec<_> = tail.iter().map(|l| fresh.ranked_columns(l)).collect();
+        prop_assert_eq!(&added_cols[..], &want_stable[first..]);
+        prop_assert_eq!(tail_cols, want_tail);
+        prop_assert_eq!(resident.table().names(), fresh.table().names());
+    }
 }

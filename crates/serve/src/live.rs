@@ -25,6 +25,18 @@
 //! module's per-swap tests, the swap-smoke CI job and
 //! `tests/delta_equivalence.rs`).
 //!
+//! A rebuild pays for what a delta adds, not for the month. The prefix
+//! keeps its domain table and normalizer memo between assembles. Ids are
+//! interned in one order: site domains, the Umbrella dailies in day
+//! order, the monthly lists, then the Alexa dailies. Sites and Umbrella
+//! dailies form a stable region that only grows at its end, so each
+//! assemble cuts the table back to that region, normalizes only the new
+//! days' Umbrella dailies, and re-interns the monthly and Alexa lists
+//! behind it through a warm memo. Every id comes out as a fresh build
+//! would issue it. The hot cache of the new [`QuerySnapshot`] is written
+//! in place by the query layer's own renderers. Each swap's step times
+//! (fold, assemble, encode, decode, `QuerySnapshot`) reach `/v1/metrics`.
+//!
 //! Split of responsibilities:
 //!
 //! * [`LiveStore`] — the shared handle. Validates and queues submitted
@@ -60,7 +72,7 @@ use topple_vantage::DayShards;
 use crate::delta::{Delta, DeltaIdentity};
 use crate::error::{DeltaError, LiveError};
 use crate::lru::Lru;
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, RebuildClock, RebuildStep};
 use crate::query::QuerySnapshot;
 use crate::snapshot::{encode_study, Snapshot};
 
@@ -380,7 +392,7 @@ impl LiveEngine {
         prefix
             .simulate_through(base_days, self.workers)
             .map_err(|e| format!("base days did not fold: {e}"))?;
-        let (rebuilt, prefix) = self.encode(prefix)?;
+        let (rebuilt, prefix) = self.encode(prefix, &mut RebuildClock::start())?;
         let rebuilt_id = Snapshot::from_bytes(&rebuilt)
             .map_err(|e| format!("boot verification rebuild did not decode: {e}"))?
             .id();
@@ -411,14 +423,19 @@ impl LiveEngine {
             // fills — the serving index is always a verified prefix.
             return Ok(prefix);
         };
+        let mut clock = RebuildClock::start();
         prefix
             .fold(shards)
             .map_err(|e| format!("shard fold rejected the pool: {e}"))?;
-        let (bytes, prefix) = self.encode(prefix)?;
+        clock.lap(RebuildStep::Fold);
+        let (bytes, prefix) = self.encode(prefix, &mut clock)?;
         let snapshot = Snapshot::from_bytes(&bytes)
             .map_err(|e| format!("rebuilt snapshot did not decode: {e}"))?;
+        clock.lap(RebuildStep::Decode);
         let generation = self.store.generation() + 1;
         let next = QuerySnapshot::with_generation(snapshot, generation, &self.lineage);
+        clock.lap(RebuildStep::QuerySnapshot);
+        self.store.metrics.record_rebuild(&clock);
         self.store.swap(Arc::new(next));
         Ok(prefix)
     }
@@ -457,11 +474,18 @@ impl LiveEngine {
 
     /// Assembles the prefix into a study, encodes it, and takes the study
     /// apart again so the prefix stays resident.
-    fn encode(&self, prefix: StudyPrefix) -> Result<(Vec<u8>, StudyPrefix), String> {
+    fn encode(
+        &self,
+        prefix: StudyPrefix,
+        clock: &mut RebuildClock,
+    ) -> Result<(Vec<u8>, StudyPrefix), String> {
         let study =
             Study::from_prefix(prefix).map_err(|e| format!("study did not assemble: {e}"))?;
+        clock.lap(RebuildStep::Assemble);
         let bytes = encode_study(&study, &self.scale, &self.artifacts);
-        Ok((bytes, study.into_prefix()))
+        let prefix = study.into_prefix();
+        clock.lap(RebuildStep::Encode);
+        Ok((bytes, prefix))
     }
 }
 
@@ -578,6 +602,49 @@ mod tests {
             assert!(body.contains(&format!("\"generation\":{generation}")));
             assert!(body.contains("tpld-v1-"), "{body}");
         }
+    }
+
+    /// The number after `"key":` in the first object named `object`.
+    fn metric(body: &str, object: &str, key: &str) -> u64 {
+        let at = body.find(&format!("\"{object}\":{{")).expect("object");
+        let rest = &body[at..];
+        let at = rest.find(&format!("\"{key}\":")).expect("key") + key.len() + 3;
+        let digits: String = rest[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().expect("a number")
+    }
+
+    #[test]
+    fn rebuild_steps_reach_the_metrics_after_a_swap() {
+        let (store, mut engine) = live_fixture(3);
+        let steps = ["fold", "assemble", "encode", "decode", "query_snapshot"];
+        let before = store.metrics().render("x");
+        for step in steps {
+            assert_eq!(metric(&before, "total", step), 0, "{step} before any swap");
+        }
+        let mut prefix = engine.boot().expect("boot verifies");
+        let booted = store.metrics().render("x");
+        assert_eq!(
+            metric(&booted, "total", "assemble"),
+            0,
+            "boot is not a swap"
+        );
+        for day in [3, 4] {
+            prefix = step(&store, &mut engine, prefix, &delta_for_day(day));
+        }
+        assert_eq!(prefix.days(), 5);
+        let body = store.metrics().render("x");
+        assert!(body.contains("\"swaps\":2"), "{body}");
+        for step in steps {
+            let last = metric(&body, "last", step);
+            let total = metric(&body, "total", step);
+            assert!(last <= total, "{step}: last {last} > total {total}");
+        }
+        // A tiny assemble still takes well over a microsecond, twice.
+        assert!(metric(&body, "total", "assemble") >= 2, "{body}");
+        assert!(metric(&body, "total", "query_snapshot") >= 2, "{body}");
     }
 
     #[test]

@@ -68,6 +68,53 @@ const BUCKET_BOUNDS_US: [u64; 8] = [1, 4, 16, 64, 256, 1_024, 4_096, 16_384];
 /// last bucket is open-ended. Powers of two from 1 to 64.
 const FLUSH_BOUNDS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
 
+/// The live engine's rebuild steps, in the order a rebuild runs them
+/// (DESIGN.md §17).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RebuildStep {
+    /// Folding the delta's new days into the resident prefix.
+    Fold,
+    /// `Study::from_prefix`: window-wide lists, normalization, index.
+    Assemble,
+    /// Encoding the study into `tpls` bytes (and taking it apart again).
+    Encode,
+    /// Decoding those bytes into the snapshot to serve.
+    Decode,
+    /// `QuerySnapshot`: position columns, daily cuts and the hot cache.
+    QuerySnapshot,
+}
+
+/// The `/v1/metrics` key of each rebuild step, indexed by
+/// `RebuildStep as usize`.
+const REBUILD_STEPS: [&str; 5] = ["fold", "assemble", "encode", "decode", "query_snapshot"];
+
+/// Times one rebuild's steps for `/v1/metrics`: each [`lap`](Self::lap)
+/// charges the time since the previous lap (or the start) to a step.
+pub struct RebuildClock {
+    last: Instant,
+    steps_us: [u64; REBUILD_STEPS.len()],
+}
+
+impl RebuildClock {
+    /// Starts timing a rebuild.
+    pub fn start() -> Self {
+        RebuildClock {
+            // topple-lint: allow(wall-clock): live-rebuild step metric; /v1/metrics is exempt from the byte-identical guarantee
+            last: Instant::now(),
+            steps_us: [0; REBUILD_STEPS.len()],
+        }
+    }
+
+    /// Ends `step`, which ran since the previous lap.
+    pub fn lap(&mut self, step: RebuildStep) {
+        // topple-lint: allow(wall-clock): live-rebuild step metric; /v1/metrics is exempt from the byte-identical guarantee
+        let now = Instant::now();
+        let micros = now.duration_since(self.last).as_micros();
+        self.steps_us[step as usize] += micros.min(u128::from(u64::MAX)) as u64;
+        self.last = now;
+    }
+}
+
 /// Lock-free request metrics, shared by every reactor shard.
 #[derive(Default)]
 pub struct Metrics {
@@ -92,6 +139,10 @@ pub struct Metrics {
     swaps: AtomicU64,
     ingest_accepted: AtomicU64,
     ingest_rejected: AtomicU64,
+    // The live engine's rebuild steps (µs): the last rebuild's, and the
+    // sum over every rebuild since boot.
+    rebuild_last_us: [AtomicU64; REBUILD_STEPS.len()],
+    rebuild_total_us: [AtomicU64; REBUILD_STEPS.len()],
 }
 
 impl Metrics {
@@ -184,6 +235,14 @@ impl Metrics {
         }
     }
 
+    /// Publishes one rebuild's step times (engine-side, before its swap).
+    pub fn record_rebuild(&self, clock: &RebuildClock) {
+        for (i, &us) in clock.steps_us.iter().enumerate() {
+            self.rebuild_last_us[i].store(us, Ordering::Relaxed);
+            self.rebuild_total_us[i].fetch_add(us, Ordering::Relaxed);
+        }
+    }
+
     /// Renders the `/v1/metrics` JSON body.
     pub fn render(&self, snapshot_id: &str) -> String {
         let mut out = String::with_capacity(512);
@@ -232,6 +291,29 @@ impl Metrics {
         out.push_str(&self.ingest_accepted.load(Ordering::Relaxed).to_string());
         out.push_str(",\"ingest_rejected\":");
         out.push_str(&self.ingest_rejected.load(Ordering::Relaxed).to_string());
+        out.push_str("},\"rebuild_us\":{");
+        let columns = [
+            ("last", &self.rebuild_last_us),
+            ("total", &self.rebuild_total_us),
+        ];
+        for (j, (label, column)) in columns.into_iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            out.push('"');
+            out.push_str(label);
+            out.push_str("\":{");
+            for (i, (name, v)) in REBUILD_STEPS.iter().zip(column).enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push('"');
+                out.push_str(name);
+                out.push_str("\":");
+                out.push_str(&v.load(Ordering::Relaxed).to_string());
+            }
+            out.push('}');
+        }
         out.push_str("},\"hot_cache\":{\"hits\":");
         out.push_str(&self.hot_hits.load(Ordering::Relaxed).to_string());
         out.push_str(",\"misses\":");
@@ -301,6 +383,32 @@ mod tests {
         assert!(body.contains(
             "\"live\":{\"generation\":2,\"swaps\":2,\"ingest_accepted\":1,\"ingest_rejected\":2}"
         ));
+    }
+
+    #[test]
+    fn rebuild_steps_render_last_and_total() {
+        let m = Metrics::new();
+        assert!(m.render("s").contains(
+            "\"rebuild_us\":{\"last\":{\"fold\":0,\"assemble\":0,\"encode\":0,\"decode\":0,\
+             \"query_snapshot\":0},\"total\":{\"fold\":0,"
+        ));
+        let mut clock = RebuildClock::start();
+        clock.steps_us = [1, 2, 3, 4, 5];
+        m.record_rebuild(&clock);
+        clock.steps_us = [10, 20, 30, 40, 50];
+        m.record_rebuild(&clock);
+        assert!(m.render("s").contains(
+            "\"rebuild_us\":{\"last\":{\"fold\":10,\"assemble\":20,\"encode\":30,\"decode\":40,\
+             \"query_snapshot\":50},\"total\":{\"fold\":11,\"assemble\":22,\"encode\":33,\
+             \"decode\":44,\"query_snapshot\":55}}"
+        ));
+        // Laps charge the time between them to the step named.
+        let mut clock = RebuildClock::start();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        clock.lap(RebuildStep::Assemble);
+        clock.lap(RebuildStep::Fold);
+        assert!(clock.steps_us[RebuildStep::Assemble as usize] >= 2_000);
+        assert!(clock.steps_us[RebuildStep::Fold as usize] < 2_000);
     }
 
     #[test]

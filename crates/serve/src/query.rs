@@ -9,7 +9,7 @@
 //! [`IdCut`] binary search per daily list. That is what makes the daemon's
 //! byte-identical guarantee hold across worker counts and restarts.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::path::Path;
 
 use topple_core::compare::IdCut;
@@ -37,10 +37,15 @@ pub const HOT_K: usize = 1_024;
 /// end)` ranges: serving a hot request is a binary search (or direct index)
 /// plus a memcpy into the connection's write buffer — zero formatting, zero
 /// heap allocation, the same discipline as the ingest window's scratch
-/// tables. Every body is produced by the *same* renderer the cold path
-/// calls, so the cache can change latency, never content.
+/// tables. Every body is written by the *same* renderer the cold path
+/// calls ([`QuerySnapshot::write_rank`], [`QuerySnapshot::write_movement`],
+/// [`QuerySnapshot::write_health`]), so the cache can change latency, never
+/// content. The build hands that renderer what it already knows — the
+/// domain's id and position — and lets it write straight into the arena,
+/// which is sized once from an upper bound on every body's length: no
+/// per-body name parse, table probe or `String`.
 struct HotCache {
-    arena: Box<[u8]>,
+    arena: String,
     /// `/health` body (snapshot-constant).
     health: (u32, u32),
     /// `rank[list][pos]` = body range for the domain at best-first position
@@ -54,10 +59,15 @@ struct HotCache {
     movement_ranges: Vec<(u32, u32)>,
 }
 
+/// Decimal digits of `v`.
+fn digits(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
 impl HotCache {
     fn empty() -> Self {
         HotCache {
-            arena: Box::default(),
+            arena: String::new(),
             health: (0, 0),
             rank: Vec::new(),
             movement_ids: Vec::new(),
@@ -65,46 +75,73 @@ impl HotCache {
         }
     }
 
-    /// Renders every hot body through `snapshot`'s public renderers.
-    /// `snapshot.hot` must still be empty (bodies must come from the real
-    /// formatting path, not the cache being built).
+    /// Renders every hot body through `snapshot`'s renderers into one
+    /// arena. `snapshot.hot` is not read, so the bodies come from the real
+    /// formatting path, not the cache being built.
     fn build(snapshot: &QuerySnapshot) -> Self {
-        let mut arena: Vec<u8> = Vec::new();
-        let push = |arena: &mut Vec<u8>, body: &str| -> (u32, u32) {
+        let index = &snapshot.snapshot.index;
+        let table = index.table();
+        let hot = |source: ListSource| {
+            let ids = &index.monthly(source).ids;
+            &ids[..ids.len().min(HOT_K)]
+        };
+        let mut movement_ids: Vec<u32> = Vec::with_capacity(ListSource::ALL.len() * HOT_K);
+        for &source in ListSource::ALL.iter() {
+            movement_ids.extend(hot(source).iter().map(|id| id.raw()));
+        }
+        movement_ids.sort_unstable();
+        movement_ids.dedup();
+
+        // Size the arena once. Every number a body holds is a rank (at most
+        // the table length) or a bucket (at most a list's last value), and
+        // `null` takes 4 bytes.
+        let widest = ListSource::ALL
+            .iter()
+            .filter_map(|&s| index.monthly(s).values.last().copied())
+            .map(u64::from)
+            .fold(table.len() as u64, u64::max);
+        let number = digits(widest).max(4) + 1;
+        let id = snapshot.id.len();
+        let days = snapshot.alexa_daily_cuts.len() + snapshot.umbrella_daily_cuts.len();
+        let name_len = |raw: u32| table.name(DomainId::from_raw(raw)).as_str().len();
+        let mut bound = HEALTH_BODY_BOUND + id + 6 * snapshot.snapshot.identity.scale.len();
+        for &source in ListSource::ALL.iter() {
+            for d in hot(source) {
+                bound += RANK_BODY_BOUND + id + number + name_len(d.raw());
+            }
+        }
+        for &raw in &movement_ids {
+            bound += MOVEMENT_BODY_BOUND + id + name_len(raw);
+            bound += (ListSource::ALL.len() + days) * number;
+        }
+        let mut arena = String::with_capacity(bound);
+
+        // Writing into a `String` cannot fail.
+        let mut push = |render: &dyn Fn(&mut String) -> fmt::Result| -> (u32, u32) {
             let start = arena.len() as u32;
-            arena.extend_from_slice(body.as_bytes());
+            let _ = render(&mut arena);
             (start, arena.len() as u32)
         };
-
-        let health = push(&mut arena, &snapshot.health().body);
-
-        let table = snapshot.snapshot.index.table();
+        let health = push(&|a| snapshot.write_health(a));
         let mut rank = Vec::with_capacity(ListSource::ALL.len());
-        let mut movement_ids: Vec<u32> = Vec::new();
         for &source in ListSource::ALL.iter() {
-            let cols = snapshot.snapshot.index.monthly(source);
-            let k = cols.ids.len().min(HOT_K);
-            let mut ranges = Vec::with_capacity(k);
-            for &id in cols.ids.iter().take(k) {
-                let name = table.name(id);
-                let body = snapshot.rank(list_url_name(source), name.as_str()).body;
-                ranges.push(push(&mut arena, &body));
-                movement_ids.push(id.raw());
+            let ids = hot(source);
+            let mut ranges = Vec::with_capacity(ids.len());
+            for (pos, &id) in ids.iter().enumerate() {
+                let (name, pos) = (table.name(id).as_str(), Some(pos as u32));
+                ranges.push(push(&|a| snapshot.write_rank(a, source, name, pos)));
             }
             rank.push(ranges);
         }
-
-        movement_ids.sort_unstable();
-        movement_ids.dedup();
         let mut movement_ranges = Vec::with_capacity(movement_ids.len());
         for &raw in &movement_ids {
-            let name = table.name(DomainId::from_raw(raw));
-            let body = snapshot.movement(name.as_str()).body;
-            movement_ranges.push(push(&mut arena, &body));
+            let name = table.name(DomainId::from_raw(raw)).as_str();
+            movement_ranges.push(push(&|a| snapshot.write_movement(a, name, Some(raw))));
         }
+        debug_assert!(arena.len() <= bound, "hot-cache arena bound too small");
 
         HotCache {
-            arena: arena.into_boxed_slice(),
+            arena,
             health,
             rank,
             movement_ids,
@@ -113,9 +150,20 @@ impl HotCache {
     }
 
     fn slice(&self, range: (u32, u32)) -> &[u8] {
-        &self.arena[range.0 as usize..range.1 as usize]
+        &self.arena.as_bytes()[range.0 as usize..range.1 as usize]
     }
 }
+
+/// Bytes of a `/health` body beside the snapshot id and the escaped scale
+/// (at most 6 bytes per scale byte): the keys (~50) and the domain count
+/// (≤ 20).
+const HEALTH_BODY_BOUND: usize = 80;
+/// Bytes of a `/v1/rank` body beside the snapshot id, the domain and the
+/// number: the keys (~60) and the list name (≤ 8).
+const RANK_BODY_BOUND: usize = 80;
+/// Bytes of a `/v1/movement` body beside the snapshot id, the domain and
+/// its numbers: the keys (~90) and the seven list names (≤ 8 + 3 each).
+const MOVEMENT_BODY_BOUND: usize = 180;
 
 /// One monthly list's dense position column: `pos[id]` is the best-first
 /// position of raw id `id`, or [`PosColumn::ABSENT`] when the list does not
@@ -230,18 +278,27 @@ fn err(status: u16, message: &str) -> Reply {
 /// Escapes a string for embedding in a JSON string literal.
 pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    let _ = write_escaped(&mut out, s);
+    out
+}
+
+/// Writes `s` escaped for a JSON string literal into `out`.
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        return out.write_str(s);
+    }
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out
+    Ok(())
 }
 
 /// Parses the lowercase list name used in URLs.
@@ -398,12 +455,25 @@ impl QuerySnapshot {
 
     /// `GET /health`.
     pub fn health(&self) -> Reply {
-        ok(format!(
-            "{{\"status\":\"ok\",\"snapshot\":\"{}\",\"scale\":\"{}\",\"domains\":{}}}",
-            self.id,
-            escape(&self.snapshot.identity.scale),
+        let mut body = String::new();
+        let _ = self.write_health(&mut body);
+        ok(body)
+    }
+
+    /// The one `/health` renderer, shared by the cold path and the hot
+    /// cache.
+    fn write_health(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write!(
+            out,
+            "{{\"status\":\"ok\",\"snapshot\":\"{}\",\"scale\":\"",
+            self.id
+        )?;
+        write_escaped(out, &self.snapshot.identity.scale)?;
+        write!(
+            out,
+            "\",\"domains\":{}}}",
             self.snapshot.index.table().len()
-        ))
+        )
     }
 
     /// The 0-based position of `domain` in a monthly list, if present.
@@ -423,24 +493,40 @@ impl QuerySnapshot {
         if domain.parse::<DomainName>().is_err() {
             return err(400, "invalid domain name");
         }
-        let head = format!(
-            "{{\"snapshot\":\"{}\",\"list\":\"{}\",\"domain\":\"{}\"",
-            self.id,
-            list_url_name(source),
-            escape(domain)
-        );
-        match self.monthly_pos(source, domain) {
-            None => ok(format!("{head},\"present\":false}}")),
-            Some(pos) => {
-                let cols = self.snapshot.index.monthly(source);
-                if cols.ordered {
-                    ok(format!("{head},\"present\":true,\"rank\":{}}}", pos + 1))
-                } else {
-                    let bucket = cols.values.get(pos as usize).copied().unwrap_or(0);
-                    ok(format!("{head},\"present\":true,\"bucket\":{bucket}}}"))
-                }
-            }
+        let pos = self.monthly_pos(source, domain);
+        let mut body = String::new();
+        let _ = self.write_rank(&mut body, source, domain, pos);
+        ok(body)
+    }
+
+    /// The one `/v1/rank` renderer, shared by the cold path and the hot
+    /// cache: the body for `domain` on `source`'s monthly list, where `pos`
+    /// is the domain's 0-based best-first position, if the list holds it.
+    fn write_rank(
+        &self,
+        out: &mut impl fmt::Write,
+        source: ListSource,
+        domain: &str,
+        pos: Option<u32>,
+    ) -> fmt::Result {
+        out.write_str("{\"snapshot\":\"")?;
+        out.write_str(&self.id)?;
+        out.write_str("\",\"list\":\"")?;
+        out.write_str(list_url_name(source))?;
+        out.write_str("\",\"domain\":\"")?;
+        write_escaped(out, domain)?;
+        let Some(pos) = pos else {
+            return out.write_str("\",\"present\":false}");
+        };
+        let cols = self.snapshot.index.monthly(source);
+        if cols.ordered {
+            out.write_str("\",\"present\":true,\"rank\":")?;
+            write_u32(out, pos + 1)?;
+        } else {
+            out.write_str("\",\"present\":true,\"bucket\":")?;
+            write_u32(out, cols.values.get(pos as usize).copied().unwrap_or(0))?;
         }
+        out.write_char('}')
     }
 
     /// The compare-cache key for `(a, b, k)` — parameters only, so a cache
@@ -500,19 +586,33 @@ impl QuerySnapshot {
             return err(400, "invalid domain name");
         }
         let id = self.snapshot.index.table().id(domain).map(|d| d.raw());
-        let mut body = format!(
-            "{{\"snapshot\":\"{}\",\"domain\":\"{}\",\"present\":{},\"monthly\":{{",
-            self.id,
-            escape(domain),
-            id.is_some()
-        );
+        let mut body = String::new();
+        let _ = self.write_movement(&mut body, domain, id);
+        ok(body)
+    }
+
+    /// The one `/v1/movement` renderer, shared by the cold path and the hot
+    /// cache: the body for `domain`, whose raw id is `id` if the table
+    /// holds it.
+    fn write_movement(
+        &self,
+        out: &mut impl fmt::Write,
+        domain: &str,
+        id: Option<u32>,
+    ) -> fmt::Result {
+        out.write_str("{\"snapshot\":\"")?;
+        out.write_str(&self.id)?;
+        out.write_str("\",\"domain\":\"")?;
+        write_escaped(out, domain)?;
+        out.write_str(if id.is_some() {
+            "\",\"present\":true,\"monthly\":{"
+        } else {
+            "\",\"present\":false,\"monthly\":{"
+        })?;
         for (i, &source) in ListSource::ALL.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            body.push('"');
-            body.push_str(list_url_name(source));
-            body.push_str("\":");
+            out.write_str(if i > 0 { ",\"" } else { "\"" })?;
+            out.write_str(list_url_name(source))?;
+            out.write_str("\":")?;
             let entry = id.and_then(|raw| {
                 let pos = self.positions[all_index(source)].rank_of(raw)?;
                 let cols = self.snapshot.index.monthly(source);
@@ -522,17 +622,13 @@ impl QuerySnapshot {
                     cols.values.get(pos as usize).copied()
                 }
             });
-            match entry {
-                Some(v) => body.push_str(&v.to_string()),
-                None => body.push_str("null"),
-            }
+            write_number_or_null(out, entry)?;
         }
-        body.push_str("},\"alexa_daily\":");
-        push_daily(&mut body, id, &self.alexa_daily_cuts);
-        body.push_str(",\"umbrella_daily\":");
-        push_daily(&mut body, id, &self.umbrella_daily_cuts);
-        body.push('}');
-        ok(body)
+        out.write_str("},\"alexa_daily\":")?;
+        write_daily(out, id, &self.alexa_daily_cuts)?;
+        out.write_str(",\"umbrella_daily\":")?;
+        write_daily(out, id, &self.umbrella_daily_cuts)?;
+        out.write_char('}')
     }
 
     /// `GET /v1/artifact/{name}`: a rendered report stored in the snapshot.
@@ -558,19 +654,40 @@ impl QuerySnapshot {
 /// list names (≤ 8 each), four integers (≤ 20 each) and a float (≤ 24).
 const COMPARE_BODY_CAPACITY: usize = 200;
 
-/// Renders a `[rank|null, ...]` array of one daily provider's trajectory.
-fn push_daily(body: &mut String, id: Option<u32>, cuts: &[IdCut]) {
-    body.push('[');
-    for (i, cut) in cuts.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        match id.and_then(|raw| cut.rank_of(raw)) {
-            Some(pos) => body.push_str(&(pos + 1).to_string()),
-            None => body.push_str("null"),
+/// Writes `v`, or `null` when there is none.
+fn write_number_or_null(out: &mut impl fmt::Write, v: Option<u32>) -> fmt::Result {
+    match v {
+        Some(v) => write_u32(out, v),
+        None => out.write_str("null"),
+    }
+}
+
+/// Writes `v`'s decimal digits through a stack buffer, skipping the
+/// formatting machinery.
+fn write_u32(out: &mut impl fmt::Write, mut v: u32) -> fmt::Result {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-    body.push(']');
+    out.write_str(std::str::from_utf8(&digits[at..]).unwrap_or("0"))
+}
+
+/// Writes a `[rank|null, ...]` array of one daily provider's trajectory.
+fn write_daily(out: &mut impl fmt::Write, id: Option<u32>, cuts: &[IdCut]) -> fmt::Result {
+    out.write_char('[')?;
+    for (i, cut) in cuts.iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        write_number_or_null(out, id.and_then(|raw| cut.rank_of(raw)).map(|pos| pos + 1))?;
+    }
+    out.write_char(']')
 }
 
 #[cfg(test)]
@@ -648,6 +765,67 @@ mod tests {
         let days = q.snapshot().identity.n_days as usize;
         let daily_part = r.body.split("alexa_daily").nth(1).expect("daily section");
         assert!(daily_part.split(',').count() >= days);
+    }
+
+    #[test]
+    fn every_hot_body_is_the_cold_renderers_body() {
+        let study = Study::run(WorldConfig::tiny(11)).expect("tiny study");
+        let bytes = encode_study(&study, "tiny", &[]);
+        for generation in [0, 3] {
+            let snap = Snapshot::from_bytes(&bytes).expect("decodes");
+            let q = QuerySnapshot::with_generation(snap, generation, &[]);
+            assert_eq!(q.health_bytes(), q.health().body.as_bytes());
+            let table = q.snapshot().index.table();
+            for source in ListSource::ALL {
+                let cols = q.snapshot().index.monthly(source);
+                for &id in cols.ids.iter().take(HOT_K) {
+                    let name = table.name(id).as_str();
+                    let cold = q.rank(list_url_name(source), name).body;
+                    assert_eq!(q.hot_rank(source, name), Some(cold.as_bytes()));
+                    let cold = q.movement(name).body;
+                    assert_eq!(q.hot_movement(name), Some(cold.as_bytes()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bodies_keep_their_exact_shape() {
+        let q = tiny_query();
+        let id = q.id().to_owned();
+        assert_eq!(
+            q.rank("tranco", "absent.example").body,
+            format!(
+                "{{\"snapshot\":\"{id}\",\"list\":\"tranco\",\"domain\":\"absent.example\",\
+                 \"present\":false}}"
+            )
+        );
+        let cols = q.snapshot().index.monthly(ListSource::Tranco);
+        let first = q.snapshot().index.table().name(cols.ids[0]).to_string();
+        assert_eq!(
+            q.rank("tranco", &first).body,
+            format!(
+                "{{\"snapshot\":\"{id}\",\"list\":\"tranco\",\"domain\":\"{first}\",\
+                 \"present\":true,\"rank\":1}}"
+            )
+        );
+        let nulls = vec!["null"; q.snapshot().identity.n_days as usize].join(",");
+        assert_eq!(
+            q.movement("absent.example").body,
+            format!(
+                "{{\"snapshot\":\"{id}\",\"domain\":\"absent.example\",\"present\":false,\
+                 \"monthly\":{{\"alexa\":null,\"majestic\":null,\"secrank\":null,\"tranco\":null,\
+                 \"trexa\":null,\"umbrella\":null,\"crux\":null}},\"alexa_daily\":[{nulls}],\
+                 \"umbrella_daily\":[{nulls}]}}"
+            )
+        );
+        assert_eq!(
+            q.health().body,
+            format!(
+                "{{\"status\":\"ok\",\"snapshot\":\"{id}\",\"scale\":\"tiny\",\"domains\":{}}}",
+                q.snapshot().index.table().len()
+            )
+        );
     }
 
     #[test]

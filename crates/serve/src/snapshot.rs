@@ -660,11 +660,14 @@ impl UniqueIds {
     }
 }
 
+/// Reads one list's columns. `is_cf` is the table's decoded CDN-served
+/// flags, so its length is the table length.
 fn read_columns(
     r: &mut Reader<'_>,
-    table_len: usize,
+    is_cf: &[bool],
     unique: &mut UniqueIds,
 ) -> Result<ListColumns, SnapshotError> {
+    let table_len = is_cf.len();
     let n = r.count(4)?;
     let ids = read_ids(r, n, table_len)?;
     unique.check(&ids)?;
@@ -681,7 +684,7 @@ fn read_columns(
     let cf_n = r.count(4)?;
     let cf_ids = read_ids(r, cf_n, table_len)?;
     let cf_prefix = r.u32_vec(n + 1)?;
-    ListColumns::from_raw_parts(ids, values, ordered, cf_ids, cf_prefix)
+    ListColumns::from_raw_parts(ids, values, ordered, cf_ids, cf_prefix, is_cf)
         .map_err(|context| SnapshotError::Malformed { context })
 }
 
@@ -779,7 +782,7 @@ fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         let source = tag_source(tag).ok_or(SnapshotError::Malformed {
             context: "unknown list source tag",
         })?;
-        let cols = read_columns(&mut r, table_len, &mut unique)?;
+        let cols = read_columns(&mut r, &is_cf, &mut unique)?;
         let slot = &mut monthly[source_tag(source) as usize];
         if slot.is_some() {
             return Err(SnapshotError::Malformed {
@@ -792,12 +795,12 @@ fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     let n_alexa = r.count(13)?;
     let mut alexa_daily = Vec::with_capacity(n_alexa);
     for _ in 0..n_alexa {
-        alexa_daily.push(read_columns(&mut r, table_len, &mut unique)?);
+        alexa_daily.push(read_columns(&mut r, &is_cf, &mut unique)?);
     }
     let n_umbrella = r.count(13)?;
     let mut umbrella_daily = Vec::with_capacity(n_umbrella);
     for _ in 0..n_umbrella {
-        umbrella_daily.push(read_columns(&mut r, table_len, &mut unique)?);
+        umbrella_daily.push(read_columns(&mut r, &is_cf, &mut unique)?);
     }
     if alexa_daily.len() as u32 != identity.n_days || umbrella_daily.len() as u32 != identity.n_days
     {
@@ -989,19 +992,30 @@ mod tests {
         ));
     }
 
-    /// Overwrites the 4 bytes after the first occurrence of `pattern` in
-    /// the payload with `with`, then recomputes the header CRC so only the
-    /// structural check can refuse the file.
-    fn patch_after(bytes: &mut [u8], pattern: &[u8], with: u32) {
+    /// The offset just past the first occurrence of `pattern` in the
+    /// payload.
+    fn offset_after(bytes: &[u8], pattern: &[u8]) -> usize {
         let payload = &bytes[HEADER_LEN..];
         let at = payload
             .windows(pattern.len())
             .position(|w| w == pattern)
             .expect("pattern occurs in the payload");
-        let off = HEADER_LEN + at + pattern.len();
-        bytes[off..off + 4].copy_from_slice(&with.to_le_bytes());
+        HEADER_LEN + at + pattern.len()
+    }
+
+    /// Recomputes the header CRC, so only a structural check can refuse
+    /// the file.
+    fn reseal(bytes: &mut [u8]) {
         let crc = crc32(&bytes[HEADER_LEN..]);
         bytes[16..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Overwrites the 4 bytes after the first occurrence of `pattern` in
+    /// the payload with `with`, then reseals the file.
+    fn patch_after(bytes: &mut [u8], pattern: &[u8], with: u32) {
+        let off = offset_after(bytes, pattern);
+        bytes[off..off + 4].copy_from_slice(&with.to_le_bytes());
+        reseal(bytes);
     }
 
     /// The little-endian bytes of a column's count followed by its first
@@ -1046,6 +1060,64 @@ mod tests {
 
         // One domain in many lists is fine: the valid file still decodes
         // and re-encodes to its own bytes.
+        assert_eq!(snap.to_bytes(), bytes);
+    }
+
+    #[test]
+    fn rejects_a_cloudflare_subset_that_is_not_the_lists_own() {
+        let bytes = tiny_snapshot_bytes();
+        let snap = Snapshot::from_bytes(&bytes).expect("decodes");
+        let tranco = snap.index.monthly(topple_lists::ListSource::Tranco);
+        let cf_ids = tranco.cf_ids();
+        assert!(cf_ids.len() >= 2);
+        // Tranco's CF column, located by the list's last value, its ordered
+        // flag, the CF count and the first CF id.
+        let mut head = tranco
+            .values
+            .last()
+            .expect("entries")
+            .to_le_bytes()
+            .to_vec();
+        head.push(1);
+        head.extend_from_slice(&(cf_ids.len() as u32).to_le_bytes());
+        head.extend_from_slice(&cf_ids[0].raw().to_le_bytes());
+
+        // The second CF entry names a domain the list does not hold, at a
+        // step where the list's own id stands. The file is CRC-valid.
+        let outside = (0..snap.index.table().len() as u32)
+            .map(DomainId::from_raw)
+            .find(|id| !tranco.ids.contains(id))
+            .expect("the table holds a domain outside Tranco");
+        let mut forged = bytes.clone();
+        patch_after(&mut forged, &head, outside.raw());
+        assert!(matches!(
+            Snapshot::from_bytes(&forged),
+            Err(SnapshotError::Malformed {
+                context: "cf_ids entry is not the list's own id at its step"
+            })
+        ));
+
+        // Clearing the CF flag of an id that Tranco's CF column steps on.
+        let flagged = cf_ids[0];
+        let mut sites_end = snap
+            .index
+            .site_ids()
+            .last()
+            .expect("sites")
+            .raw()
+            .to_le_bytes()
+            .to_vec();
+        sites_end.extend_from_slice(&(snap.index.table().len() as u32).to_le_bytes());
+        let mut forged = bytes.clone();
+        let bitset = offset_after(&forged, &sites_end);
+        forged[bitset + flagged.index() / 8] &= !(1 << (flagged.index() % 8));
+        reseal(&mut forged);
+        assert!(matches!(
+            Snapshot::from_bytes(&forged),
+            Err(SnapshotError::Malformed {
+                context: "cf_prefix steps where the cloudflare flags do not"
+            })
+        ));
         assert_eq!(snap.to_bytes(), bytes);
     }
 
