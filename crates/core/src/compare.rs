@@ -2,9 +2,9 @@
 //! the intersection (Section 4.3–4.4).
 //!
 //! Two equivalent implementations live here. The *string* path
-//! ([`similarity`], [`jaccard_domains`]) hashes domain strings per call; it
-//! is the reference semantics and the equivalence tests' oracle. Its one
-//! production caller is [`against_cloudflare`](crate::against_cloudflare),
+//! ([`similarity`]) hashes domain strings per call; it is the reference
+//! semantics and the equivalence tests' oracle. Its one production caller
+//! is [`against_cloudflare`](crate::against_cloudflare),
 //! which the ablations (`normalization`, `tranco_window`, `crux_threshold`)
 //! run on counterfactual lists: those lists never enter the study's
 //! [`DomainTable`](topple_lists::DomainTable), so they have no ids. The
@@ -18,15 +18,6 @@ use topple_lists::DomainId;
 use topple_psl::DomainName;
 use topple_stats::corr::{spearman, Spearman};
 use topple_stats::sets::{jaccard, jaccard_sorted};
-
-/// Jaccard index of two domain slices treated as unordered sets.
-pub fn jaccard_domains(a: &[&DomainName], b: &[&DomainName]) -> f64 {
-    // topple-lint: allow(string-set): reference string path, kept for ad-hoc lists and equivalence tests
-    let sa: HashSet<&str> = a.iter().map(|d| d.as_str()).collect();
-    // topple-lint: allow(string-set): reference string path, kept for ad-hoc lists and equivalence tests
-    let sb: HashSet<&str> = b.iter().map(|d| d.as_str()).collect();
-    jaccard(&sa, &sb)
-}
 
 /// Spearman rank correlation over the intersection of two rankings.
 ///
@@ -178,7 +169,7 @@ mod tests {
     #[test]
     fn jaccard_of_identical_rankings() {
         let a = doms(&["a.com", "b.com", "c.com"]);
-        assert_eq!(jaccard_domains(&refs(&a), &refs(&a)), 1.0);
+        assert_eq!(similarity(&refs(&a), &refs(&a)).jaccard, 1.0);
     }
 
     #[test]

@@ -45,9 +45,7 @@ pub mod report;
 pub mod study;
 pub mod temporal;
 
-pub use compare::{
-    jaccard_domains, similarity, similarity_ids, spearman_intersection, IdCut, ListSimilarity,
-};
+pub use compare::{similarity, similarity_ids, spearman_intersection, IdCut, ListSimilarity};
 pub use error::CoreError;
 pub use index::{ListColumns, StudyIndex};
 pub use methodology::{against_cloudflare, against_cloudflare_ids, cf_subset, Evaluation};

@@ -7,8 +7,9 @@
 //! milliseconds.
 //!
 //! Like `reactor.rs`, the raw syscalls are declared directly (the workspace
-//! has no `libc` dependency and vendors no substitute). The module is the
-//! crate's only other `unsafe` carve-out, with these invariants:
+//! has no `libc` dependency and vendors no substitute). The module is one
+//! of the crate's three `unsafe` carve-outs (with `reactor.rs` and
+//! `signal.rs`), with these invariants:
 //!
 //! * The mapping is `PROT_READ`/`MAP_PRIVATE`: the memory is immutable from
 //!   this process, so `&[u8]` aliasing rules hold.

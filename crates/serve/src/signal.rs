@@ -1,10 +1,11 @@
 //! SIGINT/SIGTERM → shutdown-flag wiring for the CLI.
 //!
-//! The only place in the workspace that touches a signal handler, and the
-//! only `unsafe` in this crate (the crate is `deny(unsafe_code)`; this
-//! module carves out the one `libc::signal` call). The handler does the sole
-//! thing that is async-signal-safe and useful here: a relaxed store into a
-//! static `AtomicBool`, which [`crate::Server::run`]'s accept loop polls.
+//! The only place in the workspace that touches a signal handler, and one
+//! of the crate's three carve-outs from its `deny(unsafe_code)` (with
+//! `reactor.rs` and `mmap.rs`): this one covers the `signal(2)` calls. The
+//! handler does the sole thing that is async-signal-safe and useful here:
+//! an atomic store into a static `AtomicBool`, which
+//! [`crate::Server::run`]'s accept loop polls.
 //!
 //! Installed by the `serve` CLI entry point, never by library code or tests
 //! — tests flip the server's handle directly.

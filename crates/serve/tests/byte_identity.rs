@@ -7,17 +7,19 @@
 //! the same statement. This file pins it from every angle the rewrite
 //! touched: shard counts 1 and 4, sequential clients (one request per
 //! connection) and pipelined clients (every request in one write, responses
-//! coalesced), plus the two behavioral guarantees that are new with the
-//! reactor — burst accepts without a poll-interval stall, and a graceful
-//! drain that serves and exactly counts requests that were pipelined but
-//! not yet answered when shutdown began.
+//! coalesced), plus the behavioral guarantees that are new with the
+//! reactor — burst accepts without a poll-interval stall, a graceful drain
+//! that serves and exactly counts requests that were pipelined but not yet
+//! answered when shutdown began, and the edge-triggered read contract
+//! (DESIGN.md §16): a request split across writes, a half-closed peer, and
+//! a pipelined burst larger than one read chunk are all answered in full.
 
 // Test harness: aborting on a broken fixture is the correct failure mode
 // (clippy.toml's allow-*-in-tests covers `#[test]` fns but not helpers).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -199,50 +201,133 @@ fn connection_burst_is_accepted_without_poll_stall() {
 #[test]
 fn drain_serves_and_counts_pipelined_but_unanswered_requests() {
     const CLIENTS: usize = 4;
-    const DEPTH: usize = 8;
-    let server = Arc::new(Server::bind("127.0.0.1:0", query_snapshot(), 2).expect("binds"));
-    let addr = server.local_addr().expect("addr");
-    let handle = server.handle();
-    let runner = {
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || server.run())
-    };
+    for depth in [8usize, 64] {
+        let server = Arc::new(Server::bind("127.0.0.1:0", query_snapshot(), 2).expect("binds"));
+        let addr = server.local_addr().expect("addr");
+        let handle = server.handle();
+        let runner = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.run())
+        };
 
-    // Each client pipelines DEPTH requests in one write, then stops sending.
-    let mut conns: Vec<TcpStream> = (0..CLIENTS)
-        .map(|_| {
-            let mut s = TcpStream::connect(addr).expect("connects");
-            let burst = "GET /health HTTP/1.1\r\n\r\n".repeat(DEPTH);
-            s.write_all(burst.as_bytes()).expect("writes");
-            s
-        })
-        .collect();
-    // Give the shards a moment to accept every connection (drain does not
-    // accept), then pull the plug with requests still in flight.
-    std::thread::sleep(Duration::from_millis(150));
-    handle.store(true, Ordering::SeqCst);
-    let stats: DrainStats = runner.join().expect("joins").expect("drains cleanly");
+        // Each client pipelines `depth` requests in one write, then stops
+        // sending.
+        let mut conns: Vec<TcpStream> = (0..CLIENTS)
+            .map(|_| {
+                let mut s = connect(addr);
+                let burst = "GET /health HTTP/1.1\r\n\r\n".repeat(depth);
+                s.write_all(burst.as_bytes()).expect("writes");
+                s
+            })
+            .collect();
+        // Give the shards a moment to accept every connection (drain does
+        // not accept), then pull the plug; whatever is still unanswered
+        // must be served by the drain.
+        std::thread::sleep(Duration::from_millis(150));
+        handle.store(true, Ordering::SeqCst);
+        let stats: DrainStats = runner.join().expect("joins").expect("drains cleanly");
 
-    // Exact accounting: every pipelined request — answered before or during
-    // the drain — is served and counted, none double-counted.
-    assert_eq!(stats.connections, CLIENTS as u64);
-    assert_eq!(stats.requests, (CLIENTS * DEPTH) as u64);
+        // Exact accounting: every pipelined request — answered before or
+        // during the drain — is served and counted, none double-counted.
+        assert_eq!(stats.connections, CLIENTS as u64, "depth {depth}");
+        assert_eq!(stats.requests, (CLIENTS * depth) as u64, "depth {depth}");
 
-    // And every client can actually read all DEPTH responses — whether they
-    // were answered before the flag flipped or served by the drain itself —
-    // followed by a clean close (EOF, not a reset, nothing truncated).
-    for s in &mut conns {
+        // And every client can actually read all `depth` responses —
+        // whether they were answered before the flag flipped or served by
+        // the drain itself — followed by a clean close (EOF, not a reset,
+        // nothing truncated).
+        for s in &mut conns {
+            let mut carry = Vec::new();
+            for _ in 0..depth {
+                let (status, _) = next_response(s, &mut carry);
+                assert_eq!(status, 200);
+            }
+            assert!(carry.is_empty(), "bytes past the final response: {carry:?}");
+            let mut rest = [0u8; 64];
+            assert_eq!(
+                s.read(&mut rest).expect("reads"),
+                0,
+                "expected EOF after drain at depth {depth}"
+            );
+        }
+    }
+}
+
+/// The `/health` body the query layer renders for [`query_snapshot`].
+fn health_body() -> Vec<u8> {
+    query_snapshot().health().body.into_bytes()
+}
+
+/// A client whose reads time out, so a response the server never sends
+/// fails the test instead of hanging it.
+fn connect(addr: SocketAddr) -> TcpStream {
+    let s = TcpStream::connect(addr).expect("connects");
+    s.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("sets read timeout");
+    s
+}
+
+#[test]
+fn request_split_across_two_writes_is_answered() {
+    let want = health_body();
+    with_server(query_snapshot(), 1, |addr| {
+        let mut s = connect(addr);
+        s.set_nodelay(true).expect("nodelay");
+        s.write_all(b"GET /hea").expect("writes first half");
+        // Long enough that the first half is read and parsed as partial
+        // before the rest lands on a fresh readable edge.
+        std::thread::sleep(Duration::from_millis(50));
+        s.write_all(b"lth HTTP/1.1\r\n\r\n")
+            .expect("writes second half");
         let mut carry = Vec::new();
-        for _ in 0..DEPTH {
-            let (status, _) = next_response(s, &mut carry);
-            assert_eq!(status, 200);
+        assert_eq!(next_response(&mut s, &mut carry), (200, want));
+    });
+}
+
+#[test]
+fn half_closed_peer_gets_every_pipelined_response_then_eof() {
+    let want = health_body();
+    with_server(query_snapshot(), 1, |addr| {
+        let mut s = connect(addr);
+        s.write_all("GET /health HTTP/1.1\r\n\r\n".repeat(3).as_bytes())
+            .expect("writes");
+        s.shutdown(Shutdown::Write).expect("half-closes");
+        let mut carry = Vec::new();
+        for _ in 0..3 {
+            assert_eq!(next_response(&mut s, &mut carry), (200, want.clone()));
         }
         assert!(carry.is_empty(), "bytes past the final response: {carry:?}");
         let mut rest = [0u8; 64];
-        assert_eq!(
-            s.read(&mut rest).expect("reads"),
-            0,
-            "expected EOF after drain"
-        );
-    }
+        assert_eq!(s.read(&mut rest).expect("reads"), 0, "expected EOF");
+    });
+}
+
+#[test]
+fn pipelined_burst_past_two_read_chunks_is_answered_in_full() {
+    // The server reads in 16 KiB chunks (`READ_CHUNK` in server.rs); the
+    // burst must span more than two of them.
+    const READ_CHUNK: usize = 16 * 1024;
+    const REQUEST: &str = "GET /health HTTP/1.1\r\n\r\n";
+    const COUNT: usize = 2 * READ_CHUNK / REQUEST.len() + 64;
+    let want = health_body();
+    with_server(query_snapshot(), 1, |addr| {
+        let mut reader = connect(addr);
+        let mut writer = reader.try_clone().expect("clones stream");
+        // A second thread writes so neither side's socket buffer can fill
+        // while the other waits on it.
+        let sender = std::thread::spawn(move || {
+            writer
+                .write_all(REQUEST.repeat(COUNT).as_bytes())
+                .expect("writes burst");
+        });
+        let mut carry = Vec::new();
+        for i in 0..COUNT {
+            assert_eq!(
+                next_response(&mut reader, &mut carry),
+                (200, want.clone()),
+                "response {i} of {COUNT}"
+            );
+        }
+        sender.join().expect("sender joins");
+    });
 }
