@@ -8,7 +8,6 @@
 
 use topple_lists::ListSource;
 use topple_sim::{Mechanisms, WorldConfig};
-use topple_vantage::CfMetric;
 
 use crate::error::CoreError;
 use crate::listeval;
@@ -92,12 +91,6 @@ pub fn mechanism_attribution(base: WorldConfig) -> Result<Vec<AttributionRow>, C
             })
         })
         .collect()
-}
-
-/// Sanity accessor: which CF metric the attribution evaluates against (all
-/// seven via Figure 2; exported for documentation purposes).
-pub fn reference_metrics() -> [CfMetric; 7] {
-    CfMetric::final_seven()
 }
 
 #[cfg(test)]

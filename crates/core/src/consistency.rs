@@ -8,7 +8,6 @@
 //! averages the cells.
 
 use topple_lists::DomainId;
-use topple_psl::DomainName;
 use topple_sim::{Country, Platform};
 use topple_stats::fanout::map_ordered;
 use topple_vantage::{CfMetric, ChromeMetric, ScoreVec};
@@ -198,21 +197,6 @@ pub fn chrome_cell_ids(
         }
     }
     out
-}
-
-/// [`chrome_cell_ids`] resolved back to domain names (the string-path form,
-/// used by the equivalence tests and ad-hoc reporting).
-pub fn chrome_cell_domains(
-    study: &Study,
-    country: Country,
-    platform: Platform,
-    metric: ChromeMetric,
-    privacy_threshold: u32,
-) -> Vec<DomainName> {
-    chrome_cell_ids(study, country, platform, metric, privacy_threshold)
-        .into_iter()
-        .map(|id| study.index().table().name(id).clone())
-        .collect()
 }
 
 #[cfg(test)]

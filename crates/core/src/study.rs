@@ -637,8 +637,19 @@ mod tests {
         assert!(!s.trexa.is_empty());
         assert!(!s.crux.is_empty());
         assert_eq!(s.cdn.days(), 7);
+        // A tiny world samples its ~2% Alexa panel from 300 clients, so it
+        // may draw no panelist at all; Alexa is then empty, and only Alexa.
+        let no_panel = !s.world.clients.iter().any(|c| c.alexa_panelist);
+        for daily in &s.alexa_daily {
+            assert_eq!(daily.is_empty(), no_panel, "Alexa daily vs panel");
+        }
         for src in ListSource::ALL {
-            assert!(!s.normalized(src).is_empty(), "{src} normalized empty");
+            let empty = s.normalized(src).is_empty();
+            if src == ListSource::Alexa {
+                assert_eq!(empty, no_panel, "{src} normalized vs panel");
+            } else {
+                assert!(!empty, "{src} normalized empty");
+            }
         }
     }
 

@@ -10,9 +10,8 @@
 //!   Generates the world only (no traffic study) and reports per-phase
 //!   wall-clock, the GenBudget memory estimate vs. its declared cap, the
 //!   process peak RSS, and the world content digest. The digest line is what
-//!   the CI worldgen-smoke job compares across worker counts: on generation
-//!   epoch 2 (the `large`/`web` tiers) it must be byte-identical for any
-//!   `--workers` / `--shard` choice.
+//!   the CI worldgen-smoke job compares across worker counts: it must be
+//!   byte-identical for any `--workers` / `--shard` choice.
 //!
 //! topple-experiments snapshot write <path> [--scale ..] [--seed N] [--workers N]
 //!                                   [--days K] [--artifacts-from <tpls>]
@@ -62,7 +61,7 @@ use topple_serve::lru::Lru;
 use topple_serve::metrics::Metrics;
 use topple_serve::query::parse_list;
 use topple_serve::{Delta, DeltaIdentity, LiveEngine, LiveStore, QuerySnapshot, Server, Snapshot};
-use topple_sim::{GenBudget, World, WorldConfig};
+use topple_sim::{GenBudget, World, WorldConfig, GENERATION_EPOCH};
 use topple_vantage::DayScratch;
 
 mod render;
@@ -274,7 +273,7 @@ fn worldgen_main(mut args: impl Iterator<Item = String>) -> Result<ExitCode, Str
         "worldgen scale={} seed={} gen_epoch={} workers={} shard={}",
         flags.scale,
         config.seed,
-        config.effective_gen_epoch(),
+        GENERATION_EPOCH,
         config.effective_workers(),
         config.effective_gen_shard(),
     );

@@ -6,45 +6,31 @@
 //! statically — it marks every function that binds a `SmallRng` (parameter
 //! or `substream(..)` binding) or issues a draw, walks the call graph from
 //! [`ROOTS`], and emits each reachable draw site with its ordered draw-kind
-//! signature. The result is compared against the checked-in
-//! `determinism.epoch*.toml` manifests: any divergence is `epoch-drift`, RNG
-//! consumed outside the reachable set is `rng-leak`, and the same
-//! function-body machinery powers the cross-statement
-//! `unordered-iteration` check the per-line rules cannot express.
+//! signature. The result is compared against the checked-in manifests: any
+//! divergence is `epoch-drift`, RNG consumed outside the reachable set is
+//! `rng-leak`, and the same function-body machinery powers the
+//! cross-statement `unordered-iteration` check the per-line rules cannot
+//! express.
 //!
-//! # Multiple live epochs
+//! # Two contracts, split by root
 //!
-//! A workspace may keep several draw-sequence universes alive at once (a
-//! frozen reference generator next to its restructured successor). Epoch
-//! membership is declared by function-name suffix: a function named
-//! `…_epoch{N}` belongs to traffic epoch N only, and unsuffixed functions
-//! to every epoch. Each epoch gets its own reachable set — computed by
-//! cutting the *other* epochs' suffixed functions out of the traversal —
-//! and its own manifest file, `determinism.epoch{N}.toml`; a workspace with
-//! one traffic epoch keeps the suffix-free `determinism.epoch.toml`. This
-//! workspace has one: `simulate_day_epoch2`, whose suffix stays because
-//! the generation carve below keys on it. The live example of several
-//! epochs side by side is the generation pair `generate_gen1` /
-//! `generate_gen2`, pinned in `determinism.gen1.toml` and
-//! `determinism.gen2.toml`.
+//! World *generation* versions independently of traffic simulation, so the
+//! draw universe is split into two contracts by where the traversal starts:
 //!
-//! # The generation dimension
+//! * the **generation** contract is everything [`GEN_ROOT`]
+//!   (`World::generate_instrumented`) reaches, pinned in
+//!   [`GEN_MANIFEST_FILE`] under the `GENERATION_EPOCH` constant;
+//! * the **traffic** contract is everything [`ROOTS`] reach once
+//!   [`GEN_ROOT`] is cut out of the graph, pinned in [`MANIFEST_FILE`] under
+//!   the `DETERMINISM_EPOCH` constant.
 //!
-//! World *generation* versions independently of traffic simulation: a
-//! `_gen{N}` suffix (`generate_gen2`) declares generation-epoch membership
-//! the same way `_epoch{N}` declares traffic membership. When any
-//! gen-suffixed function exists, the two dimensions carve the draw universe
-//! in half: traffic manifests exclude every gen-suffixed function (and thus
-//! everything reachable only through generation), and generation manifests
-//! (`determinism.gen{N}.toml`, or bare `determinism.gen.toml` for a single
-//! gen epoch) exclude every traffic-suffixed function. Shared helpers
-//! reachable from both remain in both contracts. The `GENERATION_EPOCH`
-//! constant is the *default* generation epoch and — unlike
-//! `DETERMINISM_EPOCH`, which must be the newest traffic epoch — is only
-//! required to be a *member* of the declared set: a workspace may freeze its
-//! byte pins on an old generation epoch while a newer one matures behind an
-//! opt-in. Workspaces with no gen-suffixed functions see no change: the
-//! dimension is inert and only the traffic manifests exist.
+//! Calls resolve by name, so the generation traversal likewise stops at
+//! [`ROOTS`]: a generic method name inside the generator must not pull the
+//! traffic simulator into the generation contract.
+//!
+//! Shared helpers reachable from both (`substream`, say) appear in both
+//! manifests. A workspace without a [`GEN_ROOT`] has only the traffic
+//! contract.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -54,60 +40,72 @@ use crate::graph::{self, CallSite};
 use crate::symbols::{self, FnSym};
 use crate::{rules, Finding, LexedFile, LintError};
 
-/// File name of the manifest at the workspace root (single-epoch form).
+/// File name of the traffic manifest at the workspace root.
 pub const MANIFEST_FILE: &str = "determinism.epoch.toml";
 
-/// The manifest file name for one epoch of a workspace declaring `epochs`:
-/// the bare [`MANIFEST_FILE`] when only one epoch is live, else the
-/// per-epoch `determinism.epoch{N}.toml`.
-pub fn manifest_file(epochs: &[u32], epoch: u32) -> String {
-    if epochs.len() <= 1 {
-        MANIFEST_FILE.to_owned()
-    } else {
-        format!("determinism.epoch{epoch}.toml")
-    }
-}
+/// File name of the generation manifest at the workspace root.
+pub const GEN_MANIFEST_FILE: &str = "determinism.gen.toml";
 
-/// The epoch a function name claims membership of via an `_epoch{N}` suffix
-/// (`simulate_day_epoch2` → `Some(2)`); `None` for epoch-neutral names.
-fn epoch_suffix(name: &str) -> Option<u32> {
-    numeric_suffix(name, "_epoch")
-}
-
-/// The generation epoch a function name claims membership of via a
-/// `_gen{N}` suffix (`generate_gen2` → `Some(2)`); `None` for neutral names.
-fn gen_suffix(name: &str) -> Option<u32> {
-    numeric_suffix(name, "_gen")
-}
-
-fn numeric_suffix(name: &str, marker: &str) -> Option<u32> {
-    let (_, tail) = name.rsplit_once(marker)?;
-    (!tail.is_empty() && tail.bytes().all(|b| b.is_ascii_digit()))
-        .then(|| tail.parse().ok())
-        .flatten()
-}
-
-/// The manifest file name for one generation epoch: the bare
-/// `determinism.gen.toml` when only one generation epoch is live, else the
-/// per-epoch `determinism.gen{N}.toml`. The `determinism.gen` prefix is what
-/// distinguishes a pinned generation manifest from a traffic one.
-pub fn gen_manifest_file(gen_epochs: &[u32], epoch: u32) -> String {
-    if gen_epochs.len() <= 1 {
-        "determinism.gen.toml".to_owned()
-    } else {
-        format!("determinism.gen{epoch}.toml")
-    }
-}
-
-/// Whether a pinned manifest file name declares a *generation* contract
-/// (see [`gen_manifest_file`]) rather than a traffic one.
-pub fn is_gen_manifest(file: &str) -> bool {
-    file.starts_with("determinism.gen")
-}
-
-/// The result roots: every draw reachable from these is part of the epoch
-/// contract. `(owner, name)` pairs matched against the symbol table.
+/// The result roots: every draw reachable from these is part of one of the
+/// two contracts. `(owner, name)` pairs matched against the symbol table.
 pub const ROOTS: &[(&str, &str)] = &[("World", "simulate_day_into"), ("Study", "run")];
+
+/// The generation root: everything it reaches is the generation contract,
+/// and the traffic traversal stops at it.
+pub const GEN_ROOT: (&str, &str) = ("World", "generate_instrumented");
+
+/// One of the two pinned draw-sequence contracts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Contract {
+    /// Traffic simulation, versioned by `DETERMINISM_EPOCH`.
+    Traffic,
+    /// World generation, versioned by `GENERATION_EPOCH`.
+    Generation,
+}
+
+impl Contract {
+    /// The pinned manifest's file name at the workspace root.
+    pub fn file(self) -> &'static str {
+        match self {
+            Contract::Traffic => MANIFEST_FILE,
+            Contract::Generation => GEN_MANIFEST_FILE,
+        }
+    }
+
+    /// Label used in `epoch verify` / `epoch emit --write` output.
+    pub fn label(self) -> &'static str {
+        match self {
+            Contract::Traffic => "epoch",
+            Contract::Generation => "gen epoch",
+        }
+    }
+
+    fn header(self) -> &'static str {
+        match self {
+            Contract::Traffic => {
+                "# Determinism-epoch contract (generated by `topple-lint epoch emit --write`).\n\
+                 #\n\
+                 # Every function below is reachable from the result roots\n\
+                 # (World::simulate_day_into, Study::run) once world generation\n\
+                 # (World::generate_instrumented) is cut out, and issues seeded RNG draws; the\n\
+                 # `draws` list is its static draw-site sequence in source order. Any change\n\
+                 # here alters the byte-identical output contract: bump DETERMINISM_EPOCH in\n\
+                 # crates/sim, regenerate this file, and re-pin the snapshot digest in\n\
+                 # tests/determinism.rs (see DESIGN.md §14 for the workflow).\n\n"
+            }
+            Contract::Generation => {
+                "# Generation-epoch contract (generated by `topple-lint epoch emit --write`).\n\
+                 #\n\
+                 # Every function below is reachable from the world generator\n\
+                 # (World::generate_instrumented) and issues seeded RNG draws; the `draws`\n\
+                 # list is its static draw-site sequence in source order. Any change here\n\
+                 # alters the generated world's byte-identity contract: bump\n\
+                 # GENERATION_EPOCH in crates/sim, regenerate this file, and re-pin the world\n\
+                 # digests in crates/sim/tests/worldgen.rs (DESIGN.md §18).\n\n"
+            }
+        }
+    }
+}
 
 /// One draw issued by a function body: a call-site offset plus its kind
 /// (`substream`, `uniform`, `range`, `normal`, `poisson`, `chance`, `alias`,
@@ -127,22 +125,13 @@ pub struct EpochAnalysis {
     pub fns: Vec<FnSym>,
     /// `draws[f]` — f's draw sites in source order.
     pub draws: Vec<Vec<Draw>>,
-    /// Indices of functions reachable from [`ROOTS`] under *any* epoch.
+    /// Indices of functions in either contract (the `rng-leak` baseline).
     pub reachable: BTreeSet<usize>,
-    /// Live epochs declared by `_epoch{N}` function suffixes, sorted;
-    /// `[epoch_const or 1]` when no suffixed functions exist.
-    pub epochs: Vec<u32>,
-    /// Per-epoch reachability: the [`ROOTS`] traversal with every *other*
-    /// epoch's suffixed functions (and, when the generation dimension is
-    /// live, every gen-suffixed function) cut out.
-    pub reachable_by_epoch: BTreeMap<u32, BTreeSet<usize>>,
-    /// Live generation epochs declared by `_gen{N}` function suffixes,
-    /// sorted; empty when the dimension is inert (no gen-suffixed fns).
-    pub gen_epochs: Vec<u32>,
-    /// Per-generation-epoch reachability: the [`ROOTS`] traversal with every
-    /// *other* generation epoch's suffixed functions and every
-    /// traffic-suffixed function cut out.
-    pub reachable_by_gen: BTreeMap<u32, BTreeSet<usize>>,
+    /// The traffic contract: reachable from [`ROOTS`] with [`GEN_ROOT`] cut.
+    pub traffic: BTreeSet<usize>,
+    /// The generation contract: reachable from [`GEN_ROOT`] with [`ROOTS`]
+    /// cut; empty exactly when the sources define no generation root.
+    pub generation: BTreeSet<usize>,
     /// Whether at least one root function was found.
     pub roots_found: bool,
     /// Value of the `DETERMINISM_EPOCH` constant found in the sources.
@@ -382,134 +371,47 @@ pub fn analyze(files: &[LexedFile]) -> EpochAnalysis {
             unordered.extend(hits.into_iter().map(|(at, msg)| (i, at, msg)));
         }
     }
-    let roots: Vec<usize> = fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| {
-            !f.is_test
-                && ROOTS
-                    .iter()
-                    .any(|(o, n)| f.owner.as_deref() == Some(*o) && f.name == *n)
-        })
-        .map(|(i, _)| i)
-        .collect();
-    let roots_found = !roots.is_empty();
-    let epoch_const = find_const(files, "DETERMINISM_EPOCH");
-    let gen_epoch_const = find_const(files, "GENERATION_EPOCH");
-    // Live epochs: the `_epoch{N}` suffix set over non-test functions, or
-    // the single declared/default epoch when nothing is suffixed.
-    let mut suffixes: BTreeSet<u32> = fns
-        .iter()
-        .filter(|f| !f.is_test)
-        .filter_map(|f| epoch_suffix(&f.name))
-        .collect();
-    if suffixes.is_empty() {
-        suffixes.insert(epoch_const.unwrap_or(1));
-    }
-    let epochs: Vec<u32> = suffixes.into_iter().collect();
-    // Live generation epochs: the `_gen{N}` suffix set. No default — an
-    // empty set means the generation dimension is inert.
-    let gen_epochs: Vec<u32> = fns
-        .iter()
-        .filter(|f| !f.is_test)
-        .filter_map(|f| gen_suffix(&f.name))
-        .collect::<BTreeSet<u32>>()
-        .into_iter()
-        .collect();
-    // Traffic epoch e: cut the other traffic epochs *and* (when the
-    // generation dimension is live) every gen-suffixed function, so draws
-    // reachable only through generation live in the gen manifests alone.
-    let mut reachable_by_epoch = BTreeMap::new();
-    for &e in &epochs {
-        let excluded: BTreeSet<usize> = fns
-            .iter()
+    let find = |root: &[(&str, &str)]| -> Vec<usize> {
+        fns.iter()
             .enumerate()
             .filter(|(_, f)| {
                 !f.is_test
-                    && (epoch_suffix(&f.name).is_some_and(|s| s != e)
-                        || gen_suffix(&f.name).is_some())
+                    && root
+                        .iter()
+                        .any(|(o, n)| f.owner.as_deref() == Some(*o) && f.name == *n)
             })
             .map(|(i, _)| i)
-            .collect();
-        reachable_by_epoch.insert(e, graph::reachable_excluding(&g, &roots, &excluded));
-    }
-    // Generation epoch g: the mirror carve — cut the other generation
-    // epochs and every traffic-suffixed function.
-    let mut reachable_by_gen = BTreeMap::new();
-    for &ge in &gen_epochs {
-        let excluded: BTreeSet<usize> = fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| {
-                !f.is_test
-                    && (gen_suffix(&f.name).is_some_and(|s| s != ge)
-                        || epoch_suffix(&f.name).is_some())
-            })
-            .map(|(i, _)| i)
-            .collect();
-        reachable_by_gen.insert(ge, graph::reachable_excluding(&g, &roots, &excluded));
-    }
-    let reachable = reachable_by_epoch
-        .values()
-        .chain(reachable_by_gen.values())
-        .flat_map(|s| s.iter().copied())
-        .collect();
+            .collect()
+    };
+    // Each traversal stops at the other contract's roots: calls resolve by
+    // name, so without the cut a generic call inside the generator (a
+    // thread `spawn`, say) would pull the whole study into generation.
+    let roots = find(ROOTS);
+    let gen_roots = find(&[GEN_ROOT]);
+    let generation = graph::reachable_excluding(&g, &gen_roots, &roots.iter().copied().collect());
+    let traffic = graph::reachable_excluding(&g, &roots, &gen_roots.iter().copied().collect());
     EpochAnalysis {
+        reachable: traffic.union(&generation).copied().collect(),
+        roots_found: !roots.is_empty(),
+        epoch_const: find_const(files, "DETERMINISM_EPOCH"),
+        gen_epoch_const: find_const(files, "GENERATION_EPOCH"),
         fns,
         draws,
-        reachable,
-        epochs,
-        reachable_by_epoch,
-        gen_epochs,
-        reachable_by_gen,
-        roots_found,
-        epoch_const,
-        gen_epoch_const,
+        traffic,
+        generation,
         unordered,
     }
 }
 
-/// A contract-level inconsistency between the `DETERMINISM_EPOCH` constant
-/// and the epochs the sources declare: the constant (the *default* epoch)
-/// must be the newest live one.
-pub fn epoch_const_mismatch(a: &EpochAnalysis) -> Option<String> {
-    let newest = *a.epochs.last()?;
-    let konst = a.epoch_const?;
-    (konst != newest).then(|| {
-        format!(
-            "DETERMINISM_EPOCH is {konst} but the newest epoch-suffixed \
-             generator declares epoch {newest}"
-        )
-    })
-}
-
-/// A contract-level inconsistency in the generation dimension. Weaker than
-/// the traffic rule by design: `GENERATION_EPOCH` (the default) need only be
-/// a *member* of the declared set — byte pins may stay frozen on an old
-/// generation epoch while a newer one matures behind an explicit opt-in.
-pub fn gen_const_mismatch(a: &EpochAnalysis) -> Option<String> {
-    if a.gen_epochs.is_empty() {
-        return None;
-    }
-    let declared = || {
-        a.gen_epochs
-            .iter()
-            .map(u32::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    match a.gen_epoch_const {
-        None => Some(format!(
-            "gen-suffixed generators declare generation epochs {{{}}} but no \
-             GENERATION_EPOCH constant was found",
-            declared()
-        )),
-        Some(konst) if !a.gen_epochs.contains(&konst) => Some(format!(
-            "GENERATION_EPOCH is {konst} but the gen-suffixed generators \
-             declare generation epochs {{{}}}",
-            declared()
-        )),
-        Some(_) => None,
+impl EpochAnalysis {
+    /// The contracts the sources define: traffic always, generation when
+    /// they define [`GEN_ROOT`].
+    pub fn contracts(&self) -> Vec<Contract> {
+        let mut out = vec![Contract::Traffic];
+        if !self.generation.is_empty() {
+            out.push(Contract::Generation);
+        }
+        out
     }
 }
 
@@ -524,27 +426,14 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Builds the manifest the current sources imply for one epoch, over
-    /// that epoch's reachable set (falling back to the any-epoch union for
-    /// an epoch the sources do not declare, so drift against a stale pinned
-    /// file still reports site-level differences).
-    pub fn from_analysis(a: &EpochAnalysis, epoch: u32) -> Manifest {
-        Manifest::from_reachable(a, epoch, a.reachable_by_epoch.get(&epoch))
-    }
-
-    /// Builds the *generation* manifest the current sources imply for one
-    /// generation epoch, over that epoch's gen-reachable set (same stale-pin
-    /// fallback as [`Manifest::from_analysis`]).
-    pub fn from_gen(a: &EpochAnalysis, epoch: u32) -> Manifest {
-        Manifest::from_reachable(a, epoch, a.reachable_by_gen.get(&epoch))
-    }
-
-    fn from_reachable(
-        a: &EpochAnalysis,
-        epoch: u32,
-        reachable: Option<&BTreeSet<usize>>,
-    ) -> Manifest {
-        let reachable = reachable.unwrap_or(&a.reachable);
+    /// Builds the manifest the current sources imply for one contract: its
+    /// reachable draw sites under the epoch its constant declares (1 when
+    /// the constant is absent).
+    pub fn from_analysis(a: &EpochAnalysis, contract: Contract) -> Manifest {
+        let (reachable, konst) = match contract {
+            Contract::Traffic => (&a.traffic, a.epoch_const),
+            Contract::Generation => (&a.generation, a.gen_epoch_const),
+        };
         let mut sites = BTreeMap::new();
         for &i in reachable {
             let f = &a.fns[i];
@@ -556,41 +445,17 @@ impl Manifest {
                 a.draws[i].iter().map(|d| d.kind.clone()).collect(),
             );
         }
-        Manifest { epoch, sites }
+        Manifest {
+            epoch: konst.unwrap_or(1),
+            sites,
+        }
     }
 
-    /// Renders the manifest in its checked-in TOML form (traffic header).
-    pub fn render(&self) -> String {
-        self.render_with(
-            "# Determinism-epoch contract (generated by `topple-lint epoch emit --write`).\n\
-             #\n\
-             # Every function below is reachable from the result roots\n\
-             # (World::simulate_day_into, Study::run) and issues seeded RNG draws; the\n\
-             # `draws` list is its static draw-site sequence in source order. Any change\n\
-             # here alters the byte-identical output contract: bump DETERMINISM_EPOCH in\n\
-             # crates/sim, regenerate this file, and re-pin the snapshot digest in\n\
-             # tests/determinism.rs (see DESIGN.md §14 for the workflow).\n\n",
-        )
-    }
-
-    /// Renders the manifest with the generation-contract header.
-    pub fn render_gen(&self) -> String {
-        self.render_with(
-            "# Generation-epoch contract (generated by `topple-lint epoch emit --write`).\n\
-             #\n\
-             # Every function below is reachable from the result roots through the\n\
-             # world *generator* for this generation epoch (`_gen{N}`-suffixed dispatch)\n\
-             # and issues seeded RNG draws; the `draws` list is its static draw-site\n\
-             # sequence in source order. Any change here alters the generated world's\n\
-             # byte-identity contract: add a new `_gen{N}` generator (or bump\n\
-             # GENERATION_EPOCH if the default moves), regenerate this file, and re-pin\n\
-             # the world digests in crates/sim/tests/worldgen.rs (DESIGN.md §18).\n\n",
-        )
-    }
-
-    fn render_with(&self, header: &str) -> String {
+    /// Renders the manifest in its checked-in TOML form, under the
+    /// contract's header.
+    pub fn render(&self, contract: Contract) -> String {
         let mut out = String::new();
-        out.push_str(header);
+        out.push_str(contract.header());
         out.push_str(&format!("epoch = {}\n", self.epoch));
         for (qname, draws) in &self.sites {
             out.push_str("\n[[site]]\n");
@@ -730,12 +595,12 @@ pub fn drift(computed: &Manifest, pinned: &Manifest, file: &str) -> Vec<String> 
 
 /// Appends the graph-rule findings (`rng-leak`, `epoch-drift`,
 /// `unordered-iteration`) for an analyzed workspace. `pinned` carries every
-/// checked-in manifest as `(file name, manifest)`; drift is computed per
-/// manifest against its own epoch's reachable set.
+/// checked-in manifest with its contract; drift is computed per manifest
+/// against its own contract's reachable set.
 pub fn graph_findings(
     files: &[LexedFile],
     analysis: &EpochAnalysis,
-    pinned: &[(String, Manifest)],
+    pinned: &[(Contract, Manifest)],
     config: &Config,
     findings: &mut Vec<Finding>,
 ) {
@@ -805,26 +670,12 @@ pub fn graph_findings(
         );
     }
 
-    // epoch-drift: computed contract vs each pinned per-epoch manifest,
-    // plus the constant-vs-declared-epochs consistency check.
+    // epoch-drift: each contract's computed manifest vs its pinned one.
     let mut drift_msgs: Vec<(String, String)> = Vec::new();
-    if let Some(msg) = epoch_const_mismatch(analysis) {
-        drift_msgs.push((manifest_file(&analysis.epochs, analysis.epochs[0]), msg));
-    }
-    if let Some(msg) = gen_const_mismatch(analysis) {
-        drift_msgs.push((
-            gen_manifest_file(&analysis.gen_epochs, analysis.gen_epochs[0]),
-            msg,
-        ));
-    }
-    for (manifest_name, pinned) in pinned {
-        let computed = if is_gen_manifest(manifest_name) {
-            Manifest::from_gen(analysis, pinned.epoch)
-        } else {
-            Manifest::from_analysis(analysis, pinned.epoch)
-        };
-        for msg in drift(&computed, pinned, manifest_name) {
-            drift_msgs.push((manifest_name.clone(), msg));
+    for (contract, pinned) in pinned {
+        let computed = Manifest::from_analysis(analysis, *contract);
+        for msg in drift(&computed, pinned, contract.file()) {
+            drift_msgs.push((contract.file().to_owned(), msg));
         }
     }
     for (manifest_name, msg) in drift_msgs {
@@ -927,8 +778,8 @@ fn stray(rng: &mut SmallRng) -> f64 { rng.random() }
         let a = analyze(&files);
         assert!(a.roots_found);
         assert_eq!(a.epoch_const, Some(3));
-        assert_eq!(a.epochs, [3], "no suffixed fns → the declared epoch");
-        let m = Manifest::from_analysis(&a, 3);
+        assert_eq!(a.contracts(), [Contract::Traffic], "no generation root");
+        let m = Manifest::from_analysis(&a, Contract::Traffic);
         assert_eq!(m.epoch, 3);
         let names: Vec<&str> = m.sites.keys().map(String::as_str).collect();
         assert_eq!(
@@ -959,8 +810,8 @@ fn stray(rng: &mut SmallRng) -> f64 { rng.random() }
     #[test]
     fn manifest_round_trips_and_diffs() {
         let files = lex(SIM);
-        let computed = Manifest::from_analysis(&analyze(&files), 3);
-        let parsed = Manifest::parse(&computed.render()).expect("round trip");
+        let computed = Manifest::from_analysis(&analyze(&files), Contract::Traffic);
+        let parsed = Manifest::parse(&computed.render(Contract::Traffic)).expect("round trip");
         assert_eq!(parsed, computed);
         assert!(drift(&computed, &parsed, MANIFEST_FILE).is_empty());
 
@@ -1006,7 +857,7 @@ fn pick(rng: &mut SmallRng) -> u32 { rng.random() }
 fn widen(x: u32) -> usize { x as usize }
 ";
         let files = lex(src);
-        let m = Manifest::from_analysis(&analyze(&files), 1);
+        let m = Manifest::from_analysis(&analyze(&files), Contract::Traffic);
         assert_eq!(
             m.sites["topple-sim::lib::World::simulate_day_into"],
             ["uniform", "pick"],
@@ -1018,95 +869,26 @@ fn widen(x: u32) -> usize { x as usize }
     }
 
     #[test]
-    fn suffixed_variants_split_the_contract_per_epoch() {
-        // A dispatcher root fanning out to per-epoch generator variants:
-        // each epoch's manifest must contain only its own variant (plus the
-        // shared helpers), and the batched draw names canonicalize.
+    fn generation_root_splits_the_contracts() {
+        // The generation contract is what the generator reaches; the traffic
+        // contract is what the result roots reach with the generator cut
+        // out. Shared helpers stay in both.
         let src = "\
 pub const DETERMINISM_EPOCH: u32 = 2;
+pub const GENERATION_EPOCH: u32 = 5;
 struct World;
 impl World {
-    pub fn simulate_day_into(&self, seed: u64) {
-        self.simulate_day_epoch1(seed);
-        self.simulate_day_epoch2(seed);
-    }
-    fn simulate_day_epoch1(&self, seed: u64) {
+    pub fn generate(seed: u64) { Self::generate_instrumented(seed); }
+    pub fn generate_instrumented(seed: u64) {
         let mut rng = substream(seed);
         let _ = rng.random::<f64>();
+        mint(&mut rng);
+        fan_out(seed);
     }
-    fn simulate_day_epoch2(&self, seed: u64) {
+    pub fn simulate_day_into(&self, seed: u64) {
         let mut rng = substream(seed);
         let _ = block.take_poisson(&mut rng, 2.0);
         let _ = block.take_index(&mut rng, 4);
-    }
-}
-struct Study;
-impl Study { pub fn run(w: &World) { w.simulate_day_into(7); } }
-pub fn substream(seed: u64) -> SmallRng { SmallRng::seed_from_u64(seed) }
-";
-        let files = lex(src);
-        let a = analyze(&files);
-        assert_eq!(a.epochs, [1, 2]);
-        assert!(epoch_const_mismatch(&a).is_none());
-        assert_eq!(manifest_file(&a.epochs, 1), "determinism.epoch1.toml");
-
-        let m1 = Manifest::from_analysis(&a, 1);
-        let m2 = Manifest::from_analysis(&a, 2);
-        assert!(m1
-            .sites
-            .contains_key("topple-sim::lib::World::simulate_day_epoch1"));
-        assert!(!m1
-            .sites
-            .contains_key("topple-sim::lib::World::simulate_day_epoch2"));
-        assert!(!m2
-            .sites
-            .contains_key("topple-sim::lib::World::simulate_day_epoch1"));
-        assert_eq!(
-            m2.sites["topple-sim::lib::World::simulate_day_epoch2"],
-            ["substream", "poisson", "range"],
-            "{m2:#?}"
-        );
-        // Shared helper appears in both epochs' contracts.
-        assert!(m1.sites.contains_key("topple-sim::lib::substream"));
-        assert!(m2.sites.contains_key("topple-sim::lib::substream"));
-    }
-
-    #[test]
-    fn gen_suffixes_carve_an_independent_generation_dimension() {
-        // Traffic epochs 1/2 and generation epochs 1/2 live side by side:
-        // traffic manifests must exclude everything reachable only through
-        // the gen-suffixed generators, and vice versa, while shared helpers
-        // stay in both. The GENERATION_EPOCH constant (1, the frozen
-        // default) is a member of {1, 2} — membership is sufficient.
-        let src = "\
-pub const DETERMINISM_EPOCH: u32 = 2;
-pub const GENERATION_EPOCH: u32 = 1;
-struct World;
-impl World {
-    pub fn generate(seed: u64) {
-        Self::generate_gen1(seed);
-        Self::generate_gen2(seed);
-    }
-    fn generate_gen1(seed: u64) {
-        let mut rng = substream(seed);
-        mint(&mut rng);
-    }
-    fn generate_gen2(seed: u64) {
-        let mut rng = substream(seed);
-        let _ = rng.random::<f64>();
-        mint(&mut rng);
-    }
-    pub fn simulate_day_into(&self, seed: u64) {
-        self.simulate_day_epoch1(seed);
-        self.simulate_day_epoch2(seed);
-    }
-    fn simulate_day_epoch1(&self, seed: u64) {
-        let mut rng = substream(seed);
-        let _ = rng.random::<f64>();
-    }
-    fn simulate_day_epoch2(&self, seed: u64) {
-        let mut rng = substream(seed);
-        let _ = rng.random_range(0..4);
     }
 }
 struct Study;
@@ -1118,115 +900,60 @@ impl Study {
 }
 pub fn substream(seed: u64) -> SmallRng { SmallRng::seed_from_u64(seed) }
 fn mint(rng: &mut SmallRng) -> u32 { rng.random() }
+fn fan_out(seed: u64) { Study::run(&World); }
 ";
         let files = lex(src);
         let a = analyze(&files);
-        assert_eq!(a.epochs, [1, 2]);
-        assert_eq!(a.gen_epochs, [1, 2]);
-        assert_eq!(a.gen_epoch_const, Some(1));
-        assert!(epoch_const_mismatch(&a).is_none());
-        assert!(gen_const_mismatch(&a).is_none(), "membership suffices");
-        assert_eq!(gen_manifest_file(&a.gen_epochs, 1), "determinism.gen1.toml");
-        assert_eq!(gen_manifest_file(&[2], 2), "determinism.gen.toml");
-        assert!(is_gen_manifest("determinism.gen2.toml"));
-        assert!(!is_gen_manifest("determinism.epoch2.toml"));
+        assert_eq!(a.contracts(), [Contract::Traffic, Contract::Generation]);
 
-        // Traffic manifests: no generator functions, no gen-only helpers.
-        let t1 = Manifest::from_analysis(&a, 1);
-        assert!(t1
-            .sites
-            .contains_key("topple-sim::lib::World::simulate_day_epoch1"));
-        assert!(!t1
-            .sites
-            .contains_key("topple-sim::lib::World::generate_gen1"));
-        assert!(
-            !t1.sites.contains_key("topple-sim::lib::mint"),
-            "mint is reachable only through generation: {t1:#?}"
-        );
-        assert!(t1.sites.contains_key("topple-sim::lib::substream"));
-
-        // Generation manifests: only the matching generator plus shared
-        // helpers; no traffic simulators.
-        let g1 = Manifest::from_gen(&a, 1);
-        let g2 = Manifest::from_gen(&a, 2);
-        assert!(g1
-            .sites
-            .contains_key("topple-sim::lib::World::generate_gen1"));
-        assert!(!g1
-            .sites
-            .contains_key("topple-sim::lib::World::generate_gen2"));
-        assert!(!g2
-            .sites
-            .contains_key("topple-sim::lib::World::generate_gen1"));
+        // Traffic: no generator, no generation-only helper; the batched
+        // draw names canonicalize.
+        let t = Manifest::from_analysis(&a, Contract::Traffic);
+        assert_eq!(t.epoch, 2);
         assert_eq!(
-            g2.sites["topple-sim::lib::World::generate_gen2"],
-            ["substream", "uniform", "mint"],
-            "{g2:#?}"
+            t.sites["topple-sim::lib::World::simulate_day_into"],
+            ["substream", "poisson", "range"],
+            "{t:#?}"
         );
-        assert!(g1.sites.contains_key("topple-sim::lib::mint"));
-        assert!(!g1
+        assert!(!t
             .sites
-            .contains_key("topple-sim::lib::World::simulate_day_epoch1"));
+            .contains_key("topple-sim::lib::World::generate_instrumented"));
+        assert!(
+            !t.sites.contains_key("topple-sim::lib::mint"),
+            "mint is reachable only through generation: {t:#?}"
+        );
+        assert!(t.sites.contains_key("topple-sim::lib::substream"));
 
-        // Both dimensions contribute to the rng-leak reachable union.
+        // Generation: the generator and its helpers, no traffic simulator
+        // (not even through `fan_out`, which reaches a traffic root).
+        let g = Manifest::from_analysis(&a, Contract::Generation);
+        assert_eq!(g.epoch, 5);
+        assert_eq!(
+            g.sites["topple-sim::lib::World::generate_instrumented"],
+            ["substream", "uniform", "mint"],
+            "{g:#?}"
+        );
+        assert!(g.sites.contains_key("topple-sim::lib::mint"));
+        assert!(g.sites.contains_key("topple-sim::lib::substream"));
+        assert!(!g
+            .sites
+            .contains_key("topple-sim::lib::World::simulate_day_into"));
+
+        // Both contracts feed the rng-leak reachable union.
         let mint_idx = a.fns.iter().position(|f| f.name == "mint").unwrap();
         assert!(a.reachable.contains(&mint_idx));
 
-        // A gen manifest round-trips through the gen renderer.
-        let parsed = Manifest::parse(&g2.render_gen()).expect("round trip");
-        assert_eq!(parsed, g2);
+        // A generation manifest round-trips through its own header.
+        let parsed = Manifest::parse(&g.render(Contract::Generation)).expect("round trip");
+        assert_eq!(parsed, g);
     }
 
     #[test]
-    fn gen_dimension_is_inert_without_suffixed_generators() {
+    fn generation_contract_is_inert_without_its_root() {
         let files = lex(SIM);
         let a = analyze(&files);
-        assert!(a.gen_epochs.is_empty());
-        assert!(a.reachable_by_gen.is_empty());
-        assert!(gen_const_mismatch(&a).is_none());
-    }
-
-    #[test]
-    fn gen_const_must_be_a_declared_member() {
-        let src = "\
-pub const GENERATION_EPOCH: u32 = 3;
-struct World;
-impl World {
-    pub fn simulate_day_into(&self, seed: u64) { Self::generate_gen2(seed); }
-    fn generate_gen2(seed: u64) {
-        let mut rng = substream(seed);
-        let _ = rng.random::<f64>();
-    }
-}
-struct Study;
-impl Study { pub fn run() {} }
-pub fn substream(seed: u64) -> SmallRng { SmallRng::seed_from_u64(seed) }
-";
-        let files = lex(src);
-        let a = analyze(&files);
-        assert_eq!(a.gen_epochs, [2]);
-        let msg = gen_const_mismatch(&a).expect("3 is not a declared gen epoch");
-        assert!(msg.contains("GENERATION_EPOCH is 3"), "{msg}");
-        assert!(msg.contains("{2}"), "{msg}");
-    }
-
-    #[test]
-    fn epoch_const_must_match_the_newest_variant() {
-        let src = "\
-pub const DETERMINISM_EPOCH: u32 = 1;
-struct World;
-impl World {
-    pub fn simulate_day_into(&self, rng: &mut SmallRng) { self.simulate_day_epoch2(rng); }
-    fn simulate_day_epoch2(&self, rng: &mut SmallRng) { let _ = rng.random::<f64>(); }
-}
-struct Study;
-impl Study { pub fn run() {} }
-";
-        let files = lex(src);
-        let a = analyze(&files);
-        let msg = epoch_const_mismatch(&a).expect("constant lags the sources");
-        assert!(msg.contains("DETERMINISM_EPOCH is 1"), "{msg}");
-        assert!(msg.contains("epoch 2"), "{msg}");
+        assert!(a.generation.is_empty());
+        assert_eq!(a.contracts(), [Contract::Traffic]);
     }
 
     #[test]

@@ -208,9 +208,9 @@ pub fn reachable(graph: &CallGraph, roots: &[usize]) -> BTreeSet<usize> {
 
 /// Indices of functions reachable from `roots` (inclusive) without
 /// traversing into `excluded` functions. The determinism-epoch analysis uses
-/// this to cut other epochs' `_epochN` generator variants out of one epoch's
-/// contract: a draw helper reachable *only* through an excluded variant
-/// belongs to that variant's epoch, not this one.
+/// this to split its two contracts: each traversal stops at the other
+/// contract's roots, so a draw helper reachable *only* through the
+/// generator belongs to the generation contract, not the traffic one.
 pub fn reachable_excluding(
     graph: &CallGraph,
     roots: &[usize],

@@ -317,8 +317,8 @@ pub fn lex_workspace(root: &Path) -> Result<Vec<LexedFile>, LintError> {
 
 /// Lints the whole workspace rooted at `root`: per-file lexical rules, then
 /// the call-graph pass (`rng-leak`, `unordered-iteration`, and — when
-/// `determinism.epoch*.toml` / `determinism.gen*.toml` manifests are checked
-/// in — `epoch-drift` over both the traffic and generation contracts).
+/// `determinism.epoch.toml` / `determinism.gen.toml` manifests are checked
+/// in — `epoch-drift` over the traffic and generation contracts).
 pub fn lint_workspace(root: &Path, config: &Config) -> Result<Report, LintError> {
     let files = lex_workspace(root)?;
     let mut findings = Vec::new();
@@ -334,16 +334,9 @@ pub fn lint_workspace(root: &Path, config: &Config) -> Result<Report, LintError>
     }
     let analysis = epoch::analyze(&files);
     let mut pinned = Vec::new();
-    for &e in &analysis.epochs {
-        let name = epoch::manifest_file(&analysis.epochs, e);
-        if let Some(m) = epoch::Manifest::load(root, &name)? {
-            pinned.push((name, m));
-        }
-    }
-    for &ge in &analysis.gen_epochs {
-        let name = epoch::gen_manifest_file(&analysis.gen_epochs, ge);
-        if let Some(m) = epoch::Manifest::load(root, &name)? {
-            pinned.push((name, m));
+    for contract in analysis.contracts() {
+        if let Some(m) = epoch::Manifest::load(root, contract.file())? {
+            pinned.push((contract, m));
         }
     }
     epoch::graph_findings(&files, &analysis, &pinned, config, &mut findings);

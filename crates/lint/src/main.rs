@@ -5,9 +5,9 @@
 //! cargo run -p topple-lint -- --format json      # machine-readable report
 //! cargo run -p topple-lint -- --suggest          # include fix suggestions
 //! cargo run -p topple-lint -- --list-rules       # rule catalogue
-//! cargo run -p topple-lint -- epoch emit         # print the computed manifest
-//! cargo run -p topple-lint -- epoch emit --write # regenerate determinism.epoch.toml
-//! cargo run -p topple-lint -- epoch verify       # check sources against the manifest
+//! cargo run -p topple-lint -- epoch emit         # print the computed manifests
+//! cargo run -p topple-lint -- epoch emit --write # regenerate determinism.{epoch,gen}.toml
+//! cargo run -p topple-lint -- epoch verify       # check sources against the manifests
 //! ```
 //!
 //! Exit codes: 0 clean (warnings allowed), 1 deny-level findings or epoch
@@ -149,8 +149,8 @@ fn main() -> ExitCode {
     }
 }
 
-/// `topple-lint epoch emit|verify`: compute the determinism-epoch manifest
-/// from the sources and print, write, or compare it.
+/// `topple-lint epoch emit|verify`: compute the traffic and generation
+/// manifests from the sources and print, write, or compare them.
 fn run_epoch(root: &std::path::Path, action: &EpochAction) -> ExitCode {
     let files = match lex_workspace(root) {
         Ok(f) => f,
@@ -167,55 +167,32 @@ fn run_epoch(root: &std::path::Path, action: &EpochAction) -> ExitCode {
         );
         return ExitCode::from(2);
     }
-    if let Some(msg) = epoch::epoch_const_mismatch(&analysis) {
-        eprintln!("topple-lint: {msg}");
-        return ExitCode::FAILURE;
-    }
-    if let Some(msg) = epoch::gen_const_mismatch(&analysis) {
-        eprintln!("topple-lint: {msg}");
-        return ExitCode::FAILURE;
-    }
-    // Both contract dimensions, in one pass: every traffic manifest, then
-    // every generation manifest (none when the gen dimension is inert).
-    let mut manifests: Vec<(&'static str, String, epoch::Manifest)> = Vec::new();
-    for &e in &analysis.epochs {
-        manifests.push((
-            "epoch",
-            epoch::manifest_file(&analysis.epochs, e),
-            epoch::Manifest::from_analysis(&analysis, e),
-        ));
-    }
-    for &ge in &analysis.gen_epochs {
-        manifests.push((
-            "gen epoch",
-            epoch::gen_manifest_file(&analysis.gen_epochs, ge),
-            epoch::Manifest::from_gen(&analysis, ge),
-        ));
-    }
+    let manifests: Vec<(epoch::Contract, epoch::Manifest)> = analysis
+        .contracts()
+        .into_iter()
+        .map(|c| (c, epoch::Manifest::from_analysis(&analysis, c)))
+        .collect();
     let many = manifests.len() > 1;
     match action {
         EpochAction::Emit { write } => {
-            for (domain, name, computed) in &manifests {
-                let rendered = if *domain == "gen epoch" {
-                    computed.render_gen()
-                } else {
-                    computed.render()
-                };
+            for (contract, computed) in &manifests {
+                let rendered = computed.render(*contract);
                 if *write {
-                    let path = root.join(name);
+                    let path = root.join(contract.file());
                     if let Err(err) = std::fs::write(&path, &rendered) {
                         eprintln!("topple-lint: {}: {err}", path.display());
                         return ExitCode::from(2);
                     }
                     println!(
-                        "wrote {} ({} draw sites, {domain} {})",
+                        "wrote {} ({} draw sites, {} {})",
                         path.display(),
                         computed.sites.len(),
+                        contract.label(),
                         computed.epoch
                     );
                 } else {
                     if many {
-                        println!("# ==== {name} ====");
+                        println!("# ==== {} ====", contract.file());
                     }
                     print!("{rendered}");
                 }
@@ -224,7 +201,8 @@ fn run_epoch(root: &std::path::Path, action: &EpochAction) -> ExitCode {
         }
         EpochAction::Verify => {
             let mut drift_total = 0usize;
-            for (domain, name, computed) in &manifests {
+            for (contract, computed) in &manifests {
+                let name = contract.file();
                 let pinned = match epoch::Manifest::load(root, name) {
                     Ok(Some(m)) => m,
                     Ok(None) => {
@@ -242,7 +220,8 @@ fn run_epoch(root: &std::path::Path, action: &EpochAction) -> ExitCode {
                 let drift = epoch::drift(computed, &pinned, name);
                 if drift.is_empty() {
                     println!(
-                        "{domain} {} verified: {} draw sites match {name}",
+                        "{} {} verified: {} draw sites match {name}",
+                        contract.label(),
                         pinned.epoch,
                         pinned.sites.len()
                     );
@@ -258,9 +237,9 @@ fn run_epoch(root: &std::path::Path, action: &EpochAction) -> ExitCode {
                 drift_total => {
                     eprintln!(
                         "topple-lint: determinism contract drifted ({drift_total} differences); \
-                         if the change is intentional bump DETERMINISM_EPOCH (or add a \
-                         _gen{{N}} generator for the generation contract), re-run `topple-lint \
-                         epoch emit --write`, and re-pin the affected digests"
+                         if the change is intentional bump DETERMINISM_EPOCH (traffic) or \
+                         GENERATION_EPOCH (generation), re-run `topple-lint epoch emit --write`, \
+                         and re-pin the affected digests"
                     );
                     ExitCode::FAILURE
                 }

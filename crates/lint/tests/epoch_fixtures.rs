@@ -99,12 +99,12 @@ fn emitted_manifest_round_trips_against_the_good_fixture() {
     assert!(analysis.roots_found, "fixture must define both roots");
     assert_eq!(analysis.epoch_const, Some(1));
     assert_eq!(
-        analysis.epochs,
-        [1],
-        "single-epoch fixture declares exactly epoch 1"
+        analysis.contracts(),
+        [epoch::Contract::Traffic],
+        "fixture without a generator has only the traffic contract"
     );
 
-    let computed = epoch::Manifest::from_analysis(&analysis, 1);
+    let computed = epoch::Manifest::from_analysis(&analysis, epoch::Contract::Traffic);
     let pinned = epoch::Manifest::load(&root, epoch::MANIFEST_FILE)
         .expect("manifest parses")
         .expect("manifest present");
@@ -112,7 +112,8 @@ fn emitted_manifest_round_trips_against_the_good_fixture() {
     assert!(drift.is_empty(), "good fixture drifted: {drift:#?}");
 
     // The rendered form parses back to the same manifest (emit → verify).
-    let reparsed = epoch::Manifest::parse(&computed.render()).expect("rendered manifest parses");
+    let reparsed = epoch::Manifest::parse(&computed.render(epoch::Contract::Traffic))
+        .expect("rendered manifest parses");
     assert_eq!(reparsed, computed);
 }
 
@@ -120,7 +121,8 @@ fn emitted_manifest_round_trips_against_the_good_fixture() {
 fn drift_messages_name_every_difference_kind() {
     let root = fixture_root("epoch_bad");
     let files = lex_workspace(&root).expect("workspace lexes");
-    let computed = epoch::Manifest::from_analysis(&epoch::analyze(&files), 1);
+    let computed =
+        epoch::Manifest::from_analysis(&epoch::analyze(&files), epoch::Contract::Traffic);
     let pinned = epoch::Manifest::load(&root, epoch::MANIFEST_FILE)
         .expect("manifest parses")
         .expect("manifest present");

@@ -99,12 +99,6 @@ impl NormalizedList {
         }
     }
 
-    /// `(domain, rank)` pairs within the top `k` (ordered lists only).
-    pub fn top_ranked(&self, k: usize) -> &[(DomainName, u32)] {
-        debug_assert!(self.ordered, "rank access on a bucketed list");
-        &self.entries[..k.min(self.entries.len())]
-    }
-
     /// Re-materializes the normalized list as a ranked list of registrable
     /// domains (ranks re-assigned 1..n in normalized order).
     ///

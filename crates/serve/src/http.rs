@@ -15,7 +15,6 @@
 //! array, so a warmed keep-alive connection serves hot requests with zero
 //! heap allocations (pinned by `crates/serve/tests/serve_alloc.rs`).
 
-use std::io::{self, Write};
 use std::sync::Arc;
 
 use crate::live::LiveStore;
@@ -282,20 +281,6 @@ pub fn write_error_into(out: &mut Vec<u8>, status: u16, message: &str, keep_aliv
     out.extend_from_slice(PREFIX);
     out.extend_from_slice(message.as_bytes());
     out.extend_from_slice(SUFFIX);
-}
-
-/// Writes one response to an [`io::Write`] — the convenience form for tests
-/// and probes; the server proper appends to connection buffers instead.
-pub fn write_response(
-    writer: &mut impl Write,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-) -> io::Result<()> {
-    let mut out = Vec::with_capacity(128 + body.len());
-    write_response_into(&mut out, status, body.as_bytes(), keep_alive);
-    writer.write_all(&out)?;
-    writer.flush()
 }
 
 /// A routed response body. Hot paths borrow pre-rendered bytes (or clone an

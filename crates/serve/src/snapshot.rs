@@ -1033,7 +1033,7 @@ mod tests {
         let bytes = tiny_snapshot_bytes();
         let snap = Snapshot::from_bytes(&bytes).expect("decodes");
         let monthly = snap.index.monthly(topple_lists::ListSource::Tranco);
-        let daily = &snap.index.alexa_daily()[2];
+        let daily = &snap.index.umbrella_daily()[2];
         assert!(monthly.len() > 8 && daily.len() > 8);
 
         // Monthly: the second entry repeats the first.

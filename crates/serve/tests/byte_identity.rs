@@ -198,10 +198,29 @@ fn connection_burst_is_accepted_without_poll_stall() {
     });
 }
 
+/// Pipelined requests per client whose responses overflow the loopback
+/// buffers while the client is not reading, so the server is still holding
+/// unanswered requests when the shutdown flag flips. The requests are
+/// `/v1/metrics` reads: at ~1 KiB a body, 16 Ki of them outrun the socket
+/// buffers (the send side caps at 4 MiB on Linux) while the request bytes
+/// stay well under the server's read-buffer flood limit.
+const DRAIN_DEPTH: usize = 16_384;
+
+/// The `"2xx"` counter of a `/v1/metrics` body.
+fn served_2xx(metrics_body: &[u8]) -> u64 {
+    let text = std::str::from_utf8(metrics_body).expect("utf-8 metrics");
+    let at = text.find("\"2xx\":").expect("2xx counter") + 6;
+    let digits: String = text[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("2xx count")
+}
+
 #[test]
 fn drain_serves_and_counts_pipelined_but_unanswered_requests() {
     const CLIENTS: usize = 4;
-    for depth in [8usize, 64] {
+    for depth in [8usize, 64, DRAIN_DEPTH] {
         let server = Arc::new(Server::bind("127.0.0.1:0", query_snapshot(), 2).expect("binds"));
         let addr = server.local_addr().expect("addr");
         let handle = server.handle();
@@ -211,45 +230,69 @@ fn drain_serves_and_counts_pipelined_but_unanswered_requests() {
         };
 
         // Each client pipelines `depth` requests in one write, then stops
-        // sending.
-        let mut conns: Vec<TcpStream> = (0..CLIENTS)
+        // sending and reads nothing until the flag flips: once the
+        // responses fill the socket buffers, the server holds the rest of
+        // the requests unanswered.
+        let conns: Vec<TcpStream> = (0..CLIENTS)
             .map(|_| {
                 let mut s = connect(addr);
-                let burst = "GET /health HTTP/1.1\r\n\r\n".repeat(depth);
+                let burst = "GET /v1/metrics HTTP/1.1\r\n\r\n".repeat(depth);
                 s.write_all(burst.as_bytes()).expect("writes");
                 s
             })
             .collect();
         // Give the shards a moment to accept every connection (drain does
-        // not accept), then pull the plug; whatever is still unanswered
-        // must be served by the drain.
+        // not accept) and answer what fits, then count what they answered.
         std::thread::sleep(Duration::from_millis(150));
+        let (status, metrics) = fetch_sequential(addr, "/v1/metrics");
+        assert_eq!(status, 200);
+        let answered = served_2xx(&metrics);
+        if depth == DRAIN_DEPTH {
+            assert!(
+                answered < (CLIENTS * depth) as u64,
+                "all {answered} requests were answered before the flip; \
+                 the drain had nothing to serve (raise DRAIN_DEPTH)"
+            );
+        }
         handle.store(true, Ordering::SeqCst);
+
+        // Every client reads all `depth` responses — whether answered
+        // before the flip or served by the drain — followed by a clean
+        // close (EOF, not a reset, nothing truncated). Each reads on its
+        // own thread: the drain flushes one connection at a time.
+        let readers: Vec<_> = conns
+            .into_iter()
+            .map(|mut s| {
+                std::thread::spawn(move || {
+                    let mut carry = Vec::new();
+                    for _ in 0..depth {
+                        let (status, _) = next_response(&mut s, &mut carry);
+                        assert_eq!(status, 200);
+                    }
+                    assert!(carry.is_empty(), "bytes past the final response: {carry:?}");
+                    let mut rest = [0u8; 64];
+                    assert_eq!(
+                        s.read(&mut rest).expect("reads"),
+                        0,
+                        "expected EOF after drain at depth {depth}"
+                    );
+                })
+            })
+            .collect();
+        for reader in readers {
+            reader.join().expect("client reads every response");
+        }
         let stats: DrainStats = runner.join().expect("joins").expect("drains cleanly");
 
         // Exact accounting: every pipelined request — answered before or
-        // during the drain — is served and counted, none double-counted.
-        assert_eq!(stats.connections, CLIENTS as u64, "depth {depth}");
-        assert_eq!(stats.requests, (CLIENTS * depth) as u64, "depth {depth}");
-
-        // And every client can actually read all `depth` responses —
-        // whether they were answered before the flag flipped or served by
-        // the drain itself — followed by a clean close (EOF, not a reset,
-        // nothing truncated).
-        for s in &mut conns {
-            let mut carry = Vec::new();
-            for _ in 0..depth {
-                let (status, _) = next_response(s, &mut carry);
-                assert_eq!(status, 200);
-            }
-            assert!(carry.is_empty(), "bytes past the final response: {carry:?}");
-            let mut rest = [0u8; 64];
-            assert_eq!(
-                s.read(&mut rest).expect("reads"),
-                0,
-                "expected EOF after drain at depth {depth}"
-            );
-        }
+        // during the drain — is served and counted once, plus the metrics
+        // probe on its own connection.
+        assert_eq!(stats.connections, CLIENTS as u64 + 1, "depth {depth}");
+        assert_eq!(
+            stats.requests,
+            (CLIENTS * depth) as u64 + 1,
+            "depth {depth}"
+        );
     }
 }
 

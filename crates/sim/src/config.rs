@@ -1,7 +1,7 @@
 //! World configuration and scale presets.
 
 use crate::date::Date;
-use crate::rng::{GENERATION_EPOCH, SUPPORTED_GEN_EPOCHS};
+use crate::rng::GENERATION_EPOCH;
 
 /// Parameters of the synthetic web ecosystem.
 ///
@@ -47,24 +47,18 @@ pub struct WorldConfig {
     /// analysis folds collect by index); `tests/determinism.rs` pins that
     /// byte-for-byte.
     pub workers: Option<usize>,
-    /// Generation epoch to build the world under: which versioned
-    /// construction contract `World::generate` follows (see
-    /// `rng::GENERATION_EPOCH` for the history). `None` defers to the
-    /// `TOPPLE_GEN_EPOCH` environment variable, then to the compiled-in
-    /// default. Unlike [`workers`], the generation epoch *does* select
-    /// between byte-level output universes. Traffic has a single epoch
-    /// (`rng::DETERMINISM_EPOCH`) and no knob; it composes with either
-    /// generation epoch because the two consume disjoint RNG streams.
-    ///
-    /// [`workers`]: WorldConfig::workers
+    /// Optional pin on the generation epoch (see `rng::GENERATION_EPOCH`).
+    /// There is one world generator, so the pin selects nothing:
+    /// [`WorldConfig::validate`] accepts `None` or `Some(GENERATION_EPOCH)`
+    /// and rejects any other value, so a caller that names an epoch learns
+    /// when the generator moved past it.
     pub gen_epoch: Option<u32>,
-    /// Sites/clients per generation shard under generation epoch ≥ 2. Purely
-    /// a scheduling knob: entities are seeded from per-id substreams, so the
+    /// Sites/clients per generation shard. Purely a scheduling knob: entities are seeded from per-id substreams, so the
     /// generated bytes are identical for any shard size (pinned by
     /// `crates/sim/tests/worldgen.rs`). `None` picks a default that keeps
     /// per-worker scratch small.
     pub gen_shard: Option<usize>,
-    /// Peak-resident byte budget for generation, enforced by the epoch-2
+    /// Peak-resident byte budget for generation, enforced by the
     /// generator: construction fails up front when the `GenBudget` estimate
     /// exceeds it, instead of thrashing mid-build. `None` means unenforced
     /// (the estimate is still computed and reported).
@@ -139,23 +133,20 @@ impl WorldConfig {
         }
     }
 
-    /// Large tier: the first rung past paper scale, and the A/B scale for
-    /// the `world_gen` bench. Built under generation epoch 2 (sharded
-    /// parallel construction).
+    /// Large tier: the first rung past paper scale, and the scale of the
+    /// benchmark's `worldgen-large` workload.
     pub fn large(seed: u64) -> Self {
         WorldConfig {
             seed,
             n_sites: 400_000,
             n_clients: 100_000,
-            gen_epoch: Some(2),
             gen_budget_bytes: Some(4 << 30),
             ..WorldConfig::base()
         }
     }
 
     /// Web tier: ≥2M sites / 500k clients, the ROADMAP's first step toward
-    /// the 10M-domain universe. Generation-epoch 2 only — the scalar epoch-1
-    /// path would take tens of minutes here — and budget-enforced: the
+    /// the 10M-domain universe. Budget-enforced: the
     /// `GenBudget` estimate must fit [`gen_budget_bytes`] before a single
     /// site is built.
     ///
@@ -165,7 +156,6 @@ impl WorldConfig {
             seed,
             n_sites: 2_000_000,
             n_clients: 500_000,
-            gen_epoch: Some(2),
             gen_budget_bytes: Some(12 << 30),
             ..WorldConfig::base()
         }
@@ -191,28 +181,6 @@ impl WorldConfig {
             gen_shard: None,
             gen_budget_bytes: None,
         }
-    }
-
-    /// The effective generation epoch: the explicit [`gen_epoch`] field if
-    /// set, else the `TOPPLE_GEN_EPOCH` environment variable, else the
-    /// compiled-in [`GENERATION_EPOCH`] default. Validated against
-    /// [`SUPPORTED_GEN_EPOCHS`] by [`WorldConfig::validate`] (an unparsable
-    /// environment value falls back to the default rather than erroring,
-    /// matching `TOPPLE_WORKERS`). The environment lookup is resolved once
-    /// per process.
-    ///
-    /// [`gen_epoch`]: WorldConfig::gen_epoch
-    pub fn effective_gen_epoch(&self) -> u32 {
-        static ENV_GEN_EPOCH: std::sync::OnceLock<Option<u32>> = std::sync::OnceLock::new();
-        self.gen_epoch
-            .or_else(|| {
-                *ENV_GEN_EPOCH.get_or_init(|| {
-                    std::env::var("TOPPLE_GEN_EPOCH")
-                        .ok()
-                        .and_then(|v| v.parse().ok())
-                })
-            })
-            .unwrap_or(GENERATION_EPOCH)
     }
 
     /// The effective generation shard size (entities per shard): the
@@ -290,11 +258,10 @@ impl WorldConfig {
         if self.zipf_exponent <= 0.0 || self.mean_loads_per_day <= 0.0 {
             return Err("zipf_exponent and mean_loads_per_day must be positive".into());
         }
-        let gen_epoch = self.effective_gen_epoch();
-        if !SUPPORTED_GEN_EPOCHS.contains(&gen_epoch) {
+        if let Some(gen_epoch) = self.gen_epoch.filter(|&e| e != GENERATION_EPOCH) {
             return Err(format!(
                 "generation epoch {gen_epoch} is not supported \
-                 (supported: {SUPPORTED_GEN_EPOCHS:?})"
+                 (the generator builds epoch {GENERATION_EPOCH})"
             ));
         }
         if self.gen_shard == Some(0) {
@@ -323,31 +290,28 @@ mod tests {
     }
 
     #[test]
-    fn scaled_tiers_pin_generation_epoch_two() {
-        assert_eq!(WorldConfig::large(1).effective_gen_epoch(), 2);
+    fn web_tier_is_budgeted() {
         let web = WorldConfig::web(1);
-        assert_eq!(web.effective_gen_epoch(), 2);
         assert!(web.n_sites >= 2_000_000 && web.n_clients >= 500_000);
         assert!(web.gen_budget_bytes.is_some(), "web tier must be budgeted");
-        // Default presets stay on the frozen generation epoch so their
-        // committed byte pins remain valid.
-        let tiny = WorldConfig::tiny(1);
-        if tiny.gen_epoch.is_none() && std::env::var("TOPPLE_GEN_EPOCH").is_err() {
-            assert_eq!(tiny.effective_gen_epoch(), GENERATION_EPOCH);
-        }
     }
 
     #[test]
-    fn explicit_gen_epoch_wins_and_is_validated() {
+    fn gen_epoch_pin_accepts_only_the_current_epoch() {
         let mut cfg = WorldConfig::tiny(1);
-        cfg.gen_epoch = Some(2);
-        assert_eq!(cfg.effective_gen_epoch(), 2);
         assert!(cfg.validate().is_ok());
-        cfg.gen_epoch = Some(99);
-        let err = cfg.validate().expect_err("unsupported gen epoch must fail");
-        assert!(err.contains("generation epoch 99"), "{err}");
-        cfg.gen_epoch = None;
-        assert!(SUPPORTED_GEN_EPOCHS.contains(&cfg.effective_gen_epoch()));
+        cfg.gen_epoch = Some(GENERATION_EPOCH);
+        assert!(cfg.validate().is_ok());
+        for retired_or_unknown in [1, 99] {
+            cfg.gen_epoch = Some(retired_or_unknown);
+            let err = cfg
+                .validate()
+                .expect_err("only the current epoch validates");
+            assert!(
+                err.contains(&format!("generation epoch {retired_or_unknown}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -10,13 +10,11 @@
 //! Storage is CSR (compressed sparse rows) over source sites, which the
 //! crawler vantage walks edge-by-edge.
 
-use rand::Rng;
 use topple_stats::cast;
 
 use crate::alias::AliasTable;
 use crate::ids::SiteId;
-use crate::rng::{poisson, substream, Stream};
-use crate::site::Site;
+use crate::rng::poisson;
 
 /// The link graph in CSR form plus per-target counts.
 #[derive(Debug, Clone)]
@@ -36,66 +34,19 @@ pub struct LinkGraph {
 const POPULARITY_EXPONENT: f64 = 0.45;
 
 impl LinkGraph {
-    /// Generates the graph for a site universe.
-    ///
-    /// `mean_outlinks` is the Poisson mean of distinct outbound links per
-    /// *public* site (non-public sites neither give nor effectively receive
-    /// public links).
-    pub fn generate(seed: u64, sites: &[Site], mean_outlinks: f64) -> Self {
-        let n = sites.len();
-        let mut rng = substream(seed, Stream::LinkGraph, 0);
-        // Target attractiveness: sub-linear in popularity, scaled by the
-        // category's link propensity; non-public sites are near-invisible.
-        let weights: Vec<f64> = sites
-            .iter()
-            .map(|s| {
-                let vis = if s.public_web { 1.0 } else { 0.02 };
-                s.weight.powf(POPULARITY_EXPONENT) * s.category.link_propensity() * vis
-            })
-            .collect();
-        let table = AliasTable::new(&weights);
-
-        let mut offsets = Vec::with_capacity(n + 1);
-        // topple-lint: allow(lossy-cast): capacity hint only; truncation cannot affect contents
-        let mut targets: Vec<u32> = Vec::with_capacity((n as f64 * mean_outlinks) as usize);
-        offsets.push(0u32);
-        for site in sites {
-            if site.public_web {
-                // Bigger sites host more pages and thus more outbound links.
-                let scale = (site.weight.powf(0.25)).clamp(0.4, 4.0);
-                let degree = poisson(&mut rng, mean_outlinks * scale);
-                for _ in 0..degree {
-                    let mut t = table.sample(&mut rng);
-                    // Avoid trivial self-links.
-                    if t == site.id.0 {
-                        t = table.sample(&mut rng);
-                    }
-                    if t != site.id.0 {
-                        targets.push(t);
-                    }
-                }
-            }
-            offsets.push(cast::u32_from_usize(targets.len()));
-        }
-        let _ = rng.random::<u64>();
-        LinkGraph::finish(offsets, targets)
-    }
-
     /// Target-attractiveness weight: sub-linear in popularity, scaled by the
     /// category's link propensity; non-public sites are near-invisible.
-    ///
-    /// Shared by the scalar generator above and the sharded epoch-2 world
-    /// builder so both sample targets from the identical distribution.
     pub(crate) fn attractiveness(weight: f64, link_propensity: f64, public_web: bool) -> f64 {
         let vis = if public_web { 1.0 } else { 0.02 };
         weight.powf(POPULARITY_EXPONENT) * link_propensity * vis
     }
 
-    /// Draws one site's out-link row into `targets` from a per-site RNG
-    /// (generation epoch 2: `Stream::GenLink(site)` substream). Identical
-    /// degree / target / self-link-retry logic to the scalar generator; only
-    /// the RNG seeding differs, which is what makes rows shard-independent.
-    pub(crate) fn sample_row_gen2(
+    /// Draws one site's out-link row into `targets` from its own
+    /// `Stream::GenLink(site)` substream, which is what makes rows
+    /// shard-independent. `mean_outlinks` is the Poisson mean of distinct
+    /// outbound links per *public* site (non-public sites neither give nor
+    /// effectively receive public links).
+    pub(crate) fn sample_row(
         rng: &mut rand::rngs::SmallRng,
         site_idx: u32,
         site_weight: f64,

@@ -3,8 +3,9 @@
 //! Mints unique, realistic registrable domains under the built-in PSL:
 //! global sites draw from generic TLDs, locally-focused sites from their home
 //! country's suffixes, and a small share lands on private registry suffixes
-//! (`*.github.io`-style tenants). Uniqueness is guaranteed by a collision set
-//! with a numeric-suffix fallback.
+//! (`*.github.io`-style tenants). Each site draws a `(label, suffix)`
+//! candidate from its own substream; [`resolve_names`] then makes the names
+//! unique with a numeric-suffix fallback.
 
 use std::collections::HashSet;
 
@@ -101,64 +102,9 @@ fn edu_tld(c: Country) -> &'static str {
     }
 }
 
-/// Stateful unique-name generator.
-#[derive(Debug)]
-pub struct NameGenerator {
-    // topple-lint: allow(string-set): world-generation uniqueness set while minting names, not a result path
-    used: HashSet<String>,
-    counter: u64,
-}
-
-impl NameGenerator {
-    /// Creates an empty generator.
-    pub fn new() -> Self {
-        NameGenerator {
-            used: HashSet::new(),
-            counter: 0,
-        }
-    }
-
-    /// Number of names minted so far.
-    pub fn minted(&self) -> usize {
-        self.used.len()
-    }
-
-    /// Mints a unique registrable domain for a site of the given category and
-    /// home country. `is_global` sites use generic TLDs; blogs sometimes land
-    /// on private registry suffixes.
-    #[allow(clippy::expect_used)]
-    pub fn mint(
-        &mut self,
-        rng: &mut SmallRng,
-        category: Category,
-        home: Country,
-        is_global: bool,
-    ) -> DomainName {
-        let label = pick_label(rng, category);
-        let suffix = pick_suffix(rng, category, home, is_global);
-        let base = format!("{label}.{suffix}");
-        let name = if self.used.contains(&base) {
-            loop {
-                self.counter += 1;
-                let candidate = format!("{label}{}.{suffix}", self.counter);
-                if !self.used.contains(&candidate) {
-                    break candidate;
-                }
-            }
-        } else {
-            base
-        };
-        self.used.insert(name.clone());
-        // topple-lint: allow(unwrap): labels come from fixed lowercase-ASCII word tables
-        DomainName::new(&name).expect("generated names are valid by construction")
-    }
-}
-
 /// Draws a name label (`swiftriver`, `amber-quill`, `boldnews`, …) from the
-/// word tables. Free function so the sharded generator (generation epoch 2)
-/// can draw candidates from per-site substreams without a shared
-/// [`NameGenerator`]; the minted labels are digit-free by construction (every
-/// word-table entry is lowercase letters, optionally hyphen-joined), which
+/// word tables. The labels are digit-free by construction (every word-table
+/// entry is lowercase letters, optionally hyphen-joined), which
 /// [`resolve_names`] relies on for its collision fallback.
 pub fn pick_label(rng: &mut SmallRng, category: Category) -> String {
     let adj = ADJECTIVES[rng.random_range(0..ADJECTIVES.len())];
@@ -215,8 +161,7 @@ pub fn pick_suffix(
     }
 }
 
-/// Deterministic collision resolution for shard-minted name candidates
-/// (generation epoch 2).
+/// Deterministic collision resolution for shard-minted name candidates.
 ///
 /// Shards draw `(label, suffix)` candidates independently from per-site
 /// substreams, so two sites can draw the same pair. This pass walks the
@@ -246,12 +191,6 @@ pub fn resolve_names(candidates: &[(String, &'static str)]) -> Vec<DomainName> {
     names
 }
 
-impl Default for NameGenerator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,30 +198,11 @@ mod tests {
     use topple_psl::PublicSuffixList;
 
     #[test]
-    fn names_are_unique_and_valid() {
-        let mut rng = substream(5, Stream::Names, 0);
-        let mut gen = NameGenerator::new();
-        let psl = PublicSuffixList::builtin();
-        let mut seen = HashSet::new();
-        for i in 0..5_000 {
-            let cat = Category::ALL[i % Category::COUNT];
-            let home = Country::ALL[i % Country::COUNT];
-            let d = gen.mint(&mut rng, cat, home, i % 3 == 0);
-            assert!(seen.insert(d.as_str().to_owned()), "duplicate {d}");
-            // Every minted name is its own registrable domain under the PSL.
-            let reg = psl.registrable_domain(&d).unwrap();
-            assert_eq!(reg, d, "{d} is not a registrable domain");
-        }
-        assert_eq!(gen.minted(), 5_000);
-    }
-
-    #[test]
     fn government_sites_use_gov_suffixes() {
-        let mut rng = substream(6, Stream::Names, 0);
-        let mut gen = NameGenerator::new();
+        let mut rng = substream(6, Stream::GenSite, 0);
         for _ in 0..50 {
-            let d = gen.mint(&mut rng, Category::Government, Country::Japan, false);
-            assert!(d.as_str().ends_with(".go.jp"), "{d}");
+            let suffix = pick_suffix(&mut rng, Category::Government, Country::Japan, false);
+            assert_eq!(suffix, "go.jp");
         }
     }
 
@@ -335,20 +255,6 @@ mod tests {
             assert!(seen.insert(d.as_str().to_owned()), "duplicate {d}");
             let reg = psl.registrable_domain(d).unwrap();
             assert_eq!(&reg, d, "{d} is not a registrable domain");
-        }
-    }
-
-    #[test]
-    fn deterministic_given_same_rng_stream() {
-        let mut a = NameGenerator::new();
-        let mut b = NameGenerator::new();
-        let mut ra = substream(9, Stream::Names, 3);
-        let mut rb = substream(9, Stream::Names, 3);
-        for i in 0..200 {
-            let cat = Category::ALL[i % Category::COUNT];
-            let da = a.mint(&mut ra, cat, Country::Brazil, false);
-            let db = b.mint(&mut rb, cat, Country::Brazil, false);
-            assert_eq!(da, db);
         }
     }
 }

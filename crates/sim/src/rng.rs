@@ -10,7 +10,8 @@ use rand::{Rng, SeedableRng};
 
 /// Version of the traffic determinism contract: the set and order of RNG
 /// draws reachable from the result roots (`World::simulate_day_into`,
-/// `Study::run`). The runtime generates traffic under this epoch only.
+/// `Study::run`) once world generation, which has its own contract
+/// ([`GENERATION_EPOCH`]), is cut out.
 ///
 /// Bump this whenever the draw sequence changes — adding, removing, or
 /// reordering any draw site listed in the `determinism.epoch.toml` manifest
@@ -30,37 +31,26 @@ use rand::{Rng, SeedableRng};
 ///   against the model's own expectations.
 pub const DETERMINISM_EPOCH: u32 = 2;
 
-/// Version of the *default* world-generation contract: which RNG draw
-/// sequence `World::generate` follows when [`crate::config::WorldConfig`]
-/// does not pin a generation epoch.
+/// Version of the world-generation contract: the RNG draw sequence
+/// `World::generate` follows, pinned by `determinism.gen.toml`.
 ///
 /// The generation dimension is independent of the traffic dimension above:
-/// any generation epoch composes with the traffic epoch, because generation
-/// and traffic consume disjoint [`Stream`] tags.
+/// generation and traffic consume disjoint [`Stream`] tags, so either
+/// contract can change without touching the other's bytes.
 ///
 /// Generation-epoch history:
 /// - **1** — sequential scalar construction from one substream per concern
 ///   (`Stream::Sites`, `Stream::Clients`, `Stream::Names`,
-///   `Stream::ThirdParty`, `Stream::LinkGraph`). Kept alive as the frozen
-///   reference: every committed experiments file and pinned snapshot digest
-///   was produced under it, so it **remains the default** even though epoch
-///   2 is newer (unlike `DETERMINISM_EPOCH`, which tracks the newest traffic
-///   epoch).
+///   `Stream::ThirdParty`, `Stream::LinkGraph`). Retired: a seed sweep over
+///   the paper-shape claims found epoch 2 passing each claim at least as
+///   often (EXPERIMENTS.md, "Retiring generation epoch 1").
 /// - **2** — sharded parallel construction from per-entity substreams
 ///   (`Stream::GenSite(id)`, `Stream::GenClient(id)`,
 ///   `Stream::GenThirdParty(id)`, `Stream::GenLink(id)`): any contiguous id
 ///   shard can be built on any worker and spliced in id order, so the world
-///   is byte-identical across worker counts and shard sizes. Selected by the
-///   `large()`/`web()` tiers, `WorldConfig::gen_epoch`, or
-///   `TOPPLE_GEN_EPOCH`. Distributionally equivalent to epoch 1, not
-///   byte-identical to it.
-pub const GENERATION_EPOCH: u32 = 1;
-
-/// Every generation epoch the runtime can still build worlds under. The
-/// default ([`GENERATION_EPOCH`]) is the *first* entry: the frozen reference
-/// epoch keeps the committed byte pins valid, and newer epochs opt in per
-/// tier.
-pub const SUPPORTED_GEN_EPOCHS: &[u32] = &[1, 2];
+///   is byte-identical across worker counts and shard sizes. Distributionally
+///   equivalent to epoch 1, not byte-identical to it.
+pub const GENERATION_EPOCH: u32 = 2;
 
 /// Domain-separation tags for RNG substreams.
 ///
@@ -69,31 +59,31 @@ pub const SUPPORTED_GEN_EPOCHS: &[u32] = &[1, 2];
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u64)]
 pub enum Stream {
-    /// Site attribute generation.
+    /// Site attributes under the retired generation epoch 1. No generator
+    /// draws from it any more; the tag stays reserved so no stream reuses it.
     Sites = 1,
-    /// Client population generation.
+    /// Clients under the retired generation epoch 1 (reserved, like `Sites`).
     Clients = 2,
-    /// Hyperlink graph generation.
+    /// Hyperlink graph under the retired generation epoch 1 (reserved).
     LinkGraph = 3,
     /// Per-day traffic of the retired traffic epoch 1. No generator draws
     /// from it any more; the tag stays reserved so no stream reuses it.
     Traffic = 4,
-    /// Domain name synthesis.
+    /// Domain names under the retired generation epoch 1 (reserved).
     Names = 5,
-    /// Third-party dependency wiring.
+    /// Third-party wiring under the retired generation epoch 1 (reserved).
     ThirdParty = 6,
     /// Per-`(day, client)` traffic: the index packs `day << 32 | client`,
     /// making every client's day order-independent of every other client's.
     TrafficClient = 7,
-    /// Per-site attribute generation under generation epoch ≥ 2: one
-    /// substream per site id, so any shard of the id range can be built on
-    /// any worker independently.
+    /// Per-site attribute generation: one substream per site id, so any
+    /// shard of the id range can be built on any worker independently.
     GenSite = 8,
-    /// Per-client generation under generation epoch ≥ 2 (index = client id).
+    /// Per-client generation (index = client id).
     GenClient = 9,
-    /// Per-site third-party dependency wiring under generation epoch ≥ 2.
+    /// Per-site third-party dependency wiring.
     GenThirdParty = 10,
-    /// Per-site outbound-link generation under generation epoch ≥ 2.
+    /// Per-site outbound-link generation.
     GenLink = 11,
 }
 
@@ -220,14 +210,9 @@ pub fn chance(rng: &mut SmallRng, p: f64) -> bool {
     rng.random::<f64>() < p
 }
 
-/// Zipf weights `(i+1)^(-s)` for `n` items, highest first, unnormalized.
-pub fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
-    (0..n).map(|i| zipf_weight(i, s)).collect()
-}
-
-/// The single Zipf weight `(rank+1)^(-s)` — the per-item form of
-/// [`zipf_weights`], used by the sharded generator so a worker can compute
-/// any site's base weight without materializing the full vector.
+/// The unnormalized Zipf weight `(rank+1)^(-s)`, highest at rank 0. Per
+/// item, so a generation worker can compute any site's base weight without
+/// materializing the full vector.
 #[inline]
 pub fn zipf_weight(rank: usize, s: f64) -> f64 {
     ((rank + 1) as f64).powf(-s)
@@ -389,14 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn gen_epoch_constants_are_consistent() {
-        // The generation default is the *frozen* epoch (pinned outputs are
-        // keyed to it), but it must always be a live, supported epoch.
-        assert!(SUPPORTED_GEN_EPOCHS.contains(&GENERATION_EPOCH));
-        assert!(SUPPORTED_GEN_EPOCHS.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
     fn gen_streams_are_distinct_per_entity() {
         let mut a: SmallRng = substream(42, Stream::GenSite, 7);
         let mut b: SmallRng = substream(42, Stream::GenSite, 8);
@@ -411,16 +388,8 @@ mod tests {
     }
 
     #[test]
-    fn zipf_weight_matches_the_vector_form() {
-        let v = zipf_weights(64, 1.03);
-        for (i, &w) in v.iter().enumerate() {
-            assert_eq!(w.to_bits(), zipf_weight(i, 1.03).to_bits());
-        }
-    }
-
-    #[test]
     fn zipf_weights_shape() {
-        let w = zipf_weights(100, 1.0);
+        let w: Vec<f64> = (0..100).map(|i| zipf_weight(i, 1.0)).collect();
         assert_eq!(w.len(), 100);
         assert!((w[0] - 1.0).abs() < 1e-12);
         assert!((w[9] - 0.1).abs() < 1e-12);

@@ -261,26 +261,7 @@ impl World {
     ///
     /// There is one traffic generator: the batched one of traffic epoch
     /// [`DETERMINISM_EPOCH`](crate::DETERMINISM_EPOCH), whose draw sites
-    /// `determinism.epoch.toml` pins. This function issues no draws itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `day_index` is outside the configured window or `scratch`
-    /// was built for a smaller site universe.
-    pub fn simulate_day_into<S: EventSink>(
-        &self,
-        day_index: usize,
-        scratch: &mut TrafficScratch,
-        sink: &mut S,
-    ) {
-        self.simulate_day_epoch2(day_index, scratch, sink);
-    }
-
-    /// Epoch-2 traffic generation: batched struct-of-arrays draws.
-    ///
-    /// The `_epoch2` suffix is load-bearing: `topple-lint epoch` keys the
-    /// traffic manifest on it, which keeps these draw sites out of the
-    /// generation manifests. What distinguishes the epoch from the retired
+    /// `determinism.epoch.toml` pins. What distinguishes it from the retired
     /// scalar epoch 1 (see `rng::DETERMINISM_EPOCH`):
     ///
     /// - **Per-client substreams.** Each `(day, client)` pair derives its own
@@ -298,7 +279,12 @@ impl World {
     /// Event semantics (field invariants, stub-cache behavior, revisit pool,
     /// emission order of page loads → third-party → background per client)
     /// are those documented on [`EventSink`].
-    fn simulate_day_epoch2<S: EventSink>(
+    ///
+    /// # Panics
+    ///
+    /// Panics if `day_index` is outside the configured window or `scratch`
+    /// was built for a smaller site universe.
+    pub fn simulate_day_into<S: EventSink>(
         &self,
         day_index: usize,
         scratch: &mut TrafficScratch,

@@ -1,23 +1,16 @@
 //! World generation: the complete synthetic web ecosystem.
 //!
-//! Two generation epochs coexist (see DESIGN.md §18 and `crates/sim/src/rng.rs`):
+//! One generator builds every world (generation epoch 2; see DESIGN.md §18
+//! and `crates/sim/src/rng.rs`). Every site and client seeds its *own*
+//! substream (`Stream::GenSite(id)`, `Stream::GenClient(id)`, plus
+//! `GenThirdParty(id)` / `GenLink(id)` for the wiring passes), so any
+//! contiguous id shard can be built on any worker and spliced back in id
+//! order. The result is byte-identical across worker counts and shard sizes
+//! — only wall-clock changes.
 //!
-//! * **Generation epoch 1** — the frozen scalar reference: one RNG stream per
-//!   entity class (`Stream::Sites`, `Stream::Names`, `Stream::Clients`,
-//!   `Stream::ThirdParty`, `Stream::LinkGraph`) walked sequentially. Every
-//!   committed byte pin (snapshot digests, experiments files) is keyed to
-//!   this epoch; it stays the default.
-//! * **Generation epoch 2** — the sharded parallel builder: every site and
-//!   client seeds its *own* substream (`Stream::GenSite(id)`,
-//!   `Stream::GenClient(id)`, plus `GenThirdParty(id)` / `GenLink(id)` for
-//!   the wiring passes), so any contiguous id shard can be built on any
-//!   worker and spliced back in id order. The result is byte-identical
-//!   across worker counts and shard sizes — only wall-clock changes.
-//!
-//! Both epochs share one draw core (`draw_site`, `draw_client`,
-//! `choose_third_parties`, `draw_host_mask`): the per-entity distributions
-//! are identical by construction, and the epochs differ only in how RNG
-//! streams are seeded and scheduled.
+//! The per-entity draw sequences (`draw_site`, `draw_client`,
+//! `choose_third_parties`, `draw_host_mask`) are the generation contract
+//! that `determinism.gen.toml` pins.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -34,8 +27,8 @@ use crate::client::{Client, Resolver};
 use crate::config::WorldConfig;
 use crate::ids::{ClientId, SiteId};
 use crate::linkgraph::LinkGraph;
-use crate::namegen::{pick_label, pick_suffix, resolve_names, NameGenerator};
-use crate::rng::{chance, log_normal, substream, zipf_weight, zipf_weights, Stream};
+use crate::namegen::{pick_label, pick_suffix, resolve_names};
+use crate::rng::{chance, log_normal, substream, zipf_weight, Stream};
 use crate::site::{HostKind, Site, SiteHost};
 use crate::soa::{ClientSoa, SiteSoa, SoaTables};
 use crate::taxonomy::{Browser, Category, Country, Platform};
@@ -130,7 +123,7 @@ pub struct World {
     /// connectivity checks). These pollute DNS-derived lists.
     pub background_names: Vec<DomainName>,
     pub(crate) nav_tables: NavTables,
-    /// Struct-of-arrays projections of sites and clients for the epoch-2
+    /// Struct-of-arrays projections of sites and clients for the traffic
     /// generator. A pure function of the fields above — rebuilding it never
     /// consumes RNG.
     pub(crate) soa: SoaTables,
@@ -139,67 +132,21 @@ pub struct World {
 
 impl World {
     /// Generates a world from a configuration. Deterministic in `config.seed`
-    /// (and, on generation epoch 2, independent of worker count and shard
-    /// size — see the module docs).
+    /// and independent of worker count and shard size (see the module docs).
     pub fn generate(config: WorldConfig) -> Result<World, WorldError> {
         Ok(World::generate_instrumented(config)?.0)
     }
 
-    /// [`World::generate`] plus per-phase wall-clock timings.
+    /// [`World::generate`] plus per-phase wall-clock timings: sharded
+    /// parallel construction under a streaming memory budget.
     ///
     /// The timings are observational only; the returned world is
     /// byte-identical to `generate`'s.
-    pub fn generate_instrumented(config: WorldConfig) -> Result<(World, GenTimings), WorldError> {
-        config.validate().map_err(WorldError)?;
-        match config.effective_gen_epoch() {
-            2 => World::generate_gen2(config),
-            _ => World::generate_gen1(config),
-        }
-    }
-
-    /// Generation epoch 1: the frozen scalar reference path. All committed
-    /// byte pins key to this sequence; do not reorder a single draw.
-    fn generate_gen1(config: WorldConfig) -> Result<(World, GenTimings), WorldError> {
-        let mut clock = PhaseClock::start();
-        let psl = PublicSuffixList::builtin();
-        let sites = generate_sites(&config);
-        clock.mark("sites");
-        let clients = generate_clients(&config);
-        clock.mark("clients");
-        let link_graph = LinkGraph::generate(config.seed, &sites, MEAN_OUTLINKS);
-        clock.mark("link-graph");
-        let nav_tables = build_nav_tables(&sites);
-        clock.mark("nav-tables");
-        let background_names = background_names();
-        let soa = SoaTables::build(&sites, &clients);
-        let mut domain_index = HashMap::with_capacity(sites.len());
-        for s in &sites {
-            domain_index.insert(s.domain.as_str().to_owned(), s.id);
-        }
-        clock.mark("assemble");
-        Ok((
-            World {
-                config,
-                psl,
-                sites,
-                clients,
-                link_graph,
-                background_names,
-                nav_tables,
-                soa,
-                domain_index,
-            },
-            clock.timings,
-        ))
-    }
-
-    /// Generation epoch 2: sharded parallel construction under a streaming
-    /// memory budget.
     ///
     /// Pipeline (S = site phases, C = clients, N = navigation):
     ///
     /// 1. **S1 (parallel)** — per-site draws from `Stream::GenSite(id)`
-    ///    substreams into compact [`SiteDraw`] records plus `(label,
+    ///    substreams into compact `SiteDraw` records plus `(label,
     ///    suffix)` name candidates; shards fan out over
     ///    `config.effective_workers()`.
     /// 2. **S2 (serial)** — deterministic name collision resolution
@@ -222,7 +169,8 @@ impl World {
     /// in id order, the world is byte-identical across workers 1/2/8 and
     /// across shard sizes; `gen_shard` and `workers` are scheduling knobs
     /// only.
-    fn generate_gen2(config: WorldConfig) -> Result<(World, GenTimings), WorldError> {
+    pub fn generate_instrumented(config: WorldConfig) -> Result<(World, GenTimings), WorldError> {
+        config.validate().map_err(WorldError)?;
         GenBudget::for_config(&config)
             .check(config.gen_budget_bytes)
             .map_err(WorldError)?;
@@ -288,7 +236,7 @@ impl World {
             None
         } else {
             // Popular infrastructure wins embeds (analytics-market
-            // concentration) — same exponent as the epoch-1 wiring pass.
+            // concentration).
             let infra_weights: Vec<f64> = infra
                 .iter()
                 .map(|id| draws[id.index()].weight.powf(0.6))
@@ -327,7 +275,7 @@ impl World {
                 }
                 let mut link_rng = substream(seed, Stream::GenLink, cast::u64_from_usize(i));
                 let row_start = targets.len();
-                LinkGraph::sample_row_gen2(
+                LinkGraph::sample_row(
                     &mut link_rng,
                     cast::u32_from_usize(i),
                     d.weight,
@@ -686,10 +634,9 @@ struct SiteDraw {
 }
 
 /// Draws one site's full attribute set from `rng`, minting its name through
-/// `mint` (epoch 1 resolves a unique [`DomainName`] from the dedicated name
-/// stream; epoch 2 returns a `(label, suffix)` candidate drawn from the same
-/// per-site substream). The draw order here **is** the generation contract:
-/// both epochs execute this exact sequence.
+/// `mint` (a `(label, suffix)` candidate drawn from the same per-site
+/// substream; collisions are resolved later by [`resolve_names`]). The draw
+/// order here **is** the generation contract.
 fn draw_site<N>(
     rng: &mut SmallRng,
     config: &WorldConfig,
@@ -936,50 +883,6 @@ fn choose_third_parties(
     chosen
 }
 
-/// Generates the site universe in base-rank order (generation epoch 1: one
-/// sequential site stream plus the dedicated name stream).
-fn generate_sites(config: &WorldConfig) -> Vec<Site> {
-    let n = config.n_sites;
-    let mut rng = substream(config.seed, Stream::Sites, 0);
-    let mut name_rng = substream(config.seed, Stream::Names, 0);
-    let mut names = NameGenerator::new();
-
-    let cat_weights: Vec<f64> = Category::ALL.iter().map(|c| c.universe_share()).collect();
-    let cat_table = AliasTable::new(&cat_weights);
-    let country_weights: Vec<f64> = Country::ALL.iter().map(|c| c.population_share()).collect();
-    let country_table = AliasTable::new(&country_weights);
-
-    let base_weights = zipf_weights(n, config.zipf_exponent);
-    let mut draws = Vec::with_capacity(n);
-    let mut domains = Vec::with_capacity(n);
-    for (i, &base_weight) in base_weights.iter().enumerate() {
-        let mut mint = |_: &mut SmallRng, cat: Category, home: Country, glob: bool| {
-            names.mint(&mut name_rng, cat, home, glob)
-        };
-        let (domain, draw) = draw_site(
-            &mut rng,
-            config,
-            i,
-            base_weight,
-            &cat_table,
-            &country_table,
-            &mut mint,
-        );
-        domains.push(domain);
-        draws.push(draw);
-    }
-
-    force_infrastructure(config, &mut draws);
-
-    let mut sites = Vec::with_capacity(n);
-    for (i, (draw, domain)) in draws.iter().zip(domains).enumerate() {
-        sites.push(materialize_site(i, draw, domain));
-    }
-
-    wire_third_parties(config, &mut sites);
-    sites
-}
-
 /// Audience mix over countries for a site.
 fn country_mix(home: Country, is_global: bool, rng: &mut SmallRng) -> [f64; Country::COUNT] {
     let locality = if is_global { 0.06 } else { home.locality() };
@@ -1010,39 +913,9 @@ fn country_mix(home: Country, is_global: bool, rng: &mut SmallRng) -> [f64; Coun
     mix
 }
 
-/// Wires third-party infrastructure dependencies into every non-infra site
-/// (generation epoch 1: one sequential wiring stream over all sites).
-fn wire_third_parties(config: &WorldConfig, sites: &mut [Site]) {
-    let infra: Vec<SiteId> = sites
-        .iter()
-        .filter(|s| s.is_infrastructure)
-        .map(|s| s.id)
-        .collect();
-    if infra.is_empty() {
-        return;
-    }
-    let mut rng = substream(config.seed, Stream::ThirdParty, 0);
-    // Popular infrastructure wins embeds (analytics-market concentration).
-    let infra_weights: Vec<f64> = infra
-        .iter()
-        .map(|id| sites[id.index()].weight.powf(0.6))
-        .collect();
-    let table = AliasTable::new(&infra_weights);
-    for (i, site) in sites.iter_mut().enumerate() {
-        site.third_party = choose_third_parties(
-            &mut rng,
-            i,
-            site.is_infrastructure,
-            site.category,
-            &infra,
-            &table,
-        );
-    }
-}
-
 /// Draws one client's full attribute set from `rng`. Like [`draw_site`],
-/// this sequence is the generation contract shared by both epochs (the
-/// country table is hoisted by the caller — its construction draws nothing).
+/// this sequence is the generation contract (the country table is hoisted by
+/// the caller — its construction draws nothing).
 fn draw_client(
     rng: &mut SmallRng,
     config: &WorldConfig,
@@ -1100,19 +973,6 @@ fn draw_client(
         chrome_optin,
         alexa_panelist,
     }
-}
-
-/// Generates the client population (generation epoch 1: one sequential
-/// client stream).
-fn generate_clients(config: &WorldConfig) -> Vec<Client> {
-    let mut rng = substream(config.seed, Stream::Clients, 0);
-    let country_weights: Vec<f64> = Country::ALL.iter().map(|c| c.population_share()).collect();
-    let country_table = AliasTable::new(&country_weights);
-    let mut clients = Vec::with_capacity(config.n_clients);
-    for i in 0..config.n_clients {
-        clients.push(draw_client(&mut rng, config, i, &country_table));
-    }
-    clients
 }
 
 fn ios_share(country: Country) -> f64 {
@@ -1229,8 +1089,8 @@ fn assign_ip(rng: &mut SmallRng, country: Country, enterprise: bool, client_idx:
     }
 }
 
-/// Fills one navigation cell's unnormalized weights — pure, shared by the
-/// scalar and sharded nav-table builders.
+/// Fills one navigation cell's unnormalized weights — pure, so each cell can
+/// be built on any worker.
 fn fill_nav_weights(
     sites: &[Site],
     country: Country,
@@ -1252,21 +1112,6 @@ fn fill_nav_weights(
             s.weight * s.country_mix[country.index()] * platform_factor * day_factor * infra_damp;
     }
     // topple-lint: hot-path-end
-}
-
-/// Builds navigation alias tables for every (country, mobile, weekend) cell.
-fn build_nav_tables(sites: &[Site]) -> NavTables {
-    let mut tables = Vec::with_capacity(Country::COUNT * 4);
-    let mut weights = vec![0.0f64; sites.len()];
-    for country in Country::ALL {
-        for mobile in [false, true] {
-            for weekend in [false, true] {
-                fill_nav_weights(sites, country, mobile, weekend, &mut weights);
-                tables.push(AliasTable::new(&weights));
-            }
-        }
-    }
-    NavTables { tables }
 }
 
 /// Non-website names queried by devices automatically (the noise floor of any
@@ -1491,33 +1336,9 @@ mod tests {
     }
 
     #[test]
-    fn gen2_worlds_validate_distributionally() {
-        let mut cfg = WorldConfig::small(21);
-        cfg.gen_epoch = Some(2);
-        let w = World::generate(cfg).unwrap();
-        // Same structural invariants the epoch-1 tests pin.
-        for s in &w.sites[..10] {
-            assert!(!s.cloudflare, "top-10 site {} on Cloudflare", s.domain);
-        }
-        let mut seen = std::collections::HashSet::new();
-        for s in &w.sites {
-            assert!(seen.insert(s.domain.as_str().to_owned()), "{}", s.domain);
-            let total: f64 = s.country_mix.iter().sum();
-            assert!((total - 1.0).abs() < 1e-9);
-        }
-        assert!(w.sites.iter().filter(|s| s.is_infrastructure).count() >= 3);
-        let wired = w.sites.iter().filter(|s| !s.third_party.is_empty()).count();
-        assert!(wired > w.sites.len() / 2);
-        assert!(w.link_graph.edge_count() > 0);
-        let panelists = w.clients.iter().filter(|c| c.alexa_panelist).count();
-        assert!(panelists > 3);
-    }
-
-    #[test]
-    fn gen2_digest_is_worker_and_shard_invariant() {
+    fn digest_is_worker_and_shard_invariant() {
         let digest_at = |workers: Option<usize>, shard: Option<usize>| {
             let mut cfg = WorldConfig::tiny(33);
-            cfg.gen_epoch = Some(2);
             cfg.workers = workers;
             cfg.gen_shard = shard;
             World::generate(cfg).unwrap().gen_digest()

@@ -166,28 +166,6 @@ impl CfMetric {
         ]
     }
 
-    /// The four *request-based* metrics among the final seven (Section 3.3).
-    pub fn request_based_four() -> [CfMetric; 4] {
-        [
-            CfMetric {
-                filter: CfFilter::AllRequests,
-                agg: CfAgg::Raw,
-            },
-            CfMetric {
-                filter: CfFilter::Tls,
-                agg: CfAgg::Raw,
-            },
-            CfMetric {
-                filter: CfFilter::RootPage,
-                agg: CfAgg::Raw,
-            },
-            CfMetric {
-                filter: CfFilter::TopBrowsers,
-                agg: CfAgg::Raw,
-            },
-        ]
-    }
-
     /// Human-readable label.
     pub fn label(self) -> String {
         format!("{}/{}", self.filter.label(), self.agg.label())

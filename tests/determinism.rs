@@ -70,12 +70,13 @@ fn fnv1a(text: &str) -> u64 {
 }
 
 /// Pinned digest of `snapshot(4242)` under traffic epoch
-/// `DETERMINISM_EPOCH` (2). When the draw sequence changes intentionally:
-/// bump `DETERMINISM_EPOCH` in `crates/sim`, re-run `topple-lint epoch emit
-/// --write`, and re-pin the digest here (printed by this test on mismatch).
-/// `topple-lint epoch verify` keeps sources and manifest honest; this pin
-/// keeps the *bytes* honest.
-const EPOCH_SNAPSHOT: u64 = 0xc733_5963_64ad_8625;
+/// `DETERMINISM_EPOCH` (2) and generation epoch `GENERATION_EPOCH` (2).
+/// When either draw sequence changes intentionally: bump its constant in
+/// `crates/sim`, re-run `topple-lint epoch emit --write`, and re-pin the
+/// digest here (printed by this test on mismatch). `topple-lint epoch
+/// verify` keeps sources and manifests honest; this pin keeps the *bytes*
+/// honest.
+const EPOCH_SNAPSHOT: u64 = 0x6226_6b52_a3a2_d802;
 
 #[test]
 fn epoch_snapshot_digest_is_pinned() {
