@@ -25,8 +25,6 @@ use crate::DomainError;
 /// assert_eq!(d.parent().unwrap().as_str(), "example.com");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct DomainName {
     name: String,
 }

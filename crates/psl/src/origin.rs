@@ -7,7 +7,6 @@ use crate::{DomainName, OriginError};
 
 /// URL scheme of a web origin. Only the two browsing schemes appear in CrUX.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Scheme {
     /// Plain-text HTTP (default port 80).
     Http,
@@ -53,7 +52,6 @@ impl fmt::Display for Scheme {
 /// assert_eq!(o.host().as_str(), "www.example.com");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Origin {
     scheme: Scheme,
     host: DomainName,

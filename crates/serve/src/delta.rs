@@ -2,17 +2,10 @@
 //!
 //! A delta carries newly-observed [`DayShards`] against a base `tpls`
 //! snapshot's world, so a multi-day serving history costs incremental bytes
-//! instead of N full snapshots. The container mirrors the snapshot format:
+//! instead of N full snapshots. A delta is one `tpld` container: the same
+//! 20-byte frame as a snapshot ([`crate::frame`], magic `b"TPLD"`), then
 //!
 //! ```text
-//! offset  size  field
-//! 0       4     magic  b"TPLD"
-//! 4       2     format version (little-endian u16, currently 1)
-//! 6       2     reserved (must be 0)
-//! 8       8     payload length in bytes (little-endian u64)
-//! 16      4     CRC-32 (IEEE) of the payload
-//! 20      —     payload
-//!
 //! payload := seed u64 | n_sites u64 | n_clients u64 | scale str16
 //!          | n_days u32 | day u32 × n_days      (ascending, days covered)
 //!          | day-shard body                     (canonical vantage wire form)
@@ -24,25 +17,25 @@
 //! them into its day pool and rebuilds, and the result is proven
 //! byte-identical to a full offline rebuild (`tests/delta_equivalence.rs`).
 //!
-//! Decoding is fail-closed exactly like [`crate::snapshot`]: wrong magic,
-//! unknown version, truncation, checksum mismatch, trailing bytes, or a day
-//! list that disagrees with the shard body all return typed
-//! [`DeltaError`]s; nothing here panics on input bytes.
+//! Decoding goes through the same frame and payload reader as
+//! [`crate::snapshot`], so it fails closed the same way: a framing fault,
+//! a malformed shard body, or a day list that disagrees with the shard
+//! body all return a typed [`ContainerError`]; nothing here panics on
+//! input bytes.
 
+use std::io::Write;
 use std::path::Path;
 
 use topple_stats::cast;
+use topple_vantage::wire::{Reader, Writer};
 use topple_vantage::{DayShards, Shard};
 
-use crate::error::{DeltaError, SnapshotError};
-use crate::snapshot::{crc32, Reader, SnapshotIdentity};
+use crate::error::ContainerError;
+use crate::frame;
+use crate::snapshot::SnapshotIdentity;
 
 /// File magic: "TopPLe Delta".
 pub const MAGIC: [u8; 4] = *b"TPLD";
-/// Current format version.
-pub const VERSION: u16 = 1;
-/// Header length in bytes (magic + version + reserved + payload len + CRC).
-pub const HEADER_LEN: usize = 20;
 
 /// The base world a delta extends: every field must match the serving
 /// snapshot's identity (the day count may differ — that is the point).
@@ -59,33 +52,24 @@ pub struct DeltaIdentity {
 }
 
 impl DeltaIdentity {
-    /// The delta identity of a base snapshot.
-    pub fn of_base(base: &SnapshotIdentity) -> DeltaIdentity {
-        DeltaIdentity {
-            seed: base.seed,
-            n_sites: base.n_sites,
-            n_clients: base.n_clients,
-            scale: base.scale.clone(),
-        }
-    }
-
-    /// Checks this identity against a serving snapshot's, field by field.
-    pub fn check_base(&self, base: &SnapshotIdentity) -> Result<(), DeltaError> {
+    /// Checks this identity against a serving snapshot's, field by field
+    /// (the day count is free: that is what a delta extends).
+    pub fn check_base(&self, base: &SnapshotIdentity) -> Result<(), ContainerError> {
         if self.seed != base.seed {
-            return Err(DeltaError::BaseMismatch { context: "seed" });
+            return Err(ContainerError::BaseMismatch { context: "seed" });
         }
         if self.n_sites != base.n_sites {
-            return Err(DeltaError::BaseMismatch {
+            return Err(ContainerError::BaseMismatch {
                 context: "site count",
             });
         }
         if self.n_clients != base.n_clients {
-            return Err(DeltaError::BaseMismatch {
+            return Err(ContainerError::BaseMismatch {
                 context: "client count",
             });
         }
         if self.scale != base.scale {
-            return Err(DeltaError::BaseMismatch {
+            return Err(ContainerError::BaseMismatch {
                 context: "scale label",
             });
         }
@@ -109,12 +93,12 @@ impl Delta {
     /// The covered-day list is derived from the shards; shards whose five
     /// vantages disagree about coverage, or that cover no days, are
     /// rejected.
-    pub fn new(identity: DeltaIdentity, shards: DayShards) -> Result<Delta, DeltaError> {
-        let coverage = shards.coverage().ok_or(DeltaError::Malformed {
+    pub fn new(identity: DeltaIdentity, shards: DayShards) -> Result<Delta, ContainerError> {
+        let coverage = shards.coverage().ok_or(ContainerError::Malformed {
             context: "vantage shards disagree about day coverage",
         })?;
         if coverage.is_empty() {
-            return Err(DeltaError::Malformed {
+            return Err(ContainerError::Malformed {
                 context: "delta covers no days",
             });
         }
@@ -125,7 +109,9 @@ impl Delta {
             shards,
             crc32: 0,
         };
-        d.crc32 = crc32(&d.payload_bytes());
+        let mut payload = Vec::with_capacity(1 << 16);
+        d.encode_payload(&mut payload);
+        d.crc32 = frame::crc32(&payload);
         Ok(d)
     }
 
@@ -154,105 +140,53 @@ impl Delta {
     pub fn id(&self) -> String {
         let first = self.days.first().copied().unwrap_or(0);
         let last = self.days.last().copied().unwrap_or(0);
-        format!("tpld-v{VERSION}-{:08x}-d{first}-{last}", self.crc32)
+        frame::id(MAGIC, self.crc32, format_args!("d{first}-{last}"))
     }
 
-    fn payload_bytes(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(1 << 16);
-        p.extend_from_slice(&self.identity.seed.to_le_bytes());
-        p.extend_from_slice(&self.identity.n_sites.to_le_bytes());
-        p.extend_from_slice(&self.identity.n_clients.to_le_bytes());
-        debug_assert!(self.identity.scale.len() <= u16::MAX as usize);
-        p.extend_from_slice(&(self.identity.scale.len() as u16).to_le_bytes());
-        p.extend_from_slice(self.identity.scale.as_bytes());
-        p.extend_from_slice(&cast::u32_from_usize(self.days.len()).to_le_bytes());
+    /// Appends the payload (everything after the frame header) to `out`.
+    fn encode_payload(&self, out: &mut Vec<u8>) {
+        let mut w = Writer::new(out);
+        w.u64(self.identity.seed);
+        w.u64(self.identity.n_sites);
+        w.u64(self.identity.n_clients);
+        w.str16(&self.identity.scale);
+        w.len(self.days.len());
         for &d in &self.days {
-            p.extend_from_slice(&d.to_le_bytes());
+            w.u32(d);
         }
-        self.shards.encode(&mut p);
-        p
+        self.shards.encode(out);
     }
 
     /// Encodes to the on-disk/wire byte form. Deterministic: equal deltas
     /// produce equal bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let payload = self.payload_bytes();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        frame::seal(MAGIC, 1 << 16, |out| self.encode_payload(out))
     }
 
     /// Decodes a delta, failing closed on any framing or structural fault.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Delta, DeltaError> {
-        let mut r = Reader::new(bytes);
-        let magic = r.take(4).map_err(map_snap)?;
-        if magic != MAGIC {
-            let mut found = [0u8; 4];
-            found.copy_from_slice(magic);
-            return Err(DeltaError::BadMagic { found });
-        }
-        let version = r.u16().map_err(map_snap)?;
-        if version != VERSION {
-            return Err(DeltaError::UnsupportedVersion { found: version });
-        }
-        let reserved = r.u16().map_err(map_snap)?;
-        if reserved != 0 {
-            return Err(DeltaError::Malformed {
-                context: "reserved header field must be 0",
-            });
-        }
-        let payload_len = r.u64().map_err(map_snap)?;
-        let expected_crc = r.u32().map_err(map_snap)?;
-        let have = r.remaining() as u64;
-        if have < payload_len {
-            return Err(DeltaError::Truncated {
-                need: HEADER_LEN as u64 + payload_len,
-                have: bytes.len() as u64,
-            });
-        }
-        if have > payload_len {
-            return Err(DeltaError::TrailingBytes {
-                extra: have - payload_len,
-            });
-        }
-        let payload = r.take(payload_len as usize).map_err(map_snap)?;
-        let found_crc = crc32(payload);
-        if found_crc != expected_crc {
-            return Err(DeltaError::ChecksumMismatch {
-                expected: expected_crc,
-                found: found_crc,
-            });
-        }
-
+    pub fn from_bytes(bytes: &[u8]) -> Result<Delta, ContainerError> {
+        let (payload, crc32) = frame::open(MAGIC, bytes)?;
         let mut r = Reader::new(payload);
         let identity = DeltaIdentity {
-            seed: r.u64().map_err(map_snap)?,
-            n_sites: r.u64().map_err(map_snap)?,
-            n_clients: r.u64().map_err(map_snap)?,
-            scale: r.str16().map_err(map_snap)?.to_owned(),
+            seed: r.u64()?,
+            n_sites: r.u64()?,
+            n_clients: r.u64()?,
+            scale: r.str16()?.to_owned(),
         };
-        let n_days = r.count(4).map_err(map_snap)?;
-        let mut days = Vec::with_capacity(n_days);
-        for _ in 0..n_days {
-            days.push(r.u32().map_err(map_snap)?);
-        }
-        let shards = DayShards::decode(r.take(r.remaining()).map_err(map_snap)?)?;
+        let n_days = r.len(4)?;
+        let days = r.u32s(n_days)?;
+        let shards = DayShards::decode(r.take(r.remaining())?)?;
         let declared: Vec<usize> = days.iter().map(|&d| cast::usize_from_u32(d)).collect();
-        let covered = shards.coverage().ok_or(DeltaError::Malformed {
+        let covered = shards.coverage().ok_or(ContainerError::Malformed {
             context: "vantage shards disagree about day coverage",
         })?;
         if covered.is_empty() {
-            return Err(DeltaError::Malformed {
+            return Err(ContainerError::Malformed {
                 context: "delta covers no days",
             });
         }
         if !covered.iter().copied().eq(declared.iter().copied()) {
-            return Err(DeltaError::Malformed {
+            return Err(ContainerError::Malformed {
                 context: "declared day list disagrees with the shard body",
             });
         }
@@ -260,19 +194,22 @@ impl Delta {
             identity,
             days,
             shards,
-            crc32: expected_crc,
+            crc32,
         })
     }
 
     /// Reads and decodes a delta file (memory-mapped, like snapshots).
-    pub fn read_from(path: &Path) -> Result<Delta, DeltaError> {
+    pub fn read_from(path: &Path) -> Result<Delta, ContainerError> {
         let bytes = crate::mmap::MappedBytes::open(path)?;
         Delta::from_bytes(&bytes)
     }
 
-    /// Encodes and writes the delta to `path`, returning its id.
-    pub fn write_to(&self, path: &Path) -> Result<String, DeltaError> {
-        std::fs::write(path, self.to_bytes())?;
+    /// Encodes and writes the delta to `path`, returning its id. The write
+    /// is crash-safe like a snapshot's ([`frame::write_atomic`]): a failed
+    /// write leaves the file previously at `path` intact.
+    pub fn write_to(&self, path: &Path) -> Result<String, ContainerError> {
+        let bytes = self.to_bytes();
+        frame::write_atomic(path, |file| Ok(file.write_all(&bytes)?))?;
         Ok(self.id())
     }
 
@@ -280,10 +217,10 @@ impl Delta {
     ///
     /// Shard merging is commutative, so the input order never affects the
     /// output bytes. Deltas naming different base worlds are rejected.
-    pub fn compact(deltas: Vec<Delta>) -> Result<Delta, DeltaError> {
+    pub fn compact(deltas: Vec<Delta>) -> Result<Delta, ContainerError> {
         let mut iter = deltas.into_iter();
         let Some(first) = iter.next() else {
-            return Err(DeltaError::Malformed {
+            return Err(ContainerError::Malformed {
                 context: "nothing to compact",
             });
         };
@@ -291,29 +228,13 @@ impl Delta {
         let mut merged = first.into_shards();
         for d in iter {
             if d.identity != identity {
-                return Err(DeltaError::BaseMismatch {
+                return Err(ContainerError::BaseMismatch {
                     context: "compacted deltas name different base worlds",
                 });
             }
             merged.merge(d.into_shards());
         }
         Delta::new(identity, merged)
-    }
-}
-
-/// Maps reader-level snapshot errors onto the delta's own error type; the
-/// reader is shared with `snapshot.rs`, the error vocabulary is not.
-fn map_snap(e: SnapshotError) -> DeltaError {
-    match e {
-        SnapshotError::Io(e) => DeltaError::Io(e),
-        SnapshotError::BadMagic { found } => DeltaError::BadMagic { found },
-        SnapshotError::UnsupportedVersion { found } => DeltaError::UnsupportedVersion { found },
-        SnapshotError::Truncated { need, have } => DeltaError::Truncated { need, have },
-        SnapshotError::ChecksumMismatch { expected, found } => {
-            DeltaError::ChecksumMismatch { expected, found }
-        }
-        SnapshotError::Malformed { context } => DeltaError::Malformed { context },
-        SnapshotError::TrailingBytes { extra } => DeltaError::TrailingBytes { extra },
     }
 }
 
@@ -355,35 +276,93 @@ mod tests {
         bad[0] = b'X';
         assert!(matches!(
             Delta::from_bytes(&bad),
-            Err(DeltaError::BadMagic { .. })
+            Err(ContainerError::BadMagic { .. })
         ));
 
         let mut bad = bytes.clone();
         bad[4] = 9;
         assert!(matches!(
             Delta::from_bytes(&bad),
-            Err(DeltaError::UnsupportedVersion { found: 9 })
+            Err(ContainerError::UnsupportedVersion { found: 9 })
         ));
 
         assert!(matches!(
             Delta::from_bytes(&bytes[..bytes.len() / 2]),
-            Err(DeltaError::Truncated { .. })
+            Err(ContainerError::Truncated { .. })
         ));
 
         let mut bad = bytes.clone();
         bad.push(0);
         assert!(matches!(
             Delta::from_bytes(&bad),
-            Err(DeltaError::TrailingBytes { extra: 1 })
+            Err(ContainerError::TrailingBytes { extra: 1 })
         ));
 
         let mut bad = bytes.clone();
-        let mid = HEADER_LEN + (bad.len() - HEADER_LEN) / 2;
+        let mid = frame::HEADER_LEN + (bad.len() - frame::HEADER_LEN) / 2;
         bad[mid] ^= 0xFF;
         assert!(matches!(
             Delta::from_bytes(&bad),
-            Err(DeltaError::ChecksumMismatch { .. })
+            Err(ContainerError::ChecksumMismatch { .. })
         ));
+
+        for at in 6..8 {
+            let mut bad = bytes.clone();
+            bad[at] = 0x80;
+            assert!(matches!(
+                Delta::from_bytes(&bad),
+                Err(ContainerError::Malformed {
+                    context: "reserved header field must be 0"
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn formats_refuse_each_others_bytes() {
+        let delta = tiny_delta(37, 1).to_bytes();
+        let study = topple_core::Study::run(WorldConfig::tiny(37)).expect("tiny study");
+        let snapshot = crate::snapshot::encode_study(&study, "tiny", &[]);
+        assert!(matches!(
+            crate::Snapshot::from_bytes(&delta),
+            Err(ContainerError::BadMagic {
+                expected: crate::snapshot::MAGIC,
+                found: MAGIC,
+            })
+        ));
+        assert!(matches!(
+            Delta::from_bytes(&snapshot),
+            Err(ContainerError::BadMagic {
+                expected: MAGIC,
+                found: crate::snapshot::MAGIC,
+            })
+        ));
+    }
+
+    #[test]
+    fn failed_write_keeps_the_previous_delta() {
+        let dir = std::env::temp_dir().join(format!("tpld-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("d.tpld");
+        let first = tiny_delta(38, 0);
+        assert_eq!(first.write_to(&path).expect("first write"), first.id());
+        let before = std::fs::read(&path).expect("readable");
+        assert_eq!(before, first.to_bytes());
+        // A directory squatting on the temporary name makes the next write
+        // fail before it touches anything.
+        std::fs::create_dir(dir.join("d.tpld.tmp")).expect("blocker");
+        let err = tiny_delta(38, 1).write_to(&path).expect_err("must fail");
+        assert!(matches!(err, ContainerError::Io(_)), "{err:?}");
+        assert_eq!(std::fs::read(&path).expect("still readable"), before);
+        assert_eq!(
+            Delta::read_from(&path).expect("previous delta decodes"),
+            first
+        );
+        assert!(
+            dir.join("d.tpld.tmp").is_dir(),
+            "a foreign entry is left alone"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -397,11 +376,28 @@ mod tests {
             scale: "tiny".to_owned(),
         };
         assert!(d.identity().check_base(&base).is_ok());
-        let wrong = SnapshotIdentity { seed: 34, ..base };
-        assert!(matches!(
-            d.identity().check_base(&wrong),
-            Err(DeltaError::BaseMismatch { context: "seed" })
-        ));
+        // The day count is what a delta extends, so it is not compared.
+        let longer = SnapshotIdentity {
+            n_days: 28,
+            ..base.clone()
+        };
+        assert!(d.identity().check_base(&longer).is_ok());
+        for field in ["seed", "site count", "client count", "scale label"] {
+            let mut other = base.clone();
+            match field {
+                "seed" => other.seed += 1,
+                "site count" => other.n_sites += 1,
+                "client count" => other.n_clients += 1,
+                _ => other.scale.push('x'),
+            }
+            assert!(
+                matches!(
+                    d.identity().check_base(&other),
+                    Err(ContainerError::BaseMismatch { context }) if context == field
+                ),
+                "{field}"
+            );
+        }
     }
 
     #[test]
@@ -424,7 +420,7 @@ mod tests {
         let alien = tiny_delta(36, 0);
         assert!(matches!(
             Delta::compact(vec![ab, alien]),
-            Err(DeltaError::BaseMismatch { .. })
+            Err(ContainerError::BaseMismatch { .. })
         ));
     }
 }

@@ -7,23 +7,33 @@
 use std::fmt;
 use std::io;
 
-/// Anything that stops a snapshot from being written or read back.
+use topple_vantage::wire::WireError;
+
+/// Anything that stops a `tpls` snapshot or a `tpld` delta from being
+/// written or read back.
+///
+/// Both containers share one frame ([`crate::frame`]) and one payload
+/// reader, so they share one error vocabulary. Their bytes are
+/// externally shaped (a delta is often POSTed over the network), so every
+/// decode failure is a typed value, never a panic.
 #[derive(Debug)]
-pub enum SnapshotError {
+pub enum ContainerError {
     /// The underlying file could not be read or written.
     Io(io::Error),
-    /// The file does not start with the snapshot magic — it is some other
-    /// format entirely.
+    /// The bytes do not start with the expected magic — they are some
+    /// other format entirely.
     BadMagic {
+        /// The magic of the format being read.
+        expected: [u8; 4],
         /// The first four bytes found.
         found: [u8; 4],
     },
-    /// The file is a snapshot, but from an unknown format revision.
+    /// The container is from an unknown format revision.
     UnsupportedVersion {
         /// The version the header declares.
         found: u16,
     },
-    /// The file ends before the structure it declares (truncated copy,
+    /// The bytes end before the structure they declare (truncated copy,
     /// interrupted write).
     Truncated {
         /// Bytes the decoder needed.
@@ -39,7 +49,7 @@ pub enum SnapshotError {
         /// Checksum of the bytes present.
         found: u32,
     },
-    /// The payload decodes but violates a structural invariant.
+    /// The container decodes but violates a structural invariant.
     Malformed {
         /// Which invariant failed.
         context: &'static str,
@@ -49,148 +59,65 @@ pub enum SnapshotError {
         /// Leftover byte count.
         extra: u64,
     },
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::Io(e) => write!(f, "snapshot io: {e}"),
-            SnapshotError::BadMagic { found } => {
-                write!(f, "not a topple snapshot (magic {found:02x?})")
-            }
-            SnapshotError::UnsupportedVersion { found } => {
-                write!(f, "unsupported snapshot version {found}")
-            }
-            SnapshotError::Truncated { need, have } => {
-                write!(f, "snapshot truncated: need {need} bytes, have {have}")
-            }
-            SnapshotError::ChecksumMismatch { expected, found } => write!(
-                f,
-                "snapshot checksum mismatch: header says {expected:08x}, payload is {found:08x}"
-            ),
-            SnapshotError::Malformed { context } => write!(f, "snapshot malformed: {context}"),
-            SnapshotError::TrailingBytes { extra } => {
-                write!(f, "snapshot has {extra} bytes past the declared payload")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SnapshotError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for SnapshotError {
-    fn from(e: io::Error) -> Self {
-        SnapshotError::Io(e)
-    }
-}
-
-/// Anything that stops a `tpld` delta from being written or read back.
-///
-/// Mirrors [`SnapshotError`]'s fail-closed shape: a delta is
-/// externally-shaped bytes (often POSTed over the network), so every
-/// decode failure is a typed value, never a panic.
-#[derive(Debug)]
-pub enum DeltaError {
-    /// The underlying file could not be read or written.
-    Io(io::Error),
-    /// The bytes do not start with the delta magic.
-    BadMagic {
-        /// The first four bytes found.
-        found: [u8; 4],
-    },
-    /// A delta from an unknown format revision.
-    UnsupportedVersion {
-        /// The version the header declares.
-        found: u16,
-    },
-    /// The bytes end before the structure they declare.
-    Truncated {
-        /// Bytes the decoder needed.
-        need: u64,
-        /// Bytes actually available.
-        have: u64,
-    },
-    /// The payload checksum does not match the header.
-    ChecksumMismatch {
-        /// Checksum the header promises.
-        expected: u32,
-        /// Checksum of the bytes present.
-        found: u32,
-    },
-    /// The container decodes but violates a structural invariant.
-    Malformed {
-        /// Which invariant failed.
-        context: &'static str,
-    },
-    /// Decoding finished but bytes remain past the declared payload.
-    TrailingBytes {
-        /// Leftover byte count.
-        extra: u64,
-    },
-    /// The embedded day-shard body failed to decode.
-    Shards(topple_vantage::wire::WireError),
-    /// The delta declares a base world that is not the one being served.
+    /// A delta declares a base world that is not the one being served.
     BaseMismatch {
         /// Which identity field disagreed.
         context: &'static str,
     },
 }
 
-impl fmt::Display for DeltaError {
+impl fmt::Display for ContainerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DeltaError::Io(e) => write!(f, "delta io: {e}"),
-            DeltaError::BadMagic { found } => {
-                write!(f, "not a topple delta (magic {found:02x?})")
-            }
-            DeltaError::UnsupportedVersion { found } => {
-                write!(f, "unsupported delta version {found}")
-            }
-            DeltaError::Truncated { need, have } => {
-                write!(f, "delta truncated: need {need} bytes, have {have}")
-            }
-            DeltaError::ChecksumMismatch { expected, found } => write!(
+            ContainerError::Io(e) => write!(f, "container io: {e}"),
+            ContainerError::BadMagic { expected, found } => write!(
                 f,
-                "delta checksum mismatch: header says {expected:08x}, payload is {found:08x}"
+                "not a {} container (magic {found:02x?})",
+                String::from_utf8_lossy(expected)
             ),
-            DeltaError::Malformed { context } => write!(f, "delta malformed: {context}"),
-            DeltaError::TrailingBytes { extra } => {
-                write!(f, "delta has {extra} bytes past the declared payload")
+            ContainerError::UnsupportedVersion { found } => {
+                write!(f, "unsupported container version {found}")
             }
-            DeltaError::Shards(e) => write!(f, "delta shard body: {e}"),
-            DeltaError::BaseMismatch { context } => {
+            ContainerError::Truncated { need, have } => {
+                write!(f, "container truncated: need {need} bytes, have {have}")
+            }
+            ContainerError::ChecksumMismatch { expected, found } => write!(
+                f,
+                "container checksum mismatch: header says {expected:08x}, payload is {found:08x}"
+            ),
+            ContainerError::Malformed { context } => write!(f, "container malformed: {context}"),
+            ContainerError::TrailingBytes { extra } => {
+                write!(f, "container has {extra} bytes past the declared payload")
+            }
+            ContainerError::BaseMismatch { context } => {
                 write!(f, "delta targets a different base: {context}")
             }
         }
     }
 }
 
-impl std::error::Error for DeltaError {
+impl std::error::Error for ContainerError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            DeltaError::Io(e) => Some(e),
-            DeltaError::Shards(e) => Some(e),
+            ContainerError::Io(e) => Some(e),
             _ => None,
         }
     }
 }
 
-impl From<io::Error> for DeltaError {
+impl From<io::Error> for ContainerError {
     fn from(e: io::Error) -> Self {
-        DeltaError::Io(e)
+        ContainerError::Io(e)
     }
 }
 
-impl From<topple_vantage::wire::WireError> for DeltaError {
-    fn from(e: topple_vantage::wire::WireError) -> Self {
-        DeltaError::Shards(e)
+impl From<WireError> for ContainerError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated { need, have } => ContainerError::Truncated { need, have },
+            WireError::Malformed { context } => ContainerError::Malformed { context },
+            WireError::TrailingBytes { extra } => ContainerError::TrailingBytes { extra },
+        }
     }
 }
 
@@ -198,7 +125,7 @@ impl From<topple_vantage::wire::WireError> for DeltaError {
 #[derive(Debug)]
 pub enum LiveError {
     /// The submitted bytes are not a valid delta.
-    Delta(DeltaError),
+    Delta(ContainerError),
     /// The delta covers a day index outside the serving world's window.
     DayOutOfRange {
         /// The offending day index.
@@ -236,8 +163,8 @@ impl std::error::Error for LiveError {
     }
 }
 
-impl From<DeltaError> for LiveError {
-    fn from(e: DeltaError) -> Self {
+impl From<ContainerError> for LiveError {
+    fn from(e: ContainerError) -> Self {
         LiveError::Delta(e)
     }
 }
@@ -299,23 +226,33 @@ mod tests {
 
     #[test]
     fn displays_every_variant() {
-        let cases: Vec<SnapshotError> = vec![
-            SnapshotError::Io(io::Error::new(io::ErrorKind::NotFound, "gone")),
-            SnapshotError::BadMagic { found: *b"ELF\x7f" },
-            SnapshotError::UnsupportedVersion { found: 9 },
-            SnapshotError::Truncated { need: 10, have: 3 },
-            SnapshotError::ChecksumMismatch {
+        let cases: Vec<ContainerError> = vec![
+            ContainerError::Io(io::Error::new(io::ErrorKind::NotFound, "gone")),
+            ContainerError::BadMagic {
+                expected: *b"TPLS",
+                found: *b"ELF\x7f",
+            },
+            ContainerError::UnsupportedVersion { found: 9 },
+            ContainerError::Truncated { need: 10, have: 3 },
+            ContainerError::ChecksumMismatch {
                 expected: 1,
                 found: 2,
             },
-            SnapshotError::Malformed {
+            ContainerError::Malformed {
                 context: "cf_prefix must start at 0",
             },
-            SnapshotError::TrailingBytes { extra: 7 },
+            ContainerError::TrailingBytes { extra: 7 },
+            ContainerError::BaseMismatch { context: "seed" },
         ];
         for e in cases {
             assert!(!e.to_string().is_empty());
         }
+        assert!(ContainerError::BadMagic {
+            expected: *b"TPLD",
+            found: *b"TPLS"
+        }
+        .to_string()
+        .contains("not a TPLD container"));
         assert!(ServeError::DrainTimeout {
             stuck_connections: 2
         }
@@ -327,26 +264,12 @@ mod tests {
     }
 
     #[test]
-    fn delta_and_live_errors_display() {
-        let cases: Vec<DeltaError> = vec![
-            DeltaError::Io(io::Error::new(io::ErrorKind::NotFound, "gone")),
-            DeltaError::BadMagic { found: *b"TPLS" },
-            DeltaError::UnsupportedVersion { found: 3 },
-            DeltaError::Truncated { need: 9, have: 1 },
-            DeltaError::ChecksumMismatch {
-                expected: 5,
-                found: 6,
-            },
-            DeltaError::Malformed {
-                context: "days must ascend",
-            },
-            DeltaError::TrailingBytes { extra: 2 },
-            DeltaError::Shards(topple_vantage::wire::WireError::Malformed { context: "bad tag" }),
-            DeltaError::BaseMismatch { context: "seed" },
-        ];
-        for e in cases {
-            assert!(!e.to_string().is_empty());
-        }
+    fn live_errors_display() {
+        assert!(
+            LiveError::Delta(ContainerError::BaseMismatch { context: "seed" })
+                .to_string()
+                .contains("ingest rejected")
+        );
         assert!(LiveError::DayOutOfRange {
             day: 30,
             window: 28

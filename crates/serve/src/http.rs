@@ -331,9 +331,9 @@ fn routed(endpoint: Endpoint, status: u16, body: Body<'_>) -> Routed<'_> {
 ///
 /// The hot endpoints (`/health`, `/v1/rank`, `/v1/movement` over top-K
 /// domains, warmed `/v1/compare` cells) resolve to borrowed or shared bytes
-/// without allocating; everything else falls back to the same pure renderers
-/// in [`crate::query`] the thread-pool daemon used, so bodies are identical
-/// either way.
+/// without allocating; everything else falls back to the pure renderers in
+/// [`crate::query`], the same ones the pre-rendered bodies were made by, so
+/// bodies are identical either way.
 pub fn route<'a>(
     snapshot: &'a QuerySnapshot,
     metrics: &Metrics,

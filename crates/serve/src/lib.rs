@@ -5,7 +5,8 @@
 //! rank on Tranco?", "how similar are Alexa and Umbrella at 10K?") are
 //! point-lookups over the already-built columnar index. This crate splits
 //! the two: [`snapshot`] persists a study's [`StudyIndex`], magnitudes, and
-//! rendered report artifacts into one versioned, CRC-checksummed binary file,
+//! rendered report artifacts into one versioned, CRC-checksummed binary file
+//! (the [`frame`] that [`delta`] day-deltas share),
 //! and [`server`] serves rank/compare/movement queries from a loaded snapshot
 //! over plain HTTP/1.1 — a readiness-based event loop ([`reactor`]: a thin
 //! dependency-free epoll wrapper) with keep-alive pipelining and a
@@ -24,6 +25,7 @@
 
 pub mod delta;
 pub mod error;
+pub mod frame;
 pub mod http;
 pub mod live;
 pub mod lru;
@@ -36,7 +38,7 @@ pub mod signal;
 pub mod snapshot;
 
 pub use delta::{Delta, DeltaIdentity};
-pub use error::{DeltaError, LiveError, ServeError, SnapshotError};
+pub use error::{ContainerError, LiveError, ServeError};
 pub use live::{LiveEngine, LiveStore};
 pub use mmap::MappedBytes;
 pub use query::QuerySnapshot;

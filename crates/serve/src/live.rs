@@ -69,12 +69,12 @@ use topple_sim::{World, WorldConfig};
 use topple_stats::cast;
 use topple_vantage::DayShards;
 
-use crate::delta::{Delta, DeltaIdentity};
-use crate::error::{DeltaError, LiveError};
+use crate::delta::Delta;
+use crate::error::{ContainerError, LiveError};
 use crate::lru::Lru;
 use crate::metrics::{Metrics, RebuildClock, RebuildStep};
 use crate::query::QuerySnapshot;
-use crate::snapshot::{encode_study, Snapshot};
+use crate::snapshot::{encode_study, Snapshot, SnapshotIdentity};
 
 /// Locks a mutex, recovering from poisoning: every structure guarded here
 /// (snapshot pointer, delta queue) is valid at all times, so a panicked
@@ -112,10 +112,9 @@ pub struct LiveStore {
     /// Monotonic serving generation, published *after* the snapshot under
     /// `current` reaches (at least) that generation.
     generation: AtomicU64,
-    /// The base world every delta must extend.
-    base_identity: DeltaIdentity,
-    /// Days already in the base snapshot when the store booted.
-    base_days: u32,
+    /// The snapshot the store booted from: every delta must extend its
+    /// world, and its day count is where ingestion starts.
+    base: SnapshotIdentity,
     /// Days in the world's full window; deltas past it are refused.
     window: u32,
     metrics: Arc<Metrics>,
@@ -134,14 +133,13 @@ impl LiveStore {
         metrics: Arc<Metrics>,
         cache: Arc<Lru>,
     ) -> LiveStore {
-        let base_identity = DeltaIdentity::of_base(&initial.snapshot().identity);
-        let base_days = initial.snapshot().identity.n_days;
+        let base = initial.snapshot().identity.clone();
+        let base_days = base.n_days;
         let generation = AtomicU64::new(initial.generation());
         LiveStore {
             current: Mutex::new(Arc::new(initial)),
             generation,
-            base_identity,
-            base_days,
+            base,
             window,
             metrics,
             cache,
@@ -163,7 +161,7 @@ impl LiveStore {
 
     /// Days the base snapshot covered at boot.
     pub fn base_days(&self) -> u32 {
-        self.base_days
+        self.base.n_days
     }
 
     /// The snapshot currently being served (an `Arc` clone).
@@ -192,7 +190,7 @@ impl LiveStore {
     /// process) poison the store rather than surfacing per-request.
     pub fn submit(&self, bytes: &[u8]) -> Result<String, LiveError> {
         let delta = Delta::from_bytes(bytes)?;
-        delta.identity().check(&self.base_identity)?;
+        delta.identity().check_base(&self.base)?;
         let mut inbox = lock(&self.inbox);
         if let Some(why) = &inbox.poisoned {
             return Err(LiveError::Poisoned(why.clone()));
@@ -205,7 +203,7 @@ impl LiveStore {
                 });
             }
             if inbox.accepted_days.contains(&day) {
-                return Err(LiveError::Delta(DeltaError::Malformed {
+                return Err(LiveError::Delta(ContainerError::Malformed {
                     context: "day already ingested (shard merge is not idempotent)",
                 }));
             }
@@ -268,32 +266,6 @@ impl LiveStore {
                 Err(poisoned) => poisoned.into_inner(),
             };
         }
-    }
-}
-
-impl DeltaIdentity {
-    /// Field-by-field equality against the store's base identity, with the
-    /// same error vocabulary as [`DeltaIdentity::check_base`].
-    fn check(&self, base: &DeltaIdentity) -> Result<(), DeltaError> {
-        if self.seed != base.seed {
-            return Err(DeltaError::BaseMismatch { context: "seed" });
-        }
-        if self.n_sites != base.n_sites {
-            return Err(DeltaError::BaseMismatch {
-                context: "site count",
-            });
-        }
-        if self.n_clients != base.n_clients {
-            return Err(DeltaError::BaseMismatch {
-                context: "client count",
-            });
-        }
-        if self.scale != base.scale {
-            return Err(DeltaError::BaseMismatch {
-                context: "scale label",
-            });
-        }
-        Ok(())
     }
 }
 
@@ -380,8 +352,8 @@ impl LiveEngine {
     fn boot(&self) -> Result<StudyPrefix, String> {
         let world = World::generate(self.config.clone())
             .map_err(|e| format!("base world regeneration failed: {e}"))?;
-        if world.sites.len() as u64 != self.store.base_identity.n_sites
-            || world.clients.len() as u64 != self.store.base_identity.n_clients
+        if world.sites.len() as u64 != self.store.base.n_sites
+            || world.clients.len() as u64 != self.store.base.n_clients
         {
             return Err(
                 "world config does not reproduce the base snapshot's site/client counts".to_owned(),
@@ -492,6 +464,7 @@ impl LiveEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::DeltaIdentity;
     use topple_vantage::DayScratch;
 
     const SEED: u64 = 74;
@@ -542,12 +515,28 @@ mod tests {
         // Garbage bytes are a 4xx-class delta error.
         assert!(matches!(
             store.submit(b"not a delta"),
-            Err(LiveError::Delta(DeltaError::BadMagic { .. }))
+            Err(LiveError::Delta(ContainerError::BadMagic { .. }))
+        ));
+        // A delta of another world is refused by the base-identity check.
+        let day3 = delta_for_day(3);
+        let alien = Delta::new(
+            DeltaIdentity {
+                seed: SEED + 1,
+                ..day3.identity().clone()
+            },
+            day3.into_shards(),
+        )
+        .expect("alien delta");
+        assert!(matches!(
+            store.submit(&alien.to_bytes()),
+            Err(LiveError::Delta(ContainerError::BaseMismatch {
+                context: "seed"
+            }))
         ));
         // A base day cannot be re-ingested.
         assert!(matches!(
             store.submit(&delta_for_day(1).to_bytes()),
-            Err(LiveError::Delta(DeltaError::Malformed { .. }))
+            Err(LiveError::Delta(ContainerError::Malformed { .. }))
         ));
         // An in-range, new day is accepted.
         let id = store.submit(&delta_for_day(3).to_bytes()).expect("accepts");
@@ -555,7 +544,7 @@ mod tests {
         // The same day twice is now a duplicate.
         assert!(matches!(
             store.submit(&delta_for_day(3).to_bytes()),
-            Err(LiveError::Delta(DeltaError::Malformed { .. }))
+            Err(LiveError::Delta(ContainerError::Malformed { .. }))
         ));
     }
 

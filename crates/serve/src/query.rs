@@ -17,7 +17,7 @@ use topple_core::ListColumns;
 use topple_lists::{DomainId, ListSource};
 use topple_psl::DomainName;
 
-use crate::error::SnapshotError;
+use crate::error::ContainerError;
 use crate::snapshot::Snapshot;
 
 /// Largest accepted `k` for `/v1/compare` (the paper's largest magnitude).
@@ -394,7 +394,7 @@ impl QuerySnapshot {
     }
 
     /// Reads, validates, and prepares a snapshot file.
-    pub fn load(path: &Path) -> Result<Self, SnapshotError> {
+    pub fn load(path: &Path) -> Result<Self, ContainerError> {
         Ok(QuerySnapshot::new(Snapshot::read_from(path)?))
     }
 

@@ -845,7 +845,12 @@ mod tests {
         let window = w.config.days.len() as u32;
         let base = QuerySnapshot::new(snapshot_of(5));
         let delta = Delta::new(
-            DeltaIdentity::of_base(&base.snapshot().identity),
+            DeltaIdentity {
+                seed: SEED,
+                n_sites: w.config.n_sites as u64,
+                n_clients: w.config.n_clients as u64,
+                scale: "tiny".to_owned(),
+            },
             DayScratch::new(&w).observe_day(&w, 5),
         )
         .expect("delta");

@@ -1,16 +1,8 @@
 //! The versioned, checksummed on-disk snapshot format.
 //!
-//! A snapshot is one contiguous file:
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic  b"TPLS"
-//! 4       2     format version (little-endian u16, currently 1)
-//! 6       2     reserved (must be 0)
-//! 8       8     payload length in bytes (little-endian u64)
-//! 16      4     CRC-32 (IEEE) of the payload
-//! 20      —     payload
-//! ```
+//! A snapshot is one `tpls` container: the shared 20-byte frame of
+//! [`crate::frame`] (magic `b"TPLS"`, version, reserved 0, payload length,
+//! payload CRC-32) followed by the payload.
 //!
 //! The payload serializes, in fixed order: the study identity (seed, world
 //! sizes, scale label), the rank magnitudes, the [`DomainTable`] name column,
@@ -21,25 +13,26 @@
 //! runs, platforms, and worker counts — the snapshot id is just the payload
 //! CRC.
 //!
-//! Decoding is fail-closed: a wrong magic, unknown version, short file,
-//! checksum mismatch, or any violated structural invariant returns a typed
-//! [`SnapshotError`]; nothing in this module panics on input bytes.
+//! Decoding is fail-closed: a framing fault (see [`crate::frame::open`])
+//! or any violated structural invariant returns a typed
+//! [`ContainerError`]; nothing in this module panics on input bytes. The
+//! payload is read through the shared bounds-checked
+//! [`topple_vantage::wire::Reader`].
 
+use std::fs::File;
 use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use topple_core::{ListColumns, Study, StudyIndex};
 use topple_lists::{DomainId, DomainTable, ListSource};
 use topple_psl::DomainName;
+use topple_vantage::wire::Reader;
 
-use crate::error::SnapshotError;
+use crate::error::ContainerError;
+use crate::frame::{self, Crc32, HEADER_LEN};
 
 /// File magic: "TopPLe Snapshot".
 pub const MAGIC: [u8; 4] = *b"TPLS";
-/// Current format version.
-pub const VERSION: u16 = 1;
-/// Header length in bytes (magic + version + reserved + payload len + CRC).
-pub const HEADER_LEN: usize = 20;
 
 /// Who the snapshot is: the world parameters it was produced from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,7 +70,7 @@ impl Snapshot {
     /// and seed. Two servers report the same id iff they serve the same
     /// bytes.
     pub fn id(&self) -> String {
-        format!("tpls-v{VERSION}-{:08x}-s{}", self.crc32, self.identity.seed)
+        snapshot_id(self.crc32, self.identity.seed)
     }
 
     /// Re-encodes the snapshot to its on-disk byte form. Encoding a decoded
@@ -97,7 +90,7 @@ impl Snapshot {
     }
 
     /// Decodes a snapshot from its on-disk byte form.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
+    pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, ContainerError> {
         decode(bytes)
     }
 
@@ -108,27 +101,22 @@ impl Snapshot {
     /// decoding start immediately with no read-syscall copy of the whole
     /// file — the difference between milliseconds and seconds for a
     /// multi-gigabyte index. See [`crate::mmap`] for the safety invariants.
-    pub fn read_from(path: &Path) -> Result<Snapshot, SnapshotError> {
+    pub fn read_from(path: &Path) -> Result<Snapshot, ContainerError> {
         let bytes = crate::mmap::MappedBytes::open(path)?;
         decode(&bytes)
     }
+}
+
+/// The id of the snapshot with payload CRC `crc` of seed `seed`'s world.
+fn snapshot_id(crc: u32, seed: u64) -> String {
+    frame::id(MAGIC, crc, format_args!("s{seed}"))
 }
 
 /// Encodes a completed study (plus rendered `artifacts`) into snapshot bytes.
 /// `scale` is the writer's scale label, recorded in the identity section.
 pub fn encode_study(study: &Study, scale: &str, artifacts: &[(String, String)]) -> Vec<u8> {
     let identity = study_identity(study, scale);
-    let view = View {
-        identity: &identity,
-        index: study.index(),
-        magnitudes: study
-            .magnitudes()
-            .iter()
-            .map(|&(label, k)| (label, k as u64))
-            .collect(),
-        artifacts,
-    };
-    encode(&view)
+    encode(&study_view(study, &identity, artifacts))
 }
 
 /// The identity a study encodes under. `n_days` comes from the index's
@@ -158,122 +146,45 @@ fn study_identity(study: &Study, scale: &str) -> SnapshotIdentity {
 /// not the snapshot size — a prerequisite for multi-GB mmap-targeted
 /// snapshots.
 ///
-/// The write is crash-safe: the file is built as the sibling `<path>.tmp`,
-/// synced, renamed over `path`, and the directory is synced. A crash or an
-/// error at any point leaves whatever snapshot was at `path` before intact;
-/// a failed write removes the temporary file it created.
+/// The write is crash-safe ([`frame::write_atomic`]): a crash or an error
+/// at any point leaves whatever snapshot was at `path` before intact.
 pub fn write_study(
     study: &Study,
     scale: &str,
     artifacts: &[(String, String)],
     path: &Path,
-) -> Result<String, SnapshotError> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let file = std::fs::File::create(&tmp)?;
-    let written = write_study_to(study, scale, artifacts, file)
-        .and_then(|id| std::fs::rename(&tmp, path).map(|()| id).map_err(Into::into));
-    let id = match written {
-        Ok(id) => id,
-        Err(e) => {
-            // The partial file is ours; removing it is best-effort cleanup
-            // that must not mask the write error.
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-    };
-    // A relative file name has an empty parent: the current directory.
-    let dir = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d,
-        _ => Path::new("."),
-    };
-    std::fs::File::open(dir)?.sync_all()?;
-    Ok(id)
+) -> Result<String, ContainerError> {
+    frame::write_atomic(path, |file| write_study_to(study, scale, artifacts, file))
 }
 
-/// Streams the snapshot of `study` into `file` and syncs it; the body of
+/// Streams the snapshot of `study` into `file`; the body of
 /// [`write_study`].
 fn write_study_to(
     study: &Study,
     scale: &str,
     artifacts: &[(String, String)],
-    file: std::fs::File,
-) -> Result<String, SnapshotError> {
+    file: &mut File,
+) -> Result<String, ContainerError> {
     let identity = study_identity(study, scale);
-    let view = View {
-        identity: &identity,
-        index: study.index(),
-        magnitudes: study
-            .magnitudes()
-            .iter()
-            .map(|&(label, k)| (label, k as u64))
-            .collect(),
-        artifacts,
-    };
-
     let mut sink = FileSink {
-        w: std::io::BufWriter::new(file),
+        w: std::io::BufWriter::new(&mut *file),
+        crc: Crc32::new(),
+        len: 0,
         error: None,
     };
-    sink.put(&[0u8; HEADER_LEN]); // placeholder header, patched below
-    let mut crc_sink = CrcSink::new(&mut sink);
-    encode_payload(&view, &mut crc_sink);
-    let (payload_len, crc) = crc_sink.finish();
+    sink.w.write_all(&[0u8; HEADER_LEN])?; // placeholder header, patched below
+    encode_payload(&study_view(study, &identity, artifacts), &mut sink);
     if let Some(e) = sink.error {
-        return Err(SnapshotError::Io(e));
+        return Err(ContainerError::Io(e));
     }
-    let mut file = sink
+    let (payload_len, crc) = (sink.len, sink.crc.finish());
+    let file = sink
         .w
         .into_inner()
-        .map_err(|e| SnapshotError::Io(e.into_error()))?;
-
-    let mut header = Vec::with_capacity(HEADER_LEN);
-    header.extend_from_slice(&MAGIC);
-    header.extend_from_slice(&VERSION.to_le_bytes());
-    header.extend_from_slice(&0u16.to_le_bytes());
-    header.extend_from_slice(&payload_len.to_le_bytes());
-    header.extend_from_slice(&crc.to_le_bytes());
+        .map_err(|e| ContainerError::Io(e.into_error()))?;
     file.seek(SeekFrom::Start(0))?;
-    file.write_all(&header)?;
-    file.sync_all()?;
-    Ok(format!(
-        "tpls-v{VERSION}-{crc:08x}-s{}",
-        study.world.config.seed
-    ))
-}
-
-// ---- CRC-32 (IEEE 802.3) --------------------------------------------------
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC-32 (IEEE) of `data` — the polynomial every zip/png reader agrees on.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    file.write_all(&frame::header(MAGIC, payload_len, crc))?;
+    Ok(snapshot_id(crc, identity.seed))
 }
 
 // ---- encoding -------------------------------------------------------------
@@ -285,6 +196,24 @@ struct View<'a> {
     index: &'a StudyIndex,
     magnitudes: Vec<(&'a str, u64)>,
     artifacts: &'a [(String, String)],
+}
+
+/// The encoder's view of a completed study.
+fn study_view<'a>(
+    study: &'a Study,
+    identity: &'a SnapshotIdentity,
+    artifacts: &'a [(String, String)],
+) -> View<'a> {
+    View {
+        identity,
+        index: study.index(),
+        magnitudes: study
+            .magnitudes()
+            .iter()
+            .map(|&(label, k)| (label, k as u64))
+            .collect(),
+        artifacts,
+    }
 }
 
 /// Stable wire tag per list source (independent of enum declaration order).
@@ -328,7 +257,7 @@ const TAG_ORDER: [ListSource; 7] = [
 ///
 /// Two implementations: `Vec<u8>` (in-memory encode, genuinely infallible)
 /// and [`FileSink`] (buffered file writes, first error latched and checked
-/// by the caller once encoding completes). The latched-error design keeps
+/// by the caller once encoding completes, payload checksummed on the way). The latched-error design keeps
 /// the encoding functions free of `Result` plumbing and panics while still
 /// failing closed: a sink that has errored swallows subsequent bytes, and
 /// `write_study` surfaces the latched error before trusting the file.
@@ -342,54 +271,25 @@ impl Sink for Vec<u8> {
     }
 }
 
-/// Buffered file sink that latches the first write error.
-struct FileSink {
-    w: std::io::BufWriter<std::fs::File>,
+/// Buffered file sink that latches the first write error and accumulates
+/// the CRC-32 and byte count of the payload put through it — so the
+/// streaming writer can patch the header afterwards without a second pass.
+struct FileSink<'a> {
+    w: std::io::BufWriter<&'a mut File>,
+    crc: Crc32,
+    len: u64,
     error: Option<std::io::Error>,
 }
 
-impl Sink for FileSink {
+impl Sink for FileSink<'_> {
     fn put(&mut self, bytes: &[u8]) {
+        self.crc.update(bytes);
+        self.len += bytes.len() as u64;
         if self.error.is_none() {
             if let Err(e) = self.w.write_all(bytes) {
                 self.error = Some(e);
             }
         }
-    }
-}
-
-/// Pass-through sink that accumulates the CRC-32 and byte count of
-/// everything flowing into the inner sink — so the streaming writer can
-/// patch the header afterwards without a second pass over the payload.
-struct CrcSink<'a, S: Sink> {
-    inner: &'a mut S,
-    /// Running CRC state (pre-finalization complement form).
-    state: u32,
-    len: u64,
-}
-
-impl<'a, S: Sink> CrcSink<'a, S> {
-    fn new(inner: &'a mut S) -> Self {
-        CrcSink {
-            inner,
-            state: 0xFFFF_FFFF,
-            len: 0,
-        }
-    }
-
-    /// Finalizes to `(payload length, CRC-32)`.
-    fn finish(self) -> (u64, u32) {
-        (self.len, !self.state)
-    }
-}
-
-impl<S: Sink> Sink for CrcSink<'_, S> {
-    fn put(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state = CRC_TABLE[((self.state ^ b as u32) & 0xFF) as usize] ^ (self.state >> 8);
-        }
-        self.len += bytes.len() as u64;
-        self.inner.put(bytes);
     }
 }
 
@@ -504,112 +404,19 @@ fn encode_payload(view: &View<'_>, out: &mut impl Sink) {
 }
 
 fn encode(view: &View<'_>) -> Vec<u8> {
-    let mut payload: Vec<u8> = Vec::with_capacity(1 << 20);
-    encode_payload(view, &mut payload);
-
-    // Header + payload.
-    let mut out: Vec<u8> = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    frame::seal(MAGIC, 1 << 20, |out| encode_payload(view, out))
 }
 
 // ---- decoding -------------------------------------------------------------
-
-/// Bounds-checked little-endian reader: every read either succeeds or
-/// returns [`SnapshotError::Truncated`] — no slice indexing that can panic.
-/// Shared with the `tpld` delta container ([`crate::delta`]), whose decoder
-/// maps the errors into its own type.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, off: 0 }
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.off)
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        match self.buf.get(self.off..self.off + n) {
-            Some(s) => {
-                self.off += n;
-                Ok(s)
-            }
-            None => Err(SnapshotError::Truncated {
-                need: (self.off + n) as u64,
-                have: self.buf.len() as u64,
-            }),
-        }
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, SnapshotError> {
-        let s = self.take(2)?;
-        Ok(u16::from_le_bytes([s[0], s[1]]))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let s = self.take(4)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let s = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-        ]))
-    }
-
-    pub(crate) fn str16(&mut self) -> Result<&'a str, SnapshotError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes).map_err(|_| SnapshotError::Malformed {
-            context: "string section is not UTF-8",
-        })
-    }
-
-    /// A length-prefixed count, sanity-capped so a corrupted header cannot
-    /// trigger a multi-gigabyte allocation before the bounds check fires.
-    pub(crate) fn count(&mut self, per_item: usize) -> Result<usize, SnapshotError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(per_item) > self.remaining() {
-            return Err(SnapshotError::Truncated {
-                need: (self.off + n.saturating_mul(per_item)) as u64,
-                have: self.buf.len() as u64,
-            });
-        }
-        Ok(n)
-    }
-
-    fn u32_vec(&mut self, n: usize) -> Result<Vec<u32>, SnapshotError> {
-        let raw = self.take(n * 4)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
-    }
-}
 
 fn read_ids(
     r: &mut Reader<'_>,
     n: usize,
     table_len: usize,
-) -> Result<Vec<DomainId>, SnapshotError> {
-    let raw = r.u32_vec(n)?;
+) -> Result<Vec<DomainId>, ContainerError> {
+    let raw = r.u32s(n)?;
     if raw.iter().any(|&id| id as usize >= table_len) {
-        return Err(SnapshotError::Malformed {
+        return Err(ContainerError::Malformed {
             context: "id column points past the domain table",
         });
     }
@@ -635,7 +442,7 @@ impl UniqueIds {
     }
 
     /// `ids` must already be bounds-checked against the table.
-    fn check(&mut self, ids: &[DomainId]) -> Result<(), SnapshotError> {
+    fn check(&mut self, ids: &[DomainId]) -> Result<(), ContainerError> {
         self.tag = self.tag.wrapping_add(1);
         if self.tag == 0 {
             self.stamp.fill(0);
@@ -644,13 +451,13 @@ impl UniqueIds {
         for id in ids {
             match self.stamp.get_mut(id.raw() as usize) {
                 Some(slot) if *slot == self.tag => {
-                    return Err(SnapshotError::Malformed {
+                    return Err(ContainerError::Malformed {
                         context: "list column names one domain twice",
                     })
                 }
                 Some(slot) => *slot = self.tag,
                 None => {
-                    return Err(SnapshotError::Malformed {
+                    return Err(ContainerError::Malformed {
                         context: "id column points past the domain table",
                     })
                 }
@@ -666,66 +473,30 @@ fn read_columns(
     r: &mut Reader<'_>,
     is_cf: &[bool],
     unique: &mut UniqueIds,
-) -> Result<ListColumns, SnapshotError> {
+) -> Result<ListColumns, ContainerError> {
     let table_len = is_cf.len();
-    let n = r.count(4)?;
+    let n = r.len(4)?;
     let ids = read_ids(r, n, table_len)?;
     unique.check(&ids)?;
-    let values = r.u32_vec(n)?;
+    let values = r.u32s(n)?;
     let ordered = match r.u8()? {
         0 => false,
         1 => true,
         _ => {
-            return Err(SnapshotError::Malformed {
+            return Err(ContainerError::Malformed {
                 context: "ordered flag must be 0 or 1",
             })
         }
     };
-    let cf_n = r.count(4)?;
+    let cf_n = r.len(4)?;
     let cf_ids = read_ids(r, cf_n, table_len)?;
-    let cf_prefix = r.u32_vec(n + 1)?;
+    let cf_prefix = r.u32s(n + 1)?;
     ListColumns::from_raw_parts(ids, values, ordered, cf_ids, cf_prefix, is_cf)
-        .map_err(|context| SnapshotError::Malformed { context })
+        .map_err(|context| ContainerError::Malformed { context })
 }
 
-fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-    // Header.
-    let mut r = Reader::new(bytes);
-    let magic = r.take(4)?;
-    if magic != MAGIC {
-        let mut found = [0u8; 4];
-        found.copy_from_slice(magic);
-        return Err(SnapshotError::BadMagic { found });
-    }
-    let version = r.u16()?;
-    if version != VERSION {
-        return Err(SnapshotError::UnsupportedVersion { found: version });
-    }
-    let _reserved = r.u16()?;
-    let payload_len = r.u64()?;
-    let expected_crc = r.u32()?;
-    let have = r.remaining() as u64;
-    if have < payload_len {
-        return Err(SnapshotError::Truncated {
-            need: HEADER_LEN as u64 + payload_len,
-            have: bytes.len() as u64,
-        });
-    }
-    if have > payload_len {
-        return Err(SnapshotError::TrailingBytes {
-            extra: have - payload_len,
-        });
-    }
-    let payload = r.take(payload_len as usize)?;
-    let found_crc = crc32(payload);
-    if found_crc != expected_crc {
-        return Err(SnapshotError::ChecksumMismatch {
-            expected: expected_crc,
-            found: found_crc,
-        });
-    }
-
-    // Payload.
+fn decode(bytes: &[u8]) -> Result<Snapshot, ContainerError> {
+    let (payload, crc32) = frame::open(MAGIC, bytes)?;
     let mut r = Reader::new(payload);
     let identity = SnapshotIdentity {
         seed: r.u64()?,
@@ -735,7 +506,7 @@ fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         scale: r.str16()?.to_owned(),
     };
 
-    let n_mags = r.count(10)?;
+    let n_mags = r.len(10)?;
     let mut magnitudes = Vec::with_capacity(n_mags);
     for _ in 0..n_mags {
         let label = r.str16()?.to_owned();
@@ -743,11 +514,11 @@ fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         magnitudes.push((label, k));
     }
 
-    let n_names = r.count(2)?;
+    let n_names = r.len(2)?;
     let mut names: Vec<DomainName> = Vec::with_capacity(n_names);
     for _ in 0..n_names {
         let s = r.str16()?;
-        let name = s.parse().map_err(|_| SnapshotError::Malformed {
+        let name = s.parse().map_err(|_| ContainerError::Malformed {
             context: "domain table holds an invalid domain name",
         })?;
         names.push(name);
@@ -755,12 +526,12 @@ fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     let table = DomainTable::from_names(names);
     let table_len = table.len();
 
-    let n_sites = r.count(4)?;
+    let n_sites = r.len(4)?;
     let site_ids = read_ids(&mut r, n_sites, table_len)?;
 
-    let n_flags = r.count(0)?;
+    let n_flags = r.len(0)?;
     if n_flags != table_len {
-        return Err(SnapshotError::Malformed {
+        return Err(ContainerError::Malformed {
             context: "cloudflare bitset length differs from the domain table",
         });
     }
@@ -771,7 +542,7 @@ fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
 
     let n_monthly = r.u8()? as usize;
     if n_monthly != TAG_ORDER.len() {
-        return Err(SnapshotError::Malformed {
+        return Err(ContainerError::Malformed {
             context: "monthly section must hold exactly seven lists",
         });
     }
@@ -779,54 +550,50 @@ fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     let mut unique = UniqueIds::new(table_len);
     for _ in 0..n_monthly {
         let tag = r.u8()?;
-        let source = tag_source(tag).ok_or(SnapshotError::Malformed {
+        let source = tag_source(tag).ok_or(ContainerError::Malformed {
             context: "unknown list source tag",
         })?;
         let cols = read_columns(&mut r, &is_cf, &mut unique)?;
         let slot = &mut monthly[source_tag(source) as usize];
         if slot.is_some() {
-            return Err(SnapshotError::Malformed {
+            return Err(ContainerError::Malformed {
                 context: "duplicate list source tag",
             });
         }
         *slot = Some(cols);
     }
 
-    let n_alexa = r.count(13)?;
+    let n_alexa = r.len(13)?;
     let mut alexa_daily = Vec::with_capacity(n_alexa);
     for _ in 0..n_alexa {
         alexa_daily.push(read_columns(&mut r, &is_cf, &mut unique)?);
     }
-    let n_umbrella = r.count(13)?;
+    let n_umbrella = r.len(13)?;
     let mut umbrella_daily = Vec::with_capacity(n_umbrella);
     for _ in 0..n_umbrella {
         umbrella_daily.push(read_columns(&mut r, &is_cf, &mut unique)?);
     }
     if alexa_daily.len() as u32 != identity.n_days || umbrella_daily.len() as u32 != identity.n_days
     {
-        return Err(SnapshotError::Malformed {
+        return Err(ContainerError::Malformed {
             context: "daily column count differs from the identity's day count",
         });
     }
 
-    let n_artifacts = r.count(6)?;
+    let n_artifacts = r.len(6)?;
     let mut artifacts = Vec::with_capacity(n_artifacts);
     for _ in 0..n_artifacts {
         let name = r.str16()?.to_owned();
-        let len = r.count(0)?;
+        let len = r.len(0)?;
         let body = std::str::from_utf8(r.take(len)?)
-            .map_err(|_| SnapshotError::Malformed {
+            .map_err(|_| ContainerError::Malformed {
                 context: "artifact body is not UTF-8",
             })?
             .to_owned();
         artifacts.push((name, body));
     }
 
-    if r.remaining() != 0 {
-        return Err(SnapshotError::TrailingBytes {
-            extra: r.remaining() as u64,
-        });
-    }
+    r.finish()?;
 
     // `monthly` has exactly seven filled slots: seven iterations, duplicate
     // tags rejected, every tag valid. `take` leaves None behind, which the
@@ -850,7 +617,7 @@ fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         index,
         magnitudes,
         artifacts,
-        crc32: expected_crc,
+        crc32,
     })
 }
 
@@ -866,13 +633,6 @@ mod tests {
             "tiny",
             &[("note".to_owned(), "hello snapshot".to_owned())],
         )
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard check value for the IEEE polynomial.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]
@@ -933,7 +693,7 @@ mod tests {
         std::fs::create_dir(dir.join("t.tpls.tmp")).expect("blocker");
         let artifacts = vec![("note".to_owned(), "newer".to_owned())];
         let err = write_study(&study, "tiny", &artifacts, &path).expect_err("must fail");
-        assert!(matches!(err, SnapshotError::Io(_)), "{err:?}");
+        assert!(matches!(err, ContainerError::Io(_)), "{err:?}");
         assert_eq!(std::fs::read(&path).expect("still readable"), before);
         let snap = Snapshot::read_from(&path).expect("previous snapshot decodes");
         assert_eq!(snap.to_bytes(), before);
@@ -958,18 +718,27 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_magic_and_version() {
-        let mut bytes = tiny_snapshot_bytes();
+    fn rejects_bad_magic_version_and_reserved() {
+        let valid = tiny_snapshot_bytes();
+        let mut bytes = valid.clone();
         bytes[0] = b'X';
         assert!(matches!(
             Snapshot::from_bytes(&bytes),
-            Err(SnapshotError::BadMagic { .. })
+            Err(ContainerError::BadMagic { .. })
         ));
-        let mut bytes = tiny_snapshot_bytes();
+        let mut bytes = valid.clone();
         bytes[4] = 99;
         assert!(matches!(
             Snapshot::from_bytes(&bytes),
-            Err(SnapshotError::UnsupportedVersion { found: 99 })
+            Err(ContainerError::UnsupportedVersion { found: 99 })
+        ));
+        let mut bytes = valid;
+        bytes[7] = 1;
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes),
+            Err(ContainerError::Malformed {
+                context: "reserved header field must be 0"
+            })
         ));
     }
 
@@ -978,17 +747,17 @@ mod tests {
         let bytes = tiny_snapshot_bytes();
         assert!(matches!(
             Snapshot::from_bytes(&bytes[..bytes.len() / 2]),
-            Err(SnapshotError::Truncated { .. })
+            Err(ContainerError::Truncated { .. })
         ));
         assert!(matches!(
             Snapshot::from_bytes(&bytes[..10]),
-            Err(SnapshotError::Truncated { .. })
+            Err(ContainerError::Truncated { .. })
         ));
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(matches!(
             Snapshot::from_bytes(&extended),
-            Err(SnapshotError::TrailingBytes { extra: 1 })
+            Err(ContainerError::TrailingBytes { extra: 1 })
         ));
     }
 
@@ -1006,7 +775,7 @@ mod tests {
     /// Recomputes the header CRC, so only a structural check can refuse
     /// the file.
     fn reseal(bytes: &mut [u8]) {
-        let crc = crc32(&bytes[HEADER_LEN..]);
+        let crc = frame::crc32(&bytes[HEADER_LEN..]);
         bytes[16..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
     }
 
@@ -1042,7 +811,7 @@ mod tests {
         patch_after(&mut dup, &column_head(monthly, 1), first);
         assert!(matches!(
             Snapshot::from_bytes(&dup),
-            Err(SnapshotError::Malformed {
+            Err(ContainerError::Malformed {
                 context: "list column names one domain twice"
             })
         ));
@@ -1053,7 +822,7 @@ mod tests {
         patch_after(&mut dup, &column_head(daily, daily.len() - 1), first);
         assert!(matches!(
             Snapshot::from_bytes(&dup),
-            Err(SnapshotError::Malformed {
+            Err(ContainerError::Malformed {
                 context: "list column names one domain twice"
             })
         ));
@@ -1092,7 +861,7 @@ mod tests {
         patch_after(&mut forged, &head, outside.raw());
         assert!(matches!(
             Snapshot::from_bytes(&forged),
-            Err(SnapshotError::Malformed {
+            Err(ContainerError::Malformed {
                 context: "cf_ids entry is not the list's own id at its step"
             })
         ));
@@ -1114,7 +883,7 @@ mod tests {
         reseal(&mut forged);
         assert!(matches!(
             Snapshot::from_bytes(&forged),
-            Err(SnapshotError::Malformed {
+            Err(ContainerError::Malformed {
                 context: "cf_prefix steps where the cloudflare flags do not"
             })
         ));
@@ -1128,7 +897,7 @@ mod tests {
         bytes[mid] ^= 0xFF;
         assert!(matches!(
             Snapshot::from_bytes(&bytes),
-            Err(SnapshotError::ChecksumMismatch { .. })
+            Err(ContainerError::ChecksumMismatch { .. })
         ));
     }
 }

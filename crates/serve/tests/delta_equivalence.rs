@@ -19,8 +19,8 @@ use std::sync::OnceLock;
 
 use proptest::{proptest, ProptestConfig};
 use topple_core::Study;
-use topple_serve::delta::HEADER_LEN;
-use topple_serve::{encode_study, Delta, DeltaError, DeltaIdentity};
+use topple_serve::frame::HEADER_LEN;
+use topple_serve::{encode_study, ContainerError, Delta, DeltaIdentity};
 use topple_sim::{World, WorldConfig};
 use topple_vantage::DayScratch;
 
@@ -129,7 +129,7 @@ fn compacting_mismatched_bases_fails_closed() {
     .expect("alien delta");
     assert!(matches!(
         Delta::compact(vec![day_delta(&w, 5), alien]),
-        Err(DeltaError::BaseMismatch { .. })
+        Err(ContainerError::BaseMismatch { .. })
     ));
 }
 
@@ -162,8 +162,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Flipping any byte of a `tpld` container must yield a typed error —
-    /// never a panic, never a silently-wrong delta. (Unlike `tpls`, the
-    /// reserved header bytes are held to zero, so no offset is exempt.)
+    /// never a panic, never a silently-wrong delta. The reserved header
+    /// bytes are held to zero, so no offset is exempt.
     #[test]
     fn corruption_fails_closed(offset in 0usize..200_000usize, flip in 1u8..=255u8) {
         let mut bytes = baseline_delta().to_vec();
@@ -188,7 +188,7 @@ proptest! {
         };
         if keep >= HEADER_LEN {
             assert!(
-                matches!(err, DeltaError::Truncated { .. }),
+                matches!(err, ContainerError::Truncated { .. }),
                 "prefix {keep}: expected Truncated, got {err}"
             );
         }
@@ -202,7 +202,7 @@ proptest! {
         bytes.resize(grown, 0xAA);
         assert!(matches!(
             Delta::from_bytes(&bytes),
-            Err(DeltaError::TrailingBytes { .. })
+            Err(ContainerError::TrailingBytes { .. })
         ));
     }
 }

@@ -10,8 +10,9 @@ use std::sync::OnceLock;
 
 use proptest::{proptest, ProptestConfig};
 use topple_core::Study;
-use topple_serve::snapshot::{encode_study, HEADER_LEN};
-use topple_serve::{Snapshot, SnapshotError};
+use topple_serve::frame::HEADER_LEN;
+use topple_serve::snapshot::encode_study;
+use topple_serve::{ContainerError, Snapshot};
 use topple_sim::WorldConfig;
 
 /// One tiny study's snapshot bytes, built once and shared by every case.
@@ -43,26 +44,29 @@ fn write_read_rewrite_is_byte_identical() {
 }
 
 #[test]
-fn reserved_header_bytes_are_ignored() {
-    // Offsets 6..8 are the reserved u16: the one region a flip may not fail,
-    // by design — forward-compatible writers may set it.
-    let mut bytes = baseline().to_vec();
-    bytes[6] ^= 0xFF;
-    assert!(Snapshot::from_bytes(&bytes).is_ok());
+fn reserved_header_bytes_are_rejected() {
+    // Offsets 6..8 are the reserved u16, which the shared frame holds to
+    // zero for both container formats.
+    for at in 6..8 {
+        let mut bytes = baseline().to_vec();
+        bytes[at] ^= 0xFF;
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes),
+            Err(ContainerError::Malformed {
+                context: "reserved header field must be 0"
+            })
+        ));
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Flipping any non-reserved byte must yield a typed error.
+    /// Flipping any byte must yield a typed error.
     #[test]
     fn corruption_fails_closed(offset in 0usize..48_000usize, flip in 1u8..=255u8) {
         let mut bytes = baseline().to_vec();
         let at = offset % bytes.len();
-        if (6..8).contains(&at) {
-            // Reserved bytes: covered by `reserved_header_bytes_are_ignored`.
-            return Ok(());
-        }
         bytes[at] ^= flip;
         let err = match Snapshot::from_bytes(&bytes) {
             Err(e) => e,
@@ -86,7 +90,7 @@ proptest! {
         };
         if keep >= HEADER_LEN {
             assert!(
-                matches!(err, SnapshotError::Truncated { .. }),
+                matches!(err, ContainerError::Truncated { .. }),
                 "prefix {keep}: expected Truncated, got {err}"
             );
         }
@@ -100,7 +104,7 @@ proptest! {
         bytes.resize(grown, 0xAA);
         assert!(matches!(
             Snapshot::from_bytes(&bytes),
-            Err(SnapshotError::TrailingBytes { .. })
+            Err(ContainerError::TrailingBytes { .. })
         ));
     }
 }
@@ -112,20 +116,20 @@ fn header_errors_are_specific() {
     bad_magic[0] = b'Z';
     assert!(matches!(
         Snapshot::from_bytes(&bad_magic),
-        Err(SnapshotError::BadMagic { .. })
+        Err(ContainerError::BadMagic { .. })
     ));
     let mut bad_version = bytes.to_vec();
     bad_version[4] = 0x7F;
     assert!(matches!(
         Snapshot::from_bytes(&bad_version),
-        Err(SnapshotError::UnsupportedVersion { .. })
+        Err(ContainerError::UnsupportedVersion { .. })
     ));
     let mut bad_payload = bytes.to_vec();
     let mid = HEADER_LEN + (bytes.len() - HEADER_LEN) / 2;
     bad_payload[mid] ^= 0x01;
     assert!(matches!(
         Snapshot::from_bytes(&bad_payload),
-        Err(SnapshotError::ChecksumMismatch { .. })
+        Err(ContainerError::ChecksumMismatch { .. })
     ));
 }
 

@@ -14,8 +14,10 @@
 //! rather than panicking. Entries may arrive in any order: the decoder
 //! sorts each keyed section, so any permutation of a section decodes to the
 //! same shard and re-encodes to the canonical bytes. Framing (magic,
-//! version, checksum) is the *delta container's* job, one layer up in
-//! `topple-serve`; this module encodes only the shard body.
+//! version, checksum) belongs to `topple-serve`'s one container frame,
+//! shared by `tpls` snapshots and `tpld` deltas; this module encodes only
+//! the shard body. Its [`Reader`] is also the bounds-checked reader both
+//! container payloads decode through.
 //!
 //! ```text
 //! day_shards := cdn chrome dns(umbrella) dns(china) panel
@@ -118,6 +120,16 @@ impl<'a> Writer<'a> {
     pub fn len(&mut self, n: usize) {
         self.u32(topple_stats::cast::u32_from_usize(n));
     }
+
+    /// Appends a string as a `u16` byte length and its UTF-8 bytes.
+    pub fn str16(&mut self, s: &str) {
+        debug_assert!(
+            s.len() <= usize::from(u16::MAX),
+            "string too long for u16 len"
+        );
+        self.u16(s.len() as u16);
+        self.out.extend_from_slice(s.as_bytes());
+    }
 }
 
 /// Bounds-checked little-endian reader over externally-shaped bytes.
@@ -133,7 +145,8 @@ impl<'a> Reader<'a> {
         Reader { buf, off: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    /// Reads `n` raw bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         let end = self.off.checked_add(n).ok_or(WireError::Malformed {
             context: "length overflows the address space",
         })?;
@@ -176,6 +189,29 @@ impl<'a> Reader<'a> {
     /// Reads an `f64` from its IEEE-754 bit pattern.
     pub fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// Reads a string written by [`Writer::str16`]; bytes that are not
+    /// UTF-8 are rejected.
+    pub fn str16(&mut self) -> Result<&'a str, WireError> {
+        let n = usize::from(self.u16()?);
+        std::str::from_utf8(self.take(n)?).map_err(|_| WireError::Malformed {
+            context: "string is not UTF-8",
+        })
+    }
+
+    /// Reads a column of `n` little-endian `u32`s in one bulk pass. The
+    /// byte length is checked against the buffer before the column is
+    /// allocated, so a hostile `n` fails without allocating.
+    pub fn u32s(&mut self, n: usize) -> Result<Vec<u32>, WireError> {
+        let len = n.checked_mul(4).ok_or(WireError::Malformed {
+            context: "element count overflows the address space",
+        })?;
+        Ok(self
+            .take(len)?
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect())
     }
 
     /// Reads a `u32` collection length and pre-checks that at least
@@ -266,6 +302,50 @@ mod tests {
         Writer::new(&mut buf).u32(u32::MAX);
         let mut r = Reader::new(&buf);
         assert!(matches!(r.len(8), Err(WireError::Truncated { .. })));
+    }
+
+    #[test]
+    fn str16_round_trips_and_fails_closed() {
+        let mut buf = Vec::new();
+        Writer::new(&mut buf).str16("tranco");
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.str16().unwrap(), "tranco");
+        assert!(r.finish().is_ok());
+        // A declared length past the buffer is truncation.
+        let mut r = Reader::new(&buf[..buf.len() - 1]);
+        assert!(matches!(
+            r.str16(),
+            Err(WireError::Truncated { need: 6, have: 5 })
+        ));
+        // A lone continuation byte is not UTF-8.
+        let mut r = Reader::new(&[1, 0, 0x80]);
+        assert!(matches!(
+            r.str16(),
+            Err(WireError::Malformed {
+                context: "string is not UTF-8"
+            })
+        ));
+    }
+
+    #[test]
+    fn u32_column_reads_in_bulk_and_rejects_hostile_counts() {
+        let mut buf = Vec::new();
+        let mut w = Writer::new(&mut buf);
+        for v in [3u32, 1 << 20, u32::MAX] {
+            w.u32(v);
+        }
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.u32s(3).unwrap(), [3, 1 << 20, u32::MAX]);
+        assert!(r.finish().is_ok());
+        // Counts the buffer cannot hold fail before any column is built,
+        // including one whose byte length overflows.
+        let mut r = Reader::new(&buf);
+        assert!(matches!(r.u32s(1 << 30), Err(WireError::Truncated { .. })));
+        assert!(matches!(
+            r.u32s(usize::MAX),
+            Err(WireError::Malformed { .. })
+        ));
+        assert_eq!(r.remaining(), buf.len(), "a failed read consumes nothing");
     }
 
     #[test]
