@@ -46,24 +46,7 @@ impl DomainName {
         }
         let mut name = String::with_capacity(trimmed.len());
         for label in trimmed.split('.') {
-            if label.is_empty() {
-                return Err(DomainError::EmptyLabel);
-            }
-            if label.len() > Self::MAX_LABEL_LEN {
-                return Err(DomainError::LabelTooLong {
-                    label: label.to_owned(),
-                });
-            }
-            if label.starts_with('-') || label.ends_with('-') {
-                return Err(DomainError::HyphenEdge {
-                    label: label.to_owned(),
-                });
-            }
-            for ch in label.chars() {
-                if !(ch.is_ascii_alphanumeric() || ch == '-' || ch == '_') {
-                    return Err(DomainError::InvalidCharacter { ch });
-                }
-            }
+            check_label(label)?;
             if !name.is_empty() {
                 name.push('.');
             }
@@ -138,9 +121,32 @@ impl DomainName {
 
     /// Joins a validated label onto the left of this name.
     ///
-    /// Used by the simulated world when minting subdomain FQDNs for a site.
+    /// Used by the simulated world when deriving subdomain FQDNs for a site.
+    /// Succeeds exactly when [`DomainName::can_prepend`] holds, building the
+    /// name in one allocation.
     pub fn prepend(&self, label: &str) -> Result<DomainName, DomainError> {
-        DomainName::new(&format!("{label}.{}", self.name))
+        if !self.can_prepend(label) {
+            // The slow path only exists to report the precise fault.
+            return DomainName::new(&format!("{label}.{}", self.name));
+        }
+        let mut name = String::with_capacity(label.len() + 1 + self.name.len());
+        name.extend(label.chars().map(|c| c.to_ascii_lowercase()));
+        name.push('.');
+        name.push_str(&self.name);
+        Ok(DomainName { name })
+    }
+
+    /// Whether [`DomainName::prepend`] of `label` would succeed, decided
+    /// without building the name: the joined name must fit
+    /// [`DomainName::MAX_NAME_LEN`] and every label of `label` must be valid.
+    pub fn can_prepend(&self, label: &str) -> bool {
+        label.len() + 1 + self.name.len() <= Self::MAX_NAME_LEN
+            && label.split('.').all(|l| check_label(l).is_ok())
+    }
+
+    /// Consumes the name, returning its normalized text.
+    pub fn into_string(self) -> String {
+        self.name
     }
 
     /// Constructs a name that is already known to be valid and normalized.
@@ -153,6 +159,29 @@ impl DomainName {
             .unwrap_or(false));
         DomainName { name }
     }
+}
+
+/// Checks one label against the LDH rule [`DomainName::new`] enforces.
+fn check_label(label: &str) -> Result<(), DomainError> {
+    if label.is_empty() {
+        return Err(DomainError::EmptyLabel);
+    }
+    if label.len() > DomainName::MAX_LABEL_LEN {
+        return Err(DomainError::LabelTooLong {
+            label: label.to_owned(),
+        });
+    }
+    if label.starts_with('-') || label.ends_with('-') {
+        return Err(DomainError::HyphenEdge {
+            label: label.to_owned(),
+        });
+    }
+    for ch in label.chars() {
+        if !(ch.is_ascii_alphanumeric() || ch == '-' || ch == '_') {
+            return Err(DomainError::InvalidCharacter { ch });
+        }
+    }
+    Ok(())
 }
 
 impl FromStr for DomainName {
@@ -278,6 +307,49 @@ mod tests {
         let base = DomainName::new("example.com").unwrap();
         assert_eq!(base.prepend("cdn").unwrap().as_str(), "cdn.example.com");
         assert!(base.prepend("bad label").is_err());
+    }
+
+    #[test]
+    fn can_prepend_agrees_with_prepend() {
+        let long = format!(
+            "{}.{}.{}.com",
+            "a".repeat(63),
+            "b".repeat(63),
+            "c".repeat(63)
+        );
+        let bases = [
+            DomainName::new("example.com").unwrap(),
+            DomainName::new(&long).unwrap(),
+        ];
+        let too_long = "a".repeat(64);
+        let labels = [
+            "www",
+            "WWW",
+            "m",
+            "checkout",
+            "a.b",
+            "",
+            "a..b",
+            "-x",
+            "x-",
+            "bad label",
+            "é",
+            "under_score",
+            too_long.as_str(),
+        ];
+        for base in &bases {
+            for label in labels {
+                let built = base.prepend(label);
+                assert_eq!(base.can_prepend(label), built.is_ok(), "{label}.{base}");
+                if let Ok(built) = built {
+                    let parsed = DomainName::new(&format!("{label}.{base}")).unwrap();
+                    assert_eq!(built, parsed, "{label}.{base}");
+                }
+            }
+        }
+        // 3×63 + 3 dots + "com" = 195 bytes: "www." fits, a 63-byte label does not.
+        assert!(bases[1].can_prepend("www"));
+        assert!(!bases[1].can_prepend(&"d".repeat(63)));
     }
 
     #[test]

@@ -78,13 +78,17 @@ impl DeltaIdentity {
 }
 
 /// A decoded (or freshly-built) day delta: base identity, the days covered,
-/// and the shard body itself.
+/// the shard body itself, and its sealed container bytes.
+///
+/// The container is encoded once, when the delta is built (or kept from
+/// the bytes it was decoded from), so its checksum, [`Delta::id`] and
+/// [`Delta::to_bytes`] all come from that one encoding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delta {
     identity: DeltaIdentity,
     days: Vec<u32>,
     shards: DayShards,
-    crc32: u32,
+    sealed: Vec<u8>,
 }
 
 impl Delta {
@@ -103,16 +107,15 @@ impl Delta {
             });
         }
         let days: Vec<u32> = coverage.into_iter().map(cast::u32_from_usize).collect();
-        let mut d = Delta {
+        let sealed = frame::seal(MAGIC, 1 << 16, |out| {
+            encode_payload(&identity, &days, &shards, out);
+        });
+        Ok(Delta {
             identity,
             days,
             shards,
-            crc32: 0,
-        };
-        let mut payload = Vec::with_capacity(1 << 16);
-        d.encode_payload(&mut payload);
-        d.crc32 = frame::crc32(&payload);
-        Ok(d)
+            sealed,
+        })
     }
 
     /// The base-world identity this delta extends.
@@ -125,47 +128,34 @@ impl Delta {
         &self.days
     }
 
-    /// The shard body. Consuming accessor: application means merging these
-    /// into a day pool, and shards are large.
+    /// The shard body (the sealed bytes are dropped). Consuming accessor:
+    /// application means merging these into a day pool, and shards are
+    /// large.
     pub fn into_shards(self) -> DayShards {
         self.shards
     }
 
     /// Payload CRC — the delta's content hash.
     pub fn crc32(&self) -> u32 {
-        self.crc32
+        frame::sealed_crc(&self.sealed)
     }
 
     /// Stable identity string: version, payload CRC, and covered day span.
     pub fn id(&self) -> String {
         let first = self.days.first().copied().unwrap_or(0);
         let last = self.days.last().copied().unwrap_or(0);
-        frame::id(MAGIC, self.crc32, format_args!("d{first}-{last}"))
+        frame::id(MAGIC, self.crc32(), format_args!("d{first}-{last}"))
     }
 
-    /// Appends the payload (everything after the frame header) to `out`.
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        let mut w = Writer::new(out);
-        w.u64(self.identity.seed);
-        w.u64(self.identity.n_sites);
-        w.u64(self.identity.n_clients);
-        w.str16(&self.identity.scale);
-        w.len(self.days.len());
-        for &d in &self.days {
-            w.u32(d);
-        }
-        self.shards.encode(out);
-    }
-
-    /// Encodes to the on-disk/wire byte form. Deterministic: equal deltas
-    /// produce equal bytes.
+    /// The on-disk/wire byte form. Deterministic: equal deltas produce
+    /// equal bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        frame::seal(MAGIC, 1 << 16, |out| self.encode_payload(out))
+        self.sealed.clone()
     }
 
     /// Decodes a delta, failing closed on any framing or structural fault.
     pub fn from_bytes(bytes: &[u8]) -> Result<Delta, ContainerError> {
-        let (payload, crc32) = frame::open(MAGIC, bytes)?;
+        let (payload, _) = frame::open(MAGIC, bytes)?;
         let mut r = Reader::new(payload);
         let identity = DeltaIdentity {
             seed: r.u64()?,
@@ -194,7 +184,7 @@ impl Delta {
             identity,
             days,
             shards,
-            crc32,
+            sealed: bytes.to_vec(),
         })
     }
 
@@ -208,8 +198,7 @@ impl Delta {
     /// is crash-safe like a snapshot's ([`frame::write_atomic`]): a failed
     /// write leaves the file previously at `path` intact.
     pub fn write_to(&self, path: &Path) -> Result<String, ContainerError> {
-        let bytes = self.to_bytes();
-        frame::write_atomic(path, |file| Ok(file.write_all(&bytes)?))?;
+        frame::write_atomic(path, |file| Ok(file.write_all(&self.sealed)?))?;
         Ok(self.id())
     }
 
@@ -238,6 +227,20 @@ impl Delta {
     }
 }
 
+/// Appends a delta's payload (everything after the frame header) to `out`.
+fn encode_payload(identity: &DeltaIdentity, days: &[u32], shards: &DayShards, out: &mut Vec<u8>) {
+    let mut w = Writer::new(out);
+    w.u64(identity.seed);
+    w.u64(identity.n_sites);
+    w.u64(identity.n_clients);
+    w.str16(&identity.scale);
+    w.len(days.len());
+    for &d in days {
+        w.u32(d);
+    }
+    shards.encode(out);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,6 +257,21 @@ mod tests {
             scale: "tiny".to_owned(),
         };
         Delta::new(identity, shards).expect("delta")
+    }
+
+    #[test]
+    fn one_encoding_serves_id_checksum_and_bytes() {
+        let d = tiny_delta(31, 2);
+        let bytes = d.to_bytes();
+        // The bytes are exactly a fresh seal of the payload, so the
+        // checksum taken from them is the payload's.
+        let mut payload = Vec::new();
+        encode_payload(d.identity(), d.days(), &d.shards, &mut payload);
+        assert_eq!(&bytes[frame::HEADER_LEN..], payload.as_slice());
+        assert_eq!(d.crc32(), frame::crc32(&payload));
+        let back = Delta::from_bytes(&bytes).expect("decodes");
+        assert_eq!(back.id(), d.id());
+        assert_eq!(back.crc32(), d.crc32());
     }
 
     #[test]

@@ -110,6 +110,11 @@ pub fn seal(magic: [u8; 4], capacity: usize, write: impl FnOnce(&mut Vec<u8>)) -
     out
 }
 
+/// The CRC-32 field of a container [`seal`] built.
+pub fn sealed_crc(sealed: &[u8]) -> u32 {
+    u32::from_le_bytes([sealed[16], sealed[17], sealed[18], sealed[19]])
+}
+
 /// Checks the header of `bytes` against `magic` and returns the payload
 /// with its CRC-32 (the content hash).
 ///

@@ -292,6 +292,9 @@ pub struct LiveEngine {
     /// Delta bundles above the folded prefix, held until the days below
     /// them arrive.
     pool: Vec<Pending>,
+    /// Id of the snapshot the daemon booted from: where the delta chain
+    /// in `lineage` starts.
+    base_id: String,
     /// Delta ids applied so far, oldest first.
     lineage: Vec<String>,
 }
@@ -305,6 +308,7 @@ impl LiveEngine {
         let snapshot = current.snapshot();
         let scale = snapshot.identity.scale.clone();
         let artifacts = snapshot.artifacts.clone();
+        let base_id = snapshot.id();
         drop(current);
         LiveEngine {
             store,
@@ -313,6 +317,7 @@ impl LiveEngine {
             artifacts,
             workers: workers.max(1),
             pool: Vec::new(),
+            base_id,
             lineage: Vec::new(),
         }
     }
@@ -405,7 +410,7 @@ impl LiveEngine {
             .map_err(|e| format!("rebuilt snapshot did not decode: {e}"))?;
         clock.lap(RebuildStep::Decode);
         let generation = self.store.generation() + 1;
-        let next = QuerySnapshot::with_generation(snapshot, generation, &self.lineage);
+        let next = QuerySnapshot::live(snapshot, generation, &self.base_id, &self.lineage);
         clock.lap(RebuildStep::QuerySnapshot);
         self.store.metrics.record_rebuild(&clock);
         self.store.swap(Arc::new(next));
@@ -591,6 +596,28 @@ mod tests {
             assert!(body.contains(&format!("\"generation\":{generation}")));
             assert!(body.contains("tpld-v1-"), "{body}");
         }
+    }
+
+    #[test]
+    fn snapshot_body_names_the_boot_snapshot_and_the_deltas_since() {
+        let (store, mut engine) = live_fixture(3);
+        let boot_id = store.current().id().to_owned();
+        let prefix = engine.boot().expect("boot verifies");
+        let delta = delta_for_day(3);
+        let _prefix = step(&store, &mut engine, prefix, &delta);
+        let now = store.current();
+        assert_eq!(now.generation(), 1);
+        // The rebuilt snapshot has its own content id; `base` still names
+        // the snapshot the chain starts from, and `lineage` the one delta.
+        assert_ne!(now.snapshot().id(), boot_id);
+        let body = std::str::from_utf8(now.snapshot_bytes()).expect("utf8");
+        assert!(
+            body.contains(&format!(
+                "\"base\":\"{boot_id}\",\"generation\":1,\"n_days\":4,\"lineage\":[\"{}\"]}}",
+                delta.id()
+            )),
+            "{body}"
+        );
     }
 
     /// The number after `"key":` in the first object named `object`.

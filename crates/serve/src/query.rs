@@ -342,23 +342,36 @@ impl QuerySnapshot {
         QuerySnapshot::with_generation(snapshot, 0, &[])
     }
 
-    /// Prepares a decoded snapshot for serving at a live generation.
+    /// Prepares a decoded snapshot for serving at a live generation, with
+    /// the snapshot itself as the `/v1/snapshot` body's `base` (what the
+    /// offline query layer renders); [`QuerySnapshot::live`] with the
+    /// snapshot's own id.
+    pub fn with_generation(snapshot: Snapshot, generation: u64, lineage: &[String]) -> Self {
+        let base_id = snapshot.id();
+        QuerySnapshot::live(snapshot, generation, &base_id, lineage)
+    }
+
+    /// Prepares a snapshot rebuilt by a live daemon that booted from the
+    /// snapshot `base_id`.
     ///
     /// Generation 0 renders the plain snapshot id (byte-identical to what
     /// the offline query layer produces for the same file); generation N>0
     /// suffixes `-gN` so every response names exactly which hot-swapped
     /// index produced it. `lineage` lists the delta ids applied since boot,
-    /// oldest first, and is baked into the pre-rendered `/v1/snapshot` body.
-    pub fn with_generation(snapshot: Snapshot, generation: u64, lineage: &[String]) -> Self {
-        let base_id = snapshot.id();
+    /// oldest first; with `base_id` it is baked into the pre-rendered
+    /// `/v1/snapshot` body, so the two name where the delta chain starts
+    /// and every link of it. No other body mentions the base.
+    pub fn live(snapshot: Snapshot, generation: u64, base_id: &str, lineage: &[String]) -> Self {
+        let own_id = snapshot.id();
         let id = if generation > 0 {
-            format!("{base_id}-g{generation}")
+            format!("{own_id}-g{generation}")
         } else {
-            base_id.clone()
+            own_id
         };
         let mut snapshot_body = format!(
-            "{{\"snapshot\":\"{id}\",\"base\":\"{base_id}\",\"generation\":{generation},\
+            "{{\"snapshot\":\"{id}\",\"base\":\"{}\",\"generation\":{generation},\
              \"n_days\":{},\"lineage\":[",
+            escape(base_id),
             snapshot.identity.n_days
         );
         for (i, delta_id) in lineage.iter().enumerate() {

@@ -11,19 +11,21 @@
 //! costs derived from the in-memory layout (`Site`/`Client` AoS records, the
 //! SoA columns in [`crate::soa`], the CSR link graph, the 48 navigation alias
 //! tables, the domain index) plus transient shard scratch. It over-estimates
-//! string-heavy components (domain names, host labels) on purpose — the
-//! budget is a ceiling, not an accounting identity. Measured peak RSS for the
-//! shipped tiers is recorded in EXPERIMENTS.md next to each estimate.
+//! the string-heavy component (domain names) on purpose — the budget is a
+//! ceiling, not an accounting identity. Measured peak RSS for the shipped
+//! tiers is recorded in EXPERIMENTS.md next to each estimate.
 
 use topple_stats::cast;
 
 use crate::config::WorldConfig;
 
-/// Estimated average bytes of heap owned by one `Site` AoS record: the
-/// `String` domain (label + suffix + allocation header), the host vector
-/// (~4.3 hosts/site, each a `SiteHost` with its own label `String`), the
-/// country-mix array and fixed fields.
-const SITE_AOS_BYTES: u64 = 640;
+/// Estimated average bytes of one `Site` AoS record and the heap it owns:
+/// the 232-byte record (fixed fields, the country-mix array, the one-byte
+/// host mask its host names are derived from), the `String` domain (label +
+/// suffix + allocation header, at most 48 bytes for generated names) and
+/// the third-party vector (at most four 8-byte entries plus header), with
+/// slack.
+const SITE_AOS_BYTES: u64 = 352;
 
 /// Bytes per `Client` AoS record (fixed-size: no owned heap besides the
 /// struct itself and its IP/browser enums).
@@ -57,9 +59,11 @@ const LINK_EDGES_PER_SITE: u64 = 16;
 const NAV_CELL_BYTES: u64 = 12;
 const NAV_CELLS: u64 = 48;
 
-/// Bytes per entry of the domain -> id hash index (owned key `String` plus
-/// hash-map slot overhead).
-const NAME_INDEX_BYTES: u64 = 96;
+/// Bytes per site of the domain -> id index: one `u32` slot per site at a
+/// load factor of at least 1/4 (slot counts are powers of two, at least
+/// twice the site count). Keys are not stored; lookups confirm against the
+/// site's own domain.
+const NAME_INDEX_BYTES: u64 = 16;
 
 /// Transient scratch per in-flight shard (draw buffers, shard-local CSR
 /// segments) — multiplied by the worker count since each worker holds one
@@ -82,7 +86,7 @@ pub struct GenBudget {
     pub link_graph: u64,
     /// The 48 navigation alias tables.
     pub nav_tables: u64,
-    /// Domain-name -> `SiteId` hash index plus the mint-uniqueness set.
+    /// Domain-name -> `SiteId` index.
     pub name_index: u64,
     /// Transient per-worker shard scratch (peak, not cumulative).
     pub shard_scratch: u64,
@@ -208,6 +212,15 @@ mod tests {
         } else {
             assert!(vm_hwm_bytes().is_none());
         }
+    }
+
+    #[test]
+    fn site_record_fits_its_share_of_the_estimate() {
+        // The per-site figure prices the record plus its two small heap
+        // blocks; a record that grows past this no longer leaves room.
+        let record = cast::u64_from_usize(std::mem::size_of::<crate::site::Site>());
+        assert!(record <= 232, "Site is {record} bytes");
+        assert!(record + 48 + 48 <= SITE_AOS_BYTES);
     }
 
     #[test]

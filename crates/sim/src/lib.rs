@@ -54,6 +54,7 @@ pub mod budget;
 pub mod client;
 pub mod config;
 pub mod date;
+mod domain_index;
 pub mod ids;
 pub mod linkgraph;
 pub mod namegen;
@@ -72,7 +73,7 @@ pub use date::{Date, Weekday};
 pub use ids::{ClientId, SiteId};
 pub use linkgraph::LinkGraph;
 pub use rng::{DETERMINISM_EPOCH, GENERATION_EPOCH};
-pub use site::{HostKind, Site, SiteHost};
+pub use site::{HostKind, Site};
 pub use taxonomy::{Browser, Category, Country, Platform};
 pub use traffic::{
     BackgroundQuery, CollectSink, DayTraffic, EventSink, PageLoad, ThirdPartyFetch, TrafficScratch,

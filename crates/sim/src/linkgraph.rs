@@ -29,6 +29,43 @@ pub struct LinkGraph {
     referring: Vec<u32>,
 }
 
+/// A link graph's CSR rows, appended block by block in source-site order
+/// (the sharded generator folds each shard's rows in as it arrives).
+#[derive(Debug)]
+pub(crate) struct LinkRows {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl LinkRows {
+    /// No rows yet, with room for `n_sites` row offsets.
+    pub(crate) fn with_capacity(n_sites: usize) -> Self {
+        let mut offsets = Vec::with_capacity(n_sites + 1);
+        offsets.push(0);
+        LinkRows {
+            offsets,
+            targets: Vec::new(),
+        }
+    }
+
+    /// Appends consecutive rows: row `j` holds the next `row_lens[j]`
+    /// entries of `targets`.
+    pub(crate) fn append(&mut self, row_lens: &[u32], targets: &[u32]) {
+        let mut end = self.targets.len();
+        for &len in row_lens {
+            end += cast::usize_from_u32(len);
+            self.offsets.push(cast::u32_from_usize(end));
+        }
+        self.targets.extend_from_slice(targets);
+        debug_assert_eq!(end, self.targets.len());
+    }
+
+    /// The graph over every appended row.
+    pub(crate) fn finish(self) -> LinkGraph {
+        LinkGraph::finish(self.offsets, self.targets)
+    }
+}
+
 /// Sub-linear exponent tying link volume to popularity: links accrue with
 /// popularity but much less than proportionally.
 const POPULARITY_EXPONENT: f64 = 0.45;
@@ -73,29 +110,6 @@ impl LinkGraph {
             }
         }
         // topple-lint: hot-path-end
-    }
-
-    /// Assembles a graph from shard-local CSR segments, in shard order.
-    ///
-    /// Each shard contributes `(row_lens, targets)` for a contiguous id
-    /// range; row target lists are concatenated and offsets rebased, so the
-    /// result is byte-identical to a single-threaded build of the same rows.
-    pub(crate) fn splice(shards: Vec<(Vec<u32>, Vec<u32>)>) -> Self {
-        let n: usize = shards.iter().map(|(lens, _)| lens.len()).sum();
-        let total: usize = shards.iter().map(|(_, t)| t.len()).sum();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(total);
-        offsets.push(0u32);
-        let mut acc = 0u64;
-        for (lens, shard_targets) in shards {
-            for len in lens {
-                acc += u64::from(len);
-                offsets.push(cast::u32_from_u64(acc));
-            }
-            targets.extend_from_slice(&shard_targets);
-        }
-        debug_assert_eq!(cast::usize_from_u64(acc), targets.len());
-        LinkGraph::finish(offsets, targets)
     }
 
     /// Finalizes a CSR pair into a graph, computing the per-target counts

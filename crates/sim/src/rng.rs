@@ -47,9 +47,10 @@ pub const DETERMINISM_EPOCH: u32 = 2;
 /// - **2** — sharded parallel construction from per-entity substreams
 ///   (`Stream::GenSite(id)`, `Stream::GenClient(id)`,
 ///   `Stream::GenThirdParty(id)`, `Stream::GenLink(id)`): any contiguous id
-///   shard can be built on any worker and spliced in id order, so the world
-///   is byte-identical across worker counts and shard sizes. Distributionally
-///   equivalent to epoch 1, not byte-identical to it.
+///   shard can be built on any worker and folded into the world in id
+///   order, so the world is byte-identical across worker counts and shard
+///   sizes. Distributionally equivalent to epoch 1, not byte-identical to
+///   it.
 pub const GENERATION_EPOCH: u32 = 2;
 
 /// Domain-separation tags for RNG substreams.

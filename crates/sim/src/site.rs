@@ -1,6 +1,7 @@
 //! Websites: the ground-truth objects whose popularity the top lists estimate.
 
 use topple_psl::{DomainName, Origin, Scheme};
+use topple_stats::cast;
 
 use crate::ids::SiteId;
 use crate::taxonomy::{Category, Country};
@@ -19,14 +20,18 @@ pub enum HostKind {
     Service,
 }
 
-/// One FQDN belonging to a site.
-#[derive(Debug, Clone)]
-pub struct SiteHost {
-    /// The fully-qualified name.
-    pub name: DomainName,
-    /// Its role.
-    pub kind: HostKind,
-}
+/// Host-mask bits, in host-index order after the apex (which every site
+/// has): each set bit adds one FQDN `{label}.{domain}` of the given role.
+pub(crate) const HOST_WWW: u8 = 1 << 0;
+pub(crate) const HOST_M: u8 = 1 << 1;
+pub(crate) const HOST_CDN: u8 = 1 << 2;
+pub(crate) const HOST_STATIC: u8 = 1 << 3;
+pub(crate) const HOST_API: u8 = 1 << 4;
+pub(crate) const HOST_IMG: u8 = 1 << 5;
+pub(crate) const HOST_CHECKOUT: u8 = 1 << 6;
+
+/// Label of each host-mask bit, by bit position.
+const HOST_LABELS: [&str; 7] = ["www", "m", "cdn", "static", "api", "img", "checkout"];
 
 /// A website in the synthetic universe.
 ///
@@ -70,8 +75,12 @@ pub struct Site {
     pub private_share: f64,
     /// Fraction of navigations that land on the root path `/`.
     pub root_nav_share: f64,
-    /// The site's FQDNs; index 0 is always the apex.
-    pub hosts: Vec<SiteHost>,
+    /// The site's FQDNs as a bitmask of `HOST_*` bits over its domain (the
+    /// apex is implied). Only bits whose name is valid are set; host index
+    /// 0 is the apex and index `k` the `k`-th set bit, lowest first. Read
+    /// it through [`Site::host_count`], [`Site::host_kind`] and
+    /// [`Site::host_name`].
+    pub host_mask: u8,
     /// Third-party infrastructure dependencies: `(zone, inclusion prob)`.
     pub third_party: Vec<(SiteId, f32)>,
     /// Whether this site *is* third-party infrastructure (analytics, ads,
@@ -96,9 +105,66 @@ impl Site {
         }
     }
 
+    /// The host mask of `domain` keeping only the `drawn` bits whose name
+    /// `{label}.{domain}` is a valid domain name.
+    pub(crate) fn effective_host_mask(domain: &DomainName, drawn: u8) -> u8 {
+        let mut mask = 0;
+        for (bit, label) in HOST_LABELS.iter().enumerate() {
+            if drawn & (1 << bit) != 0 && domain.can_prepend(label) {
+                mask |= 1 << bit;
+            }
+        }
+        mask
+    }
+
+    /// Number of FQDNs the site serves (the apex plus one per mask bit).
+    pub fn host_count(&self) -> usize {
+        1 + cast::usize_from_u32(self.host_mask.count_ones())
+    }
+
+    /// Mask bit position of host `host_idx >= 1`. Panics when the site has
+    /// no such host, like an out-of-range slice index.
+    fn host_bit(&self, host_idx: usize) -> usize {
+        assert!(
+            host_idx >= 1 && host_idx < self.host_count(),
+            "host index {host_idx} out of range for {} hosts",
+            self.host_count()
+        );
+        let mut rest = self.host_mask;
+        for _ in 1..host_idx {
+            rest &= rest - 1; // drop the lowest set bit
+        }
+        cast::usize_from_u32(rest.trailing_zeros())
+    }
+
+    /// Role of host `host_idx` (0 is the apex).
+    pub fn host_kind(&self, host_idx: usize) -> HostKind {
+        if host_idx == 0 {
+            return HostKind::Apex;
+        }
+        match self.host_bit(host_idx) {
+            0 => HostKind::Www,
+            1 => HostKind::Mobile,
+            _ => HostKind::Service,
+        }
+    }
+
+    /// Fully-qualified name of host `host_idx` (0 is the apex), built on
+    /// demand.
+    #[allow(clippy::expect_used)]
+    pub fn host_name(&self, host_idx: usize) -> DomainName {
+        if host_idx == 0 {
+            return self.domain.clone();
+        }
+        self.domain
+            .prepend(HOST_LABELS[self.host_bit(host_idx)])
+            // topple-lint: allow(unwrap): the mask only keeps bits whose name can_prepend accepted
+            .expect("host mask bits name valid hosts")
+    }
+
     /// The web origin of one of this site's hosts (CrUX's aggregation unit).
     pub fn origin_of(&self, host_idx: usize) -> Origin {
-        Origin::new(self.scheme(), self.hosts[host_idx].name.clone(), None)
+        Origin::new(self.scheme(), self.host_name(host_idx), None)
     }
 
     /// Index of the preferred navigation host for a platform class.
@@ -108,14 +174,15 @@ impl Site {
     /// projection `SiteSoa::nav_host` the traffic generator calls.
     #[cfg(test)]
     pub fn nav_host(&self, mobile: bool, coin: f64) -> usize {
+        let position = |kind| (0..self.host_count()).find(|&i| self.host_kind(i) == kind);
         if mobile {
-            if let Some(i) = self.hosts.iter().position(|h| h.kind == HostKind::Mobile) {
+            if let Some(i) = position(HostKind::Mobile) {
                 if coin < 0.55 {
                     return i;
                 }
             }
         }
-        match self.hosts.iter().position(|h| h.kind == HostKind::Www) {
+        match position(HostKind::Www) {
             Some(www) if coin < 0.75 => www,
             _ => 0, // apex
         }
@@ -125,21 +192,14 @@ impl Site {
     /// apex). The scalar reference for `SiteSoa::service_host`.
     #[cfg(test)]
     pub fn service_host(&self, coin: f64) -> usize {
-        let n = self
-            .hosts
-            .iter()
-            .filter(|h| h.kind == HostKind::Service)
-            .count();
+        let services =
+            || (0..self.host_count()).filter(|&i| self.host_kind(i) == HostKind::Service);
+        let n = services().count();
         if n == 0 {
             return 0;
         }
-        let pick = topple_stats::cast::floor_index(coin * n as f64, n);
-        self.hosts
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.kind == HostKind::Service)
-            .nth(pick)
-            .map_or(0, |(i, _)| i)
+        let pick = cast::floor_index(coin * n as f64, n);
+        services().nth(pick).unwrap_or(0)
     }
 }
 
@@ -148,10 +208,9 @@ mod tests {
     use super::*;
 
     fn dummy_site() -> Site {
-        let domain = DomainName::new("example.com").unwrap();
         Site {
             id: SiteId(0),
-            domain: domain.clone(),
+            domain: DomainName::new("example.com").unwrap(),
             category: Category::News,
             home_country: Country::UnitedStates,
             is_global: true,
@@ -167,24 +226,7 @@ mod tests {
             dwell_mu: 4.0,
             private_share: 0.03,
             root_nav_share: 0.5,
-            hosts: vec![
-                SiteHost {
-                    name: domain.clone(),
-                    kind: HostKind::Apex,
-                },
-                SiteHost {
-                    name: domain.prepend("www").unwrap(),
-                    kind: HostKind::Www,
-                },
-                SiteHost {
-                    name: domain.prepend("m").unwrap(),
-                    kind: HostKind::Mobile,
-                },
-                SiteHost {
-                    name: domain.prepend("cdn").unwrap(),
-                    kind: HostKind::Service,
-                },
-            ],
+            host_mask: HOST_WWW | HOST_M | HOST_CDN,
             third_party: vec![],
             is_infrastructure: false,
             certify_boost: 1.0,
@@ -203,21 +245,68 @@ mod tests {
     fn nav_host_prefers_mobile_on_mobile() {
         let s = dummy_site();
         let idx = s.nav_host(true, 0.1);
-        assert_eq!(s.hosts[idx].kind, HostKind::Mobile);
+        assert_eq!(s.host_kind(idx), HostKind::Mobile);
         let idx = s.nav_host(false, 0.1);
-        assert_eq!(s.hosts[idx].kind, HostKind::Www);
+        assert_eq!(s.host_kind(idx), HostKind::Www);
         let idx = s.nav_host(false, 0.9);
-        assert_eq!(s.hosts[idx].kind, HostKind::Apex);
+        assert_eq!(s.host_kind(idx), HostKind::Apex);
     }
 
     #[test]
     fn service_host_selection() {
         let s = dummy_site();
         let idx = s.service_host(0.3);
-        assert_eq!(s.hosts[idx].kind, HostKind::Service);
+        assert_eq!(s.host_kind(idx), HostKind::Service);
         // Site with no service hosts falls back to apex.
         let mut s2 = dummy_site();
-        s2.hosts.truncate(2);
+        s2.host_mask = HOST_WWW;
         assert_eq!(s2.service_host(0.3), 0);
+    }
+
+    #[test]
+    fn hosts_derive_from_the_mask_in_bit_order() {
+        let mut s = dummy_site();
+        s.host_mask = HOST_M | HOST_API | HOST_CHECKOUT;
+        let hosts: Vec<(String, HostKind)> = (0..s.host_count())
+            .map(|i| (s.host_name(i).into_string(), s.host_kind(i)))
+            .collect();
+        assert_eq!(
+            hosts,
+            [
+                ("example.com".to_owned(), HostKind::Apex),
+                ("m.example.com".to_owned(), HostKind::Mobile),
+                ("api.example.com".to_owned(), HostKind::Service),
+                ("checkout.example.com".to_owned(), HostKind::Service),
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn host_past_the_count_panics() {
+        let s = dummy_site();
+        let _ = s.host_kind(s.host_count());
+    }
+
+    #[test]
+    fn effective_mask_drops_names_that_would_be_too_long() {
+        let short = DomainName::new("example.com").unwrap();
+        assert_eq!(Site::effective_host_mask(&short, 0x7f), 0x7f);
+        // 245 bytes: "m." (247) and "www." (249) fit, "checkout." (254) does not.
+        let long = format!(
+            "{}.{}.{}.{}.com",
+            "a".repeat(60),
+            "b".repeat(60),
+            "c".repeat(60),
+            "d".repeat(58)
+        );
+        let long = DomainName::new(&long).unwrap();
+        assert_eq!(long.as_str().len(), 245);
+        let kept = Site::effective_host_mask(&long, 0x7f);
+        assert_eq!(kept & HOST_CHECKOUT, 0);
+        assert_eq!(kept & (HOST_WWW | HOST_M), HOST_WWW | HOST_M);
+        for (bit, label) in HOST_LABELS.iter().enumerate() {
+            assert_eq!(kept & (1 << bit) != 0, long.can_prepend(label), "{label}");
+        }
     }
 }

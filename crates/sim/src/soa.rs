@@ -1,7 +1,7 @@
 //! Struct-of-arrays projections of the world for the epoch-2 generator.
 //!
-//! A [`crate::site::Site`] is a ~300-byte heap-pointer-rich record (domain
-//! strings, host vectors, dependency lists); a per-load loop over those
+//! A [`crate::site::Site`] is a 232-byte record with heap pointers (the
+//! domain string, the dependency list); a per-load loop over those
 //! records touches a handful of scalar fields per page load and drags the
 //! rest through the cache with them. These tables project exactly the fields
 //! the traffic engine reads into dense parallel arrays — six
@@ -80,7 +80,15 @@ pub struct SiteSoa {
 impl SiteSoa {
     /// Projects the site universe into dense arrays.
     pub fn from_sites(sites: &[Site]) -> SiteSoa {
-        let n = sites.len();
+        let mut out = SiteSoa::with_capacity(sites.len());
+        for s in sites {
+            out.push(s);
+        }
+        out
+    }
+
+    /// An empty projection with room for `n` sites' per-site columns.
+    pub fn with_capacity(n: usize) -> SiteSoa {
         let mut out = SiteSoa {
             completion: Vec::with_capacity(n),
             subres_mean: Vec::with_capacity(n),
@@ -99,106 +107,60 @@ impl SiteSoa {
             tp_prob: Vec::new(),
         };
         out.tp_offsets.push(0);
-        for s in sites {
-            out.completion.push(s.completion_rate as f32);
-            out.subres_mean.push(s.subresource_mean as f32);
-            out.error_rate.push(s.error_rate as f32);
-            out.dwell_mu.push(s.dwell_mu as f32);
-            out.private_share.push(s.private_share as f32);
-            out.root_nav_share.push(s.root_nav_share as f32);
-            let mut flags = 0u8;
-            if s.https {
-                flags |= SITE_HTTPS;
-            }
-            if s.category.panel_averse() {
-                flags |= SITE_PANEL_AVERSE;
-            }
-            out.flags.push(flags);
-            let (mut mobile, mut www) = (NO_HOST, NO_HOST);
-            let (mut root_mask, mut svc_mask) = (0u16, 0u16);
-            for (i, h) in s.hosts.iter().enumerate() {
-                let bit = 1u16 << i;
-                match h.kind {
-                    HostKind::Apex => root_mask |= bit,
-                    HostKind::Www => {
-                        root_mask |= bit;
-                        if www == NO_HOST {
-                            www = cast::u8_from_usize(i);
-                        }
+        out
+    }
+
+    /// Projects one more site; sites must be pushed in id order. The
+    /// generator pushes each shard's sites as it folds them in.
+    pub fn push(&mut self, s: &Site) {
+        self.completion.push(s.completion_rate as f32);
+        self.subres_mean.push(s.subresource_mean as f32);
+        self.error_rate.push(s.error_rate as f32);
+        self.dwell_mu.push(s.dwell_mu as f32);
+        self.private_share.push(s.private_share as f32);
+        self.root_nav_share.push(s.root_nav_share as f32);
+        let mut flags = 0u8;
+        if s.https {
+            flags |= SITE_HTTPS;
+        }
+        if s.category.panel_averse() {
+            flags |= SITE_PANEL_AVERSE;
+        }
+        self.flags.push(flags);
+        let (mut mobile, mut www) = (NO_HOST, NO_HOST);
+        let (mut root_mask, mut svc_mask) = (0u16, 0u16);
+        for i in 0..s.host_count() {
+            let bit = 1u16 << i;
+            match s.host_kind(i) {
+                HostKind::Apex => root_mask |= bit,
+                HostKind::Www => {
+                    root_mask |= bit;
+                    if www == NO_HOST {
+                        www = cast::u8_from_usize(i);
                     }
-                    HostKind::Mobile => {
-                        if mobile == NO_HOST {
-                            mobile = cast::u8_from_usize(i);
-                        }
-                    }
-                    HostKind::Service => svc_mask |= bit,
                 }
+                HostKind::Mobile => {
+                    if mobile == NO_HOST {
+                        mobile = cast::u8_from_usize(i);
+                    }
+                }
+                HostKind::Service => svc_mask |= bit,
             }
-            out.nav_mobile.push(mobile);
-            out.nav_www.push(www);
-            out.root_mask.push(root_mask);
-            out.svc_mask.push(svc_mask);
-            out.svc_count.push(cast::u8_from_usize(cast::usize_from_u32(
+        }
+        self.nav_mobile.push(mobile);
+        self.nav_www.push(www);
+        self.root_mask.push(root_mask);
+        self.svc_mask.push(svc_mask);
+        self.svc_count
+            .push(cast::u8_from_usize(cast::usize_from_u32(
                 svc_mask.count_ones(),
             )));
-            for &(zone, p) in &s.third_party {
-                out.tp_zone.push(zone.0);
-                out.tp_prob.push(p);
-            }
-            out.tp_offsets.push(cast::u32_from_usize(out.tp_zone.len()));
+        for &(zone, p) in &s.third_party {
+            self.tp_zone.push(zone.0);
+            self.tp_prob.push(p);
         }
-        out
-    }
-
-    /// An empty projection ready to [`SiteSoa::append`] shard chunks into.
-    pub fn empty() -> SiteSoa {
-        let mut out = SiteSoa {
-            completion: Vec::new(),
-            subres_mean: Vec::new(),
-            error_rate: Vec::new(),
-            dwell_mu: Vec::new(),
-            private_share: Vec::new(),
-            root_nav_share: Vec::new(),
-            flags: Vec::new(),
-            nav_mobile: Vec::new(),
-            nav_www: Vec::new(),
-            root_mask: Vec::new(),
-            svc_mask: Vec::new(),
-            svc_count: Vec::new(),
-            tp_offsets: Vec::new(),
-            tp_zone: Vec::new(),
-            tp_prob: Vec::new(),
-        };
-        out.tp_offsets.push(0);
-        out
-    }
-
-    /// Appends a shard-local chunk, rebasing its third-party CSR offsets.
-    ///
-    /// The sharded generator builds one `SiteSoa` per contiguous id range in
-    /// parallel, then splices them in shard order; the result is identical
-    /// to projecting the concatenated site slice in one pass.
-    pub fn append(&mut self, chunk: SiteSoa) {
-        self.completion.extend_from_slice(&chunk.completion);
-        self.subres_mean.extend_from_slice(&chunk.subres_mean);
-        self.error_rate.extend_from_slice(&chunk.error_rate);
-        self.dwell_mu.extend_from_slice(&chunk.dwell_mu);
-        self.private_share.extend_from_slice(&chunk.private_share);
-        self.root_nav_share.extend_from_slice(&chunk.root_nav_share);
-        self.flags.extend_from_slice(&chunk.flags);
-        self.nav_mobile.extend_from_slice(&chunk.nav_mobile);
-        self.nav_www.extend_from_slice(&chunk.nav_www);
-        self.root_mask.extend_from_slice(&chunk.root_mask);
-        self.svc_mask.extend_from_slice(&chunk.svc_mask);
-        self.svc_count.extend_from_slice(&chunk.svc_count);
-        let base = cast::u32_from_usize(self.tp_zone.len());
-        // Skip the chunk's leading 0: offsets[i+1] of the chunk becomes the
-        // row-end offset of the appended site.
-        for &off in &chunk.tp_offsets[1..] {
-            self.tp_offsets.push(base + off);
-        }
-        self.tp_zone.extend_from_slice(&chunk.tp_zone);
-        self.tp_prob.extend_from_slice(&chunk.tp_prob);
+        self.tp_offsets
+            .push(cast::u32_from_usize(self.tp_zone.len()));
     }
 
     /// Number of sites projected.
@@ -273,48 +235,39 @@ pub struct ClientSoa {
 impl ClientSoa {
     /// Projects the client population into dense arrays.
     pub fn from_clients(clients: &[Client]) -> ClientSoa {
-        let mut out = ClientSoa {
-            id: Vec::with_capacity(clients.len()),
-            activity: Vec::with_capacity(clients.len()),
-            country: Vec::with_capacity(clients.len()),
-            flags: Vec::with_capacity(clients.len()),
-        };
+        let mut out = ClientSoa::with_capacity(clients.len());
         for c in clients {
-            out.id.push(c.id);
-            out.activity.push(c.activity);
-            out.country.push(c.country);
-            let mut flags = 0u8;
-            if c.platform.is_mobile() {
-                flags |= CLIENT_MOBILE;
-            }
-            if c.enterprise {
-                flags |= CLIENT_ENTERPRISE;
-            }
-            if c.alexa_panelist {
-                flags |= CLIENT_PANELIST;
-            }
-            out.flags.push(flags);
+            out.push(c);
         }
         out
     }
 
-    /// An empty projection ready to [`ClientSoa::append`] shard chunks into.
-    pub fn empty() -> ClientSoa {
+    /// An empty projection with room for `n` clients.
+    pub fn with_capacity(n: usize) -> ClientSoa {
         ClientSoa {
-            id: Vec::new(),
-            activity: Vec::new(),
-            country: Vec::new(),
-            flags: Vec::new(),
+            id: Vec::with_capacity(n),
+            activity: Vec::with_capacity(n),
+            country: Vec::with_capacity(n),
+            flags: Vec::with_capacity(n),
         }
     }
 
-    /// Appends a shard-local chunk (no offsets to rebase: every column is a
-    /// plain per-client array).
-    pub fn append(&mut self, chunk: ClientSoa) {
-        self.id.extend_from_slice(&chunk.id);
-        self.activity.extend_from_slice(&chunk.activity);
-        self.country.extend_from_slice(&chunk.country);
-        self.flags.extend_from_slice(&chunk.flags);
+    /// Projects one more client; clients must be pushed in id order.
+    pub fn push(&mut self, c: &Client) {
+        self.id.push(c.id);
+        self.activity.push(c.activity);
+        self.country.push(c.country);
+        let mut flags = 0u8;
+        if c.platform.is_mobile() {
+            flags |= CLIENT_MOBILE;
+        }
+        if c.enterprise {
+            flags |= CLIENT_ENTERPRISE;
+        }
+        if c.alexa_panelist {
+            flags |= CLIENT_PANELIST;
+        }
+        self.flags.push(flags);
     }
 
     /// Number of clients projected.
@@ -354,39 +307,6 @@ mod tests {
     use crate::rng::{substream, Stream};
     use crate::world::World;
     use rand::Rng;
-
-    #[test]
-    fn appending_shard_chunks_equals_one_pass_projection() {
-        let w = World::generate(WorldConfig::tiny(48)).expect("world generates");
-        let whole = SoaTables::build(&w.sites, &w.clients);
-        let mut spliced_sites = SiteSoa::empty();
-        for shard in w.sites.chunks(97) {
-            spliced_sites.append(SiteSoa::from_sites(shard));
-        }
-        let mut spliced_clients = ClientSoa::empty();
-        for shard in w.clients.chunks(61) {
-            spliced_clients.append(ClientSoa::from_clients(shard));
-        }
-        assert_eq!(spliced_sites.completion, whole.sites.completion);
-        assert_eq!(spliced_sites.subres_mean, whole.sites.subres_mean);
-        assert_eq!(spliced_sites.error_rate, whole.sites.error_rate);
-        assert_eq!(spliced_sites.dwell_mu, whole.sites.dwell_mu);
-        assert_eq!(spliced_sites.private_share, whole.sites.private_share);
-        assert_eq!(spliced_sites.root_nav_share, whole.sites.root_nav_share);
-        assert_eq!(spliced_sites.flags, whole.sites.flags);
-        assert_eq!(spliced_sites.nav_mobile, whole.sites.nav_mobile);
-        assert_eq!(spliced_sites.nav_www, whole.sites.nav_www);
-        assert_eq!(spliced_sites.root_mask, whole.sites.root_mask);
-        assert_eq!(spliced_sites.svc_mask, whole.sites.svc_mask);
-        assert_eq!(spliced_sites.svc_count, whole.sites.svc_count);
-        assert_eq!(spliced_sites.tp_offsets, whole.sites.tp_offsets);
-        assert_eq!(spliced_sites.tp_zone, whole.sites.tp_zone);
-        assert_eq!(spliced_sites.tp_prob, whole.sites.tp_prob);
-        assert_eq!(spliced_clients.id, whole.clients.id);
-        assert_eq!(spliced_clients.activity, whole.clients.activity);
-        assert_eq!(spliced_clients.country, whole.clients.country);
-        assert_eq!(spliced_clients.flags, whole.clients.flags);
-    }
 
     #[test]
     fn projections_agree_with_the_aos_world() {
@@ -429,8 +349,8 @@ mod tests {
                     "site {i} coin={coin}"
                 );
             }
-            for (h, host) in s.hosts.iter().enumerate() {
-                let is_root = matches!(host.kind, HostKind::Apex | HostKind::Www);
+            for h in 0..s.host_count() {
+                let is_root = matches!(s.host_kind(h), HostKind::Apex | HostKind::Www);
                 assert_eq!(
                     soa.sites.is_root_candidate(i, cast::u8_from_usize(h)),
                     is_root

@@ -550,7 +550,7 @@ mod tests {
         assert!(!t.page_loads.is_empty());
         for pl in &t.page_loads {
             let site = &w.sites[pl.site.index()];
-            assert!((pl.host_idx as usize) < site.hosts.len());
+            assert!((pl.host_idx as usize) < site.host_count());
             assert!(u32::from(pl.non200) <= pl.total_requests());
             if !site.https {
                 assert_eq!(pl.tls_handshakes, 0);
@@ -564,7 +564,7 @@ mod tests {
         for tp in &t.third_party {
             let site = &w.sites[tp.site.index()];
             assert!(site.is_infrastructure);
-            assert!((tp.host_idx as usize) < site.hosts.len());
+            assert!((tp.host_idx as usize) < site.host_count());
             assert!(tp.non200 <= tp.requests);
             assert!(tp.requests >= 1);
         }

@@ -4,32 +4,35 @@
 //! and `crates/sim/src/rng.rs`). Every site and client seeds its *own*
 //! substream (`Stream::GenSite(id)`, `Stream::GenClient(id)`, plus
 //! `GenThirdParty(id)` / `GenLink(id)` for the wiring passes), so any
-//! contiguous id shard can be built on any worker and spliced back in id
-//! order. The result is byte-identical across worker counts and shard sizes
-//! — only wall-clock changes.
+//! contiguous id shard can be built on any worker and folded into the final
+//! vectors in id order. The result is byte-identical across worker counts
+//! and shard sizes — only wall-clock changes.
 //!
 //! The per-entity draw sequences (`draw_site`, `draw_client`,
 //! `choose_third_parties`, `draw_host_mask`) are the generation contract
 //! that `determinism.gen.toml` pins.
 
-use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 use topple_psl::{DomainName, PublicSuffixList};
 use topple_stats::cast;
-use topple_stats::fanout::map_ordered;
+use topple_stats::fanout::for_each_ordered;
 
 use crate::alias::AliasTable;
 use crate::budget::GenBudget;
 use crate::client::{Client, Resolver};
 use crate::config::WorldConfig;
+use crate::domain_index::DomainIndex;
 use crate::ids::{ClientId, SiteId};
-use crate::linkgraph::LinkGraph;
+use crate::linkgraph::{LinkGraph, LinkRows};
 use crate::namegen::{pick_label, pick_suffix, resolve_names};
 use crate::rng::{chance, log_normal, substream, zipf_weight, Stream};
-use crate::site::{HostKind, Site, SiteHost};
+use crate::site::{
+    HostKind, Site, HOST_API, HOST_CDN, HOST_CHECKOUT, HOST_IMG, HOST_M, HOST_STATIC, HOST_WWW,
+};
 use crate::soa::{ClientSoa, SiteSoa, SoaTables};
 use crate::taxonomy::{Browser, Category, Country, Platform};
 
@@ -127,7 +130,7 @@ pub struct World {
     /// generator. A pure function of the fields above — rebuilding it never
     /// consumes RNG.
     pub(crate) soa: SoaTables,
-    domain_index: HashMap<String, SiteId>,
+    domain_index: DomainIndex,
 }
 
 impl World {
@@ -153,17 +156,24 @@ impl World {
     ///    ([`resolve_names`]), the infrastructure forcing fixup, and the two
     ///    global alias tables (infrastructure embeds, link targets) that
     ///    every shard samples against.
-    /// 3. **S3 (parallel)** — per shard: materialize `Site` records (hosts
-    ///    from the drawn mask — no RNG), wire third parties from
-    ///    `Stream::GenThirdParty(id)`, draw link-graph CSR rows from
-    ///    `Stream::GenLink(id)`, and project the shard's [`SiteSoa`] chunk.
-    /// 4. **S4 (serial)** — splice shard outputs in id order: sites
-    ///    concatenate, SoA chunks append with offset rebase, link rows
-    ///    splice into one CSR.
+    /// 3. **S3 (parallel)** — per shard: materialize `Site` records from
+    ///    the shard's own resolved names, taken by value (the host mask
+    ///    keeps the drawn bits whose name is valid — no RNG, no host
+    ///    strings), wire third parties from `Stream::GenThirdParty(id)`,
+    ///    and draw link-graph CSR rows from `Stream::GenLink(id)`.
+    /// 4. **S4 (serial, overlapped with S3)** — the calling thread folds
+    ///    each finished shard in id order as `run_sharded` hands it over:
+    ///    its sites move into the final vector and are projected into the
+    ///    [`SiteSoa`], and its link rows append to the one CSR. At most
+    ///    `2 · workers` shards are in flight, so no shard output is ever
+    ///    collected whole and then copied.
     /// 5. **C (parallel)** — clients from `Stream::GenClient(id)`, same
-    ///    shard/splice scheme.
+    ///    shard/fold scheme.
     /// 6. **N (parallel)** — the 48 navigation alias tables, one cell per
-    ///    work item.
+    ///    work item, each worker reusing one weight buffer.
+    ///
+    /// The domain index is last: `u32` site ids in an open-addressed table
+    /// that borrows its keys from the sites.
     ///
     /// Because every draw comes from an id-keyed substream and assembly is
     /// in id order, the world is byte-identical across workers 1/2/8 and
@@ -188,37 +198,43 @@ impl World {
         let zipf_s = config.zipf_exponent;
 
         // S1: independent per-site draws; the name is a (label, suffix)
-        // candidate drawn from the same per-site substream.
-        let draw_shards = run_sharded(n, shard, workers, |lo, hi| {
-            let mut draws = Vec::with_capacity(hi - lo);
-            let mut candidates = Vec::with_capacity(hi - lo);
-            for i in lo..hi {
-                let mut rng = substream(seed, Stream::GenSite, cast::u64_from_usize(i));
-                let mut mint = |r: &mut SmallRng, cat: Category, home: Country, glob: bool| {
-                    let label = pick_label(r, cat);
-                    let suffix = pick_suffix(r, cat, home, glob);
-                    (label, suffix)
-                };
-                let (candidate, draw) = draw_site(
-                    &mut rng,
-                    &config,
-                    i,
-                    zipf_weight(i, zipf_s),
-                    &cat_table,
-                    &country_table,
-                    &mut mint,
-                );
-                candidates.push(candidate);
-                draws.push(draw);
-            }
-            (draws, candidates)
-        });
+        // candidate drawn from the same per-site substream. Each shard is
+        // folded into the final vectors as it arrives in id order.
         let mut draws = Vec::with_capacity(n);
         let mut candidates = Vec::with_capacity(n);
-        for (shard_draws, shard_candidates) in draw_shards {
-            draws.extend(shard_draws);
-            candidates.extend(shard_candidates);
-        }
+        run_sharded(
+            n,
+            shard,
+            workers,
+            |lo, hi| {
+                let mut shard_draws = Vec::with_capacity(hi - lo);
+                let mut shard_candidates = Vec::with_capacity(hi - lo);
+                for i in lo..hi {
+                    let mut rng = substream(seed, Stream::GenSite, cast::u64_from_usize(i));
+                    let mut mint = |r: &mut SmallRng, cat: Category, home: Country, glob: bool| {
+                        let label = pick_label(r, cat);
+                        let suffix = pick_suffix(r, cat, home, glob);
+                        (label, suffix)
+                    };
+                    let (candidate, draw) = draw_site(
+                        &mut rng,
+                        &config,
+                        i,
+                        zipf_weight(i, zipf_s),
+                        &cat_table,
+                        &country_table,
+                        &mut mint,
+                    );
+                    shard_candidates.push(candidate);
+                    shard_draws.push(draw);
+                }
+                (shard_draws, shard_candidates)
+            },
+            |(shard_draws, shard_candidates)| {
+                draws.extend(shard_draws);
+                candidates.extend(shard_candidates);
+            },
+        );
         clock.mark("site-draws");
 
         // S2: serial cross-shard passes — name resolution, the infra
@@ -250,107 +266,126 @@ impl World {
             })
             .collect();
         let link_table = AliasTable::new(&link_weights);
+        // S3 shard k owns names `k·shard..`; it takes them by value.
+        let name_shards: Vec<Mutex<Vec<DomainName>>> = {
+            let mut names = names.into_iter();
+            (0..n.div_ceil(shard))
+                .map(|_| Mutex::new(names.by_ref().take(shard).collect()))
+                .collect()
+        };
         clock.mark("names-and-tables");
 
-        // S3: shard-local assembly — sites, third-party wiring, SoA chunk,
-        // link CSR rows — all from id-keyed substreams.
-        let site_shards = run_sharded(n, shard, workers, |lo, hi| {
-            let mut sites = Vec::with_capacity(hi - lo);
-            let mut row_lens = Vec::with_capacity(hi - lo);
-            let mut targets: Vec<u32> = Vec::new();
-            for i in lo..hi {
-                let d = &draws[i];
-                let mut site = materialize_site(i, d, names[i].clone());
-                if let Some(table) = &infra_table {
-                    let mut tp_rng =
-                        substream(seed, Stream::GenThirdParty, cast::u64_from_usize(i));
-                    site.third_party = choose_third_parties(
-                        &mut tp_rng,
-                        i,
-                        d.is_infrastructure,
-                        d.category,
-                        &infra,
-                        table,
-                    );
-                }
-                let mut link_rng = substream(seed, Stream::GenLink, cast::u64_from_usize(i));
-                let row_start = targets.len();
-                LinkGraph::sample_row(
-                    &mut link_rng,
-                    cast::u32_from_usize(i),
-                    d.weight,
-                    d.public_web,
-                    &link_table,
-                    MEAN_OUTLINKS,
-                    &mut targets,
-                );
-                row_lens.push(cast::u32_from_usize(targets.len() - row_start));
-                sites.push(site);
-            }
-            let soa = SiteSoa::from_sites(&sites);
-            (sites, soa, row_lens, targets)
-        });
-        drop(draws);
-        drop(names);
-
-        // S4: splice in shard (= id) order.
+        // S3: shard-local assembly — sites, third-party wiring and link CSR
+        // rows, all from id-keyed substreams — folded in id order into the
+        // final site vector, its SoA projection and the link CSR.
         let mut sites = Vec::with_capacity(n);
-        let mut site_soa = SiteSoa::empty();
-        let mut link_shards = Vec::with_capacity(site_shards.len());
-        for (shard_sites, shard_soa, row_lens, targets) in site_shards {
-            sites.extend(shard_sites);
-            site_soa.append(shard_soa);
-            link_shards.push((row_lens, targets));
-        }
-        let link_graph = LinkGraph::splice(link_shards);
+        let mut site_soa = SiteSoa::with_capacity(n);
+        let mut links = LinkRows::with_capacity(n);
+        run_sharded(
+            n,
+            shard,
+            workers,
+            |lo, hi| {
+                let names = std::mem::take(
+                    &mut *name_shards[lo / shard]
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner),
+                );
+                let mut shard_sites = Vec::with_capacity(hi - lo);
+                let mut row_lens = Vec::with_capacity(hi - lo);
+                let mut targets: Vec<u32> = Vec::new();
+                for (i, domain) in (lo..hi).zip(names) {
+                    let d = &draws[i];
+                    let mut site = materialize_site(i, d, domain);
+                    if let Some(table) = &infra_table {
+                        let mut tp_rng =
+                            substream(seed, Stream::GenThirdParty, cast::u64_from_usize(i));
+                        site.third_party = choose_third_parties(
+                            &mut tp_rng,
+                            i,
+                            d.is_infrastructure,
+                            d.category,
+                            &infra,
+                            table,
+                        );
+                    }
+                    let mut link_rng = substream(seed, Stream::GenLink, cast::u64_from_usize(i));
+                    let row_start = targets.len();
+                    LinkGraph::sample_row(
+                        &mut link_rng,
+                        cast::u32_from_usize(i),
+                        d.weight,
+                        d.public_web,
+                        &link_table,
+                        MEAN_OUTLINKS,
+                        &mut targets,
+                    );
+                    row_lens.push(cast::u32_from_usize(targets.len() - row_start));
+                    shard_sites.push(site);
+                }
+                (shard_sites, row_lens, targets)
+            },
+            |(shard_sites, row_lens, targets)| {
+                for site in &shard_sites {
+                    site_soa.push(site);
+                }
+                sites.extend(shard_sites);
+                links.append(&row_lens, &targets);
+            },
+        );
+        drop(draws);
+        let link_graph = links.finish();
         clock.mark("assemble-sites");
 
-        // C: clients, same shard/splice scheme.
-        let client_shards = run_sharded(config.n_clients, shard, workers, |lo, hi| {
-            let mut clients = Vec::with_capacity(hi - lo);
-            // topple-lint: hot-path-begin
-            for i in lo..hi {
-                let mut rng = substream(seed, Stream::GenClient, cast::u64_from_usize(i));
-                clients.push(draw_client(&mut rng, &config, i, &country_table));
-            }
-            // topple-lint: hot-path-end
-            let soa = ClientSoa::from_clients(&clients);
-            (clients, soa)
-        });
+        // C: clients, same shard/fold scheme.
         let mut clients = Vec::with_capacity(config.n_clients);
-        let mut client_soa = ClientSoa::empty();
-        for (shard_clients, shard_soa) in client_shards {
-            clients.extend(shard_clients);
-            client_soa.append(shard_soa);
-        }
+        let mut client_soa = ClientSoa::with_capacity(config.n_clients);
+        run_sharded(
+            config.n_clients,
+            shard,
+            workers,
+            |lo, hi| {
+                let mut shard_clients = Vec::with_capacity(hi - lo);
+                // topple-lint: hot-path-begin
+                for i in lo..hi {
+                    let mut rng = substream(seed, Stream::GenClient, cast::u64_from_usize(i));
+                    shard_clients.push(draw_client(&mut rng, &config, i, &country_table));
+                }
+                // topple-lint: hot-path-end
+                shard_clients
+            },
+            |shard_clients| {
+                for client in &shard_clients {
+                    client_soa.push(client);
+                }
+                clients.extend(shard_clients);
+            },
+        );
         clock.mark("clients");
 
         // N: the 48 navigation alias tables, one (country, mobile, weekend)
-        // cell per work item. Cell order must match NavTables::idx.
+        // cell per work item; each worker reuses one weight buffer. Cell
+        // order must match NavTables::idx.
         let cells = Country::COUNT * 4;
-        let tables: Vec<AliasTable> = run_sharded(cells, 1, workers, |lo, hi| {
-            let mut out = Vec::with_capacity(hi - lo);
-            let mut weights = vec![0.0f64; sites.len()];
-            for cell in lo..hi {
+        let mut tables = Vec::with_capacity(cells);
+        for_each_ordered(
+            cells,
+            workers,
+            || vec![0.0f64; sites.len()],
+            |weights, cell| {
                 let country = Country::ALL[cell / 4];
                 let mobile = (cell / 2) % 2 == 1;
                 let weekend = cell % 2 == 1;
-                fill_nav_weights(&sites, country, mobile, weekend, &mut weights);
-                out.push(AliasTable::new(&weights));
-            }
-            out
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+                fill_nav_weights(&sites, country, mobile, weekend, weights);
+                AliasTable::new(weights)
+            },
+            |_, table| tables.push(table),
+        );
         let nav_tables = NavTables { tables };
         clock.mark("nav-tables");
 
         let background_names = background_names();
-        let mut domain_index = HashMap::with_capacity(sites.len());
-        for s in &sites {
-            domain_index.insert(s.domain.as_str().to_owned(), s.id);
-        }
+        let domain_index = DomainIndex::build(&sites);
         clock.mark("index");
         Ok((
             World {
@@ -404,10 +439,10 @@ impl World {
             d.f64(s.dwell_mu);
             d.f64(s.private_share);
             d.f64(s.root_nav_share);
-            d.usize(s.hosts.len());
-            for h in &s.hosts {
-                d.str(h.name.as_str());
-                d.u8(match h.kind {
+            d.usize(s.host_count());
+            for h in 0..s.host_count() {
+                d.str(s.host_name(h).as_str());
+                d.u8(match s.host_kind(h) {
                     HostKind::Apex => 0,
                     HostKind::Www => 1,
                     HostKind::Mobile => 2,
@@ -457,9 +492,7 @@ impl World {
 
     /// Looks up a site by registrable domain.
     pub fn site_by_domain(&self, domain: &DomainName) -> Option<&Site> {
-        self.domain_index
-            .get(domain.as_str())
-            .map(|id| &self.sites[id.index()])
+        self.domain_index.get(&self.sites, domain.as_str())
     }
 
     /// Whether a registrable domain is served by the Cloudflare-style CDN.
@@ -527,8 +560,8 @@ impl Fnv {
     }
 }
 
-/// Digests both SoA projections (splice correctness is exactly what these
-/// columns witness: a rebased offset or a reordered chunk changes them).
+/// Digests both SoA projections (fold order is exactly what these columns
+/// witness: a misplaced offset or a reordered shard changes them).
 fn digest_soa(d: &mut Fnv, soa: &SoaTables) {
     let s = &soa.sites;
     for &v in &s.completion {
@@ -581,33 +614,29 @@ fn digest_soa(d: &mut Fnv, soa: &SoaTables) {
     d.bytes(&c.flags);
 }
 
-/// Runs `f(lo, hi)` over contiguous ranges of `0..n` (each at most `shard`
-/// wide) on up to `workers` threads, returning results **in range order**.
+/// Runs `work(lo, hi)` over contiguous ranges of `0..n` (each `shard` wide,
+/// the last one shorter) on up to `workers` threads, handing each result to
+/// `fold` on the calling thread **in range order**.
 ///
-/// The ranges are the work items of [`map_ordered`], so the output is
-/// independent of scheduling: `f` is pure per range, and one worker (or one
-/// shard) runs the same loop inline.
+/// The ranges are the work items of [`for_each_ordered`], so at most
+/// `2 · workers` shard results exist at once, and the fold sees the same
+/// sequence at any worker count: `work` is pure per range, and one worker
+/// (or one shard) runs the same loop inline.
 fn run_sharded<T: Send>(
     n: usize,
     shard: usize,
     workers: usize,
-    f: impl Fn(usize, usize) -> T + Sync,
-) -> Vec<T> {
-    let shard = shard.max(1);
-    map_ordered(n.div_ceil(shard), workers, |k| {
-        f(k * shard, ((k + 1) * shard).min(n))
-    })
+    work: impl Fn(usize, usize) -> T + Sync,
+    mut fold: impl FnMut(T),
+) {
+    for_each_ordered(
+        n.div_ceil(shard),
+        workers,
+        || (),
+        |(), k| work(k * shard, ((k + 1) * shard).min(n)),
+        |_, t| fold(t),
+    );
 }
-
-/// Host-plan mask bits, in the order `build`-era hosts were pushed: the
-/// apex is always present; these seven are coin flips.
-const HOST_WWW: u8 = 1 << 0;
-const HOST_M: u8 = 1 << 1;
-const HOST_CDN: u8 = 1 << 2;
-const HOST_STATIC: u8 = 1 << 3;
-const HOST_API: u8 = 1 << 4;
-const HOST_IMG: u8 = 1 << 5;
-const HOST_CHECKOUT: u8 = 1 << 6;
 
 /// Everything drawn for one site *except* its name, as plain scalars — the
 /// shard-resident form of a site before materialization. ~140 bytes, no heap.
@@ -773,43 +802,12 @@ fn draw_host_mask(rng: &mut SmallRng, category: Category) -> u8 {
     mask
 }
 
-/// Materializes the FQDN set from a drawn host mask — pure, no RNG, so
-/// shards can run it in any order.
-fn hosts_from_mask(domain: &DomainName, mask: u8) -> Vec<SiteHost> {
-    let mut hosts = vec![SiteHost {
-        name: domain.clone(),
-        kind: HostKind::Apex,
-    }];
-    let mut push = |label: &str, kind: HostKind| {
-        if let Ok(name) = domain.prepend(label) {
-            hosts.push(SiteHost { name, kind });
-        }
-    };
-    if mask & HOST_WWW != 0 {
-        push("www", HostKind::Www);
-    }
-    if mask & HOST_M != 0 {
-        push("m", HostKind::Mobile);
-    }
-    for (bit, label) in [
-        (HOST_CDN, "cdn"),
-        (HOST_STATIC, "static"),
-        (HOST_API, "api"),
-        (HOST_IMG, "img"),
-        (HOST_CHECKOUT, "checkout"),
-    ] {
-        if mask & bit != 0 {
-            push(label, HostKind::Service);
-        }
-    }
-    hosts
-}
-
 /// Builds the full `Site` record from a draw and its resolved domain — pure,
-/// no RNG. Third-party wiring is attached separately.
+/// no RNG. Only the drawn host bits whose name is valid are kept. Third-party
+/// wiring is attached separately.
 fn materialize_site(i: usize, d: &SiteDraw, domain: DomainName) -> Site {
-    let hosts = hosts_from_mask(&domain, d.host_mask);
     Site {
+        host_mask: Site::effective_host_mask(&domain, d.host_mask),
         id: SiteId(cast::u32_from_usize(i)),
         domain,
         category: d.category,
@@ -827,7 +825,6 @@ fn materialize_site(i: usize, d: &SiteDraw, domain: DomainName) -> Site {
         dwell_mu: d.dwell_mu,
         private_share: d.private_share,
         root_nav_share: d.root_nav_share,
-        hosts,
         third_party: Vec::new(),
         is_infrastructure: d.is_infrastructure,
         certify_boost: d.certify_boost,
@@ -1326,13 +1323,32 @@ mod tests {
     }
 
     #[test]
-    fn run_sharded_is_order_preserving_at_any_worker_count() {
+    fn run_sharded_folds_in_range_order_at_any_worker_count() {
         let expect: Vec<(usize, usize)> = vec![(0, 7), (7, 14), (14, 21), (21, 23)];
         for workers in [1, 2, 8] {
-            let got = run_sharded(23, 7, workers, |lo, hi| (lo, hi));
+            let mut got = Vec::new();
+            run_sharded(23, 7, workers, |lo, hi| (lo, hi), |r| got.push(r));
             assert_eq!(got, expect, "workers={workers}");
         }
-        assert!(run_sharded(0, 7, 4, |lo, hi| (lo, hi)).is_empty());
+        let mut none = Vec::new();
+        run_sharded(0, 7, 4, |lo, hi| (lo, hi), |r| none.push(r));
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn resident_soa_equals_a_one_pass_projection() {
+        // The generator folds shards into the SoA as they arrive; at any
+        // shard size the columns must equal projecting the final vectors.
+        let mut cfg = WorldConfig::tiny(48);
+        cfg.gen_shard = Some(97);
+        cfg.workers = Some(2);
+        let w = World::generate(cfg).unwrap();
+        let whole = SoaTables::build(&w.sites, &w.clients);
+        let mut a = Fnv::new();
+        digest_soa(&mut a, &w.soa);
+        let mut b = Fnv::new();
+        digest_soa(&mut b, &whole);
+        assert_eq!(a.finish(), b.finish());
     }
 
     #[test]

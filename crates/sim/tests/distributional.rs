@@ -276,7 +276,7 @@ impl EventSink for Observer<'_> {
         coin(&mut t.private_mode, pl.private_mode, site.private_share);
         // Only apex and `www` navigations can land on the root path.
         let root_host = matches!(
-            site.hosts[usize::from(pl.host_idx)].kind,
+            site.host_kind(usize::from(pl.host_idx)),
             HostKind::Apex | HostKind::Www
         );
         let p_root = if root_host { site.root_nav_share } else { 0.0 };

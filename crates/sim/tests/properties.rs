@@ -31,7 +31,7 @@ proptest! {
         for pl in &t.page_loads {
             prop_assert!(pl.site.index() < w.sites.len());
             prop_assert!(pl.client.index() < w.clients.len());
-            prop_assert!((pl.host_idx as usize) < w.sites[pl.site.index()].hosts.len());
+            prop_assert!((pl.host_idx as usize) < w.sites[pl.site.index()].host_count());
             prop_assert!(u32::from(pl.non200) <= pl.total_requests());
             if !pl.completed {
                 prop_assert_eq!(pl.dwell_secs, 0);

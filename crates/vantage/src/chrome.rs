@@ -170,7 +170,7 @@ impl ChromeShard {
             world
                 .sites
                 .get(site.index())
-                .is_some_and(|s| usize::from(host) < s.hosts.len())
+                .is_some_and(|s| usize::from(host) < s.host_count())
         };
         let cell_fits = |cell: &ShardCell| {
             cell.clients

@@ -43,7 +43,7 @@ impl QueriedName {
             QueriedName::Host(site, host) => world
                 .sites
                 .get(site.index())
-                .is_some_and(|s| usize::from(host) < s.hosts.len()),
+                .is_some_and(|s| usize::from(host) < s.host_count()),
             QueriedName::Background(idx) => usize::from(idx) < world.background_names.len(),
         }
     }
@@ -684,10 +684,9 @@ impl DnsVantage {
     /// Renders a queried name to its textual FQDN.
     pub fn name_text(world: &World, name: QueriedName) -> String {
         match name {
-            QueriedName::Host(site, host_idx) => world.sites[site.index()].hosts[host_idx as usize]
-                .name
-                .as_str()
-                .to_owned(),
+            QueriedName::Host(site, host_idx) => world.sites[site.index()]
+                .host_name(usize::from(host_idx))
+                .into_string(),
             QueriedName::Background(i) => world.background_names[i as usize].as_str().to_owned(),
         }
     }

@@ -91,7 +91,7 @@ fn chrome_origins_belong_to_visited_public_sites() {
 fn resolver_sees_no_more_names_than_exist() {
     let (w, _, _, dns, _) = setup();
     let max_names: usize =
-        w.sites.iter().map(|s| s.hosts.len()).sum::<usize>() + w.background_names.len();
+        w.sites.iter().map(|s| s.host_count()).sum::<usize>() + w.background_names.len();
     for d in 0..dns.day_count() {
         assert!(dns.day(d).name_count() <= max_names);
     }
