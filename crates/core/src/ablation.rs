@@ -10,15 +10,11 @@
 //! * **CrUX privacy threshold**: privacy cuts list size — how fast does
 //!   accuracy degrade as the threshold rises?
 
-use std::collections::HashSet;
-
-use topple_lists::{normalize_ranked, tranco, ListSource};
-use topple_psl::DomainName;
-use topple_stats::sets::jaccard;
+use topple_lists::{normalize_ranked, tranco, DomainId, ListSource, NormalizedList, RankedList};
 use topple_vantage::CfMetric;
 
 use crate::error::CoreError;
-use crate::methodology::against_cloudflare;
+use crate::methodology::against_cloudflare_ids;
 use crate::study::Study;
 
 /// Jaccard with and without PSL normalization, per list.
@@ -35,15 +31,14 @@ pub struct NormalizationAblation {
 /// Measures the effect of PSL normalization on the Figure 2 comparison at
 /// magnitude `k`, against the all-requests metric.
 pub fn normalization(study: &Study, k: usize) -> Result<Vec<NormalizationAblation>, CoreError> {
-    let metric = CfMetric::final_seven()[0];
-    let cf_domains = study.cf_monthly_domains(metric);
+    let cf_ids = study.cf_monthly_ids(CfMetric::final_seven()[0]);
     let alexa_month = study.alexa_daily.last().ok_or(CoreError::EmptyWindow)?;
     let umbrella_month = study.umbrella_daily.last().ok_or(CoreError::EmptyWindow)?;
+    let index = study.index();
     let rows = ListSource::ALL
         .iter()
         .map(|&source| {
-            let norm = study.normalized(source);
-            let normalized = against_cloudflare(study, norm, &cf_domains, k)
+            let normalized = against_cloudflare_ids(index.monthly(source), &cf_ids, k)
                 .similarity
                 .jaccard;
 
@@ -51,41 +46,38 @@ pub fn normalization(study: &Study, k: usize) -> Result<Vec<NormalizationAblatio
             // and skip the PSL grouping step. The cf_ray probe still works
             // (it is a network fact about the zone, independent of list
             // processing), but the published strings — FQDNs, origins — are
-            // intersected with Cloudflare's domain names as-is.
-            let raw_names: Vec<String> = match source {
-                ListSource::Alexa => collect_raw(alexa_month, k),
-                ListSource::Umbrella => collect_raw(umbrella_month, k),
-                ListSource::Majestic => collect_raw(&study.majestic, k),
-                ListSource::Secrank => collect_raw(&study.secrank, k),
-                ListSource::Tranco => collect_raw(&study.tranco, k),
-                ListSource::Trexa => collect_raw(&study.trexa, k),
-                ListSource::Crux => study
-                    .crux
-                    .names_within(k as u32)
-                    .map(str::to_owned)
-                    .collect(),
+            // matched against Cloudflare's domain names as-is: only a name
+            // that is itself a site domain keeps an id a ranking can share.
+            let raw_top = |list: &RankedList| {
+                let entries = list.entries.iter().take(k);
+                index.columns_for(
+                    &study.world,
+                    entries.map(|e| (e.name.as_str(), e.rank)),
+                    true,
+                )
             };
-            let raw_cf: Vec<String> = raw_names
-                .into_iter()
-                .filter(|n| {
-                    // Probe the host behind the published name.
-                    let host = n.split_once("://").map(|(_, rest)| rest).unwrap_or(n);
-                    host.parse::<DomainName>()
-                        .ok()
-                        .and_then(|d| study.world.psl.registrable_domain(&d).or(Some(d)))
-                        .map(|d| study.world.is_cloudflare(&d))
-                        .unwrap_or(false)
-                })
-                .collect();
-            let n = raw_cf.len();
-            // topple-lint: allow(string-set): ablation compares raw un-normalized names, which have no interned ids
-            let cf_set: HashSet<&str> = cf_domains.iter().take(n).map(|d| d.as_str()).collect();
-            // topple-lint: allow(string-set): same raw-name path as above
-            let raw_set: HashSet<&str> = raw_cf.iter().map(String::as_str).collect();
-            let raw = if n == 0 {
+            let raw_cols = match source {
+                ListSource::Alexa => raw_top(alexa_month),
+                ListSource::Umbrella => raw_top(umbrella_month),
+                ListSource::Majestic => raw_top(&study.majestic),
+                ListSource::Secrank => raw_top(&study.secrank),
+                ListSource::Tranco => raw_top(&study.tranco),
+                ListSource::Trexa => raw_top(&study.trexa),
+                ListSource::Crux => {
+                    let entries = study.crux.entries.iter().filter(|e| e.bucket as usize <= k);
+                    index.columns_for(
+                        &study.world,
+                        entries.map(|e| (e.name.as_str(), e.bucket)),
+                        false,
+                    )
+                }
+            };
+            let raw = against_cloudflare_ids(&raw_cols, &cf_ids, k);
+            // No CF-served raw name scores 0, not the 1.0 of two empty sets.
+            let raw = if raw.cf_subset_size == 0 {
                 0.0
             } else {
-                jaccard(&raw_set, &cf_set)
+                raw.similarity.jaccard
             };
             NormalizationAblation {
                 source,
@@ -97,20 +89,24 @@ pub fn normalization(study: &Study, k: usize) -> Result<Vec<NormalizationAblatio
     Ok(rows)
 }
 
-fn collect_raw(list: &topple_lists::RankedList, k: usize) -> Vec<String> {
-    list.top_names(k).map(str::to_owned).collect()
+/// Scores a counterfactual normalized list against the all-requests ranking.
+fn score(study: &Study, list: &NormalizedList, cf_ids: &[DomainId], k: usize) -> f64 {
+    let entries = list.entries.iter().map(|(d, v)| (d.as_str(), *v));
+    let cols = study
+        .index()
+        .columns_for(&study.world, entries, list.ordered);
+    against_cloudflare_ids(&cols, cf_ids, k).similarity.jaccard
 }
 
 /// Accuracy of Tranco rebuilt over trailing windows of different lengths.
 pub fn tranco_window(study: &Study, windows: &[usize], k: usize) -> Vec<(usize, f64)> {
-    let metric = CfMetric::final_seven()[0];
-    let cf_domains = study.cf_monthly_domains(metric);
+    let cf_ids = study.cf_monthly_ids(CfMetric::final_seven()[0]);
     let n_days = study.alexa_daily.len();
     windows
         .iter()
         .map(|&w| {
             let w = w.min(n_days);
-            let mut inputs: Vec<&topple_lists::RankedList> = Vec::new();
+            let mut inputs: Vec<&RankedList> = Vec::new();
             inputs.extend(study.alexa_daily[n_days - w..].iter());
             inputs.extend(study.umbrella_daily[n_days - w..].iter());
             for _ in 0..w {
@@ -118,18 +114,14 @@ pub fn tranco_window(study: &Study, windows: &[usize], k: usize) -> Vec<(usize, 
             }
             let list = tranco::build(&inputs, study.world.sites.len());
             let norm = normalize_ranked(&study.world.psl, &list);
-            let ji = against_cloudflare(study, &norm, &cf_domains, k)
-                .similarity
-                .jaccard;
-            (w, ji)
+            (w, score(study, &norm, &cf_ids, k))
         })
         .collect()
 }
 
 /// CrUX accuracy and size as the privacy threshold rises.
 pub fn crux_threshold(study: &Study, thresholds: &[u32], k: usize) -> Vec<(u32, usize, f64)> {
-    let metric = CfMetric::final_seven()[0];
-    let cf_domains = study.cf_monthly_domains(metric);
+    let cf_ids = study.cf_monthly_ids(CfMetric::final_seven()[0]);
     let magnitudes: Vec<usize> = study.magnitudes().iter().map(|&(_, m)| m).collect();
     thresholds
         .iter()
@@ -152,10 +144,7 @@ pub fn crux_threshold(study: &Study, thresholds: &[u32], k: usize) -> Vec<(u32, 
             };
             let len = list.len();
             let norm = topple_lists::normalize_bucketed(&study.world.psl, &list);
-            let ji = against_cloudflare(study, &norm, &cf_domains, k)
-                .similarity
-                .jaccard;
-            (t, len, ji)
+            (t, len, score(study, &norm, &cf_ids, k))
         })
         .collect()
 }

@@ -1,46 +1,18 @@
 //! List-comparison primitives: Jaccard on top-k sets, Spearman on ranks of
 //! the intersection (Section 4.3–4.4).
 //!
-//! Two equivalent implementations live here. The *string* path
-//! ([`similarity`]) hashes domain strings per call; it is the reference
-//! semantics and the equivalence tests' oracle. Its one production caller
-//! is [`against_cloudflare`](crate::against_cloudflare),
-//! which the ablations (`normalization`, `tranco_window`, `crux_threshold`)
-//! run on counterfactual lists: those lists never enter the study's
-//! [`DomainTable`](topple_lists::DomainTable), so they have no ids. The
-//! *id* path ([`IdCut`], [`similarity_ids`]) runs over interned ids with
-//! sorted-slice merge-walks and is what the analysis grid uses;
-//! `tests/analysis_equivalence.rs` pins the two paths byte-identical.
-
-use std::collections::{HashMap, HashSet};
+//! One path lives here: a best-first ranking of interned ids becomes an
+//! [`IdCut`] (ids sorted, with each id's rank alongside), and
+//! [`similarity_ids`] compares two cuts by sorted-slice merge-walk. Every
+//! list the analyses score has ids, the study's own through its
+//! [`DomainTable`](topple_lists::DomainTable) and any other through
+//! [`StudyIndex::columns_for`](crate::StudyIndex::columns_for).
+//! `tests/analysis_equivalence.rs` pins this path bit for bit to a
+//! test-local string-set reference.
 
 use topple_lists::DomainId;
-use topple_psl::DomainName;
 use topple_stats::corr::{spearman, Spearman};
-use topple_stats::sets::{jaccard, jaccard_sorted};
-
-/// Spearman rank correlation over the intersection of two rankings.
-///
-/// `a` and `b` are best-first orderings; ranks are positions within each
-/// ordering. Only domains present in both contribute (the paper's
-/// "operates on only their intersection"). Returns `None` when the
-/// intersection is too small (< 3) or degenerate.
-pub fn spearman_intersection(a: &[&DomainName], b: &[&DomainName]) -> Option<Spearman> {
-    let pos_a: HashMap<&str, f64> = a
-        .iter()
-        .enumerate()
-        .map(|(i, d)| (d.as_str(), i as f64 + 1.0))
-        .collect();
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for (i, d) in b.iter().enumerate() {
-        if let Some(&ra) = pos_a.get(d.as_str()) {
-            xs.push(ra);
-            ys.push(i as f64 + 1.0);
-        }
-    }
-    spearman(&xs, &ys).ok()
-}
+use topple_stats::sets::jaccard_sorted;
 
 /// Both similarity measures for one comparison.
 #[derive(Debug, Clone, Copy)]
@@ -52,20 +24,6 @@ pub struct ListSimilarity {
     pub spearman: Option<Spearman>,
     /// Size of the intersection.
     pub intersection: usize,
-}
-
-/// Computes Jaccard and Spearman between two best-first domain rankings.
-pub fn similarity(a: &[&DomainName], b: &[&DomainName]) -> ListSimilarity {
-    // topple-lint: allow(string-set): reference string path, kept for ad-hoc lists and equivalence tests
-    let sa: HashSet<&str> = a.iter().map(|d| d.as_str()).collect();
-    // topple-lint: allow(string-set): reference string path, kept for ad-hoc lists and equivalence tests
-    let sb: HashSet<&str> = b.iter().map(|d| d.as_str()).collect();
-    let inter = sa.intersection(&sb).count();
-    ListSimilarity {
-        jaccard: jaccard(&sa, &sb),
-        spearman: spearman_intersection(a, b),
-        intersection: inter,
-    }
 }
 
 /// One best-first ranking cut, prepared for merge-walk comparison: ids sorted
@@ -120,15 +78,15 @@ impl IdCut {
     }
 }
 
-/// Computes Jaccard and Spearman between two prepared cuts — the interned
-/// equivalent of [`similarity`], byte-identical on equal inputs.
+/// Computes Jaccard and Spearman between two prepared cuts.
 ///
-/// The Jaccard arithmetic is `topple_stats::sets::jaccard_sorted` (same
-/// expression and empty-set convention as the hash path). For Spearman, the
-/// merge-walk collects the intersection's `(rank_in_a, rank_in_b)` pairs and
-/// feeds them **ordered by rank-in-b**, reproducing the string path's
-/// "iterate b in rank order" pair ordering so float summation order — and
-/// therefore every output bit — matches.
+/// The Jaccard arithmetic is `topple_stats::sets::jaccard_sorted` (two empty
+/// cuts score 1.0). Spearman runs over the intersection only (the paper's
+/// "operates on only their intersection"): the merge-walk collects each
+/// shared id's `(rank_in_a, rank_in_b)` pair and feeds the pairs **ordered
+/// by rank-in-b**, a fixed summation order, so every output bit is
+/// reproducible. It is `None` when the intersection is too small (< 3) or
+/// degenerate.
 pub fn similarity_ids(a: &IdCut, b: &IdCut) -> ListSimilarity {
     let mut pairs: Vec<(u32, u32)> = Vec::new();
     let mut i = 0;
@@ -157,35 +115,46 @@ pub fn similarity_ids(a: &IdCut, b: &IdCut) -> ListSimilarity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use topple_lists::DomainTable;
+    use topple_psl::DomainName;
 
-    fn doms(names: &[&str]) -> Vec<DomainName> {
-        names.iter().map(|n| n.parse().unwrap()).collect()
+    /// Interns name rankings into one shared table and cuts them.
+    fn cuts(a: &[&str], b: &[&str]) -> (IdCut, IdCut) {
+        let mut table = DomainTable::new();
+        let mut ids = |names: &[&str]| -> Vec<DomainId> {
+            names
+                .iter()
+                .map(|n| table.intern(&n.parse::<DomainName>().unwrap()))
+                .collect()
+        };
+        let (ia, ib) = (ids(a), ids(b));
+        (IdCut::new(&ia), IdCut::new(&ib))
     }
 
-    fn refs(d: &[DomainName]) -> Vec<&DomainName> {
-        d.iter().collect()
+    fn sim(a: &[&str], b: &[&str]) -> ListSimilarity {
+        let (ca, cb) = cuts(a, b);
+        similarity_ids(&ca, &cb)
     }
 
     #[test]
     fn jaccard_of_identical_rankings() {
-        let a = doms(&["a.com", "b.com", "c.com"]);
-        assert_eq!(similarity(&refs(&a), &refs(&a)).jaccard, 1.0);
+        let a = ["a.com", "b.com", "c.com"];
+        assert_eq!(sim(&a, &a).jaccard, 1.0);
     }
 
     #[test]
     fn spearman_of_same_order_is_one() {
-        let a = doms(&["a.com", "b.com", "c.com", "d.com", "e.com"]);
-        let s = spearman_intersection(&refs(&a), &refs(&a)).unwrap();
+        let a = ["a.com", "b.com", "c.com", "d.com", "e.com"];
+        let s = sim(&a, &a).spearman.unwrap();
         assert!((s.rho - 1.0).abs() < 1e-12);
         assert_eq!(s.n, 5);
     }
 
     #[test]
     fn spearman_of_reversed_order_is_minus_one() {
-        let a = doms(&["a.com", "b.com", "c.com", "d.com"]);
-        let mut rev = a.clone();
-        rev.reverse();
-        let s = spearman_intersection(&refs(&a), &refs(&rev)).unwrap();
+        let a = ["a.com", "b.com", "c.com", "d.com"];
+        let rev = ["d.com", "c.com", "b.com", "a.com"];
+        let s = sim(&a, &rev).spearman.unwrap();
         assert!((s.rho + 1.0).abs() < 1e-12);
     }
 
@@ -193,95 +162,45 @@ mod tests {
     fn spearman_ignores_non_intersecting() {
         // b shares only 4 of a's domains, in the same relative order, plus
         // noise entries that must not affect the result.
-        let a = doms(&["a.com", "b.com", "c.com", "d.com"]);
-        let b = doms(&[
+        let a = ["a.com", "b.com", "c.com", "d.com"];
+        let b = [
             "x.com", "a.com", "y.com", "b.com", "c.com", "z.com", "d.com",
-        ]);
-        let s = spearman_intersection(&refs(&a), &refs(&b)).unwrap();
+        ];
+        let s = sim(&a, &b).spearman.unwrap();
         assert!((s.rho - 1.0).abs() < 1e-12);
         assert_eq!(s.n, 4);
     }
 
     #[test]
     fn tiny_intersection_yields_none() {
-        let a = doms(&["a.com", "b.com"]);
-        let b = doms(&["a.com", "x.com"]);
-        assert!(spearman_intersection(&refs(&a), &refs(&b)).is_none());
+        assert!(sim(&["a.com", "b.com"], &["a.com", "x.com"])
+            .spearman
+            .is_none());
     }
 
     #[test]
     fn similarity_combines_both() {
-        let a = doms(&["a.com", "b.com", "c.com", "d.com"]);
-        let b = doms(&["b.com", "a.com", "c.com", "e.com"]);
-        let sim = similarity(&refs(&a), &refs(&b));
-        assert_eq!(sim.intersection, 3);
-        assert!((sim.jaccard - 3.0 / 5.0).abs() < 1e-12);
-        assert!(sim.spearman.is_some());
-    }
-
-    /// Interns name rankings into a shared table and compares both paths.
-    fn both_paths(a: &[&str], b: &[&str]) -> (ListSimilarity, ListSimilarity) {
-        use topple_lists::DomainTable;
-        let da = doms(a);
-        let db = doms(b);
-        let mut table = DomainTable::new();
-        let ia: Vec<DomainId> = da.iter().map(|d| table.intern(d)).collect();
-        let ib: Vec<DomainId> = db.iter().map(|d| table.intern(d)).collect();
-        let string = similarity(&refs(&da), &refs(&db));
-        let ids = similarity_ids(&IdCut::new(&ia), &IdCut::new(&ib));
-        (string, ids)
-    }
-
-    #[test]
-    fn id_path_is_byte_identical_to_string_path() {
-        let cases: [(&[&str], &[&str]); 5] = [
-            (
-                &["a.com", "b.com", "c.com", "d.com"],
-                &["b.com", "a.com", "c.com", "e.com"],
-            ),
-            (&["a.com", "b.com"], &["c.com", "d.com"]),
-            (&[], &[]),
-            (&["a.com"], &[]),
-            (
-                &["e.com", "d.com", "c.com", "b.com", "a.com"],
-                &["a.com", "b.com", "c.com", "d.com", "e.com"],
-            ),
-        ];
-        for (a, b) in cases {
-            let (s, i) = both_paths(a, b);
-            assert_eq!(s.jaccard.to_bits(), i.jaccard.to_bits(), "{a:?} vs {b:?}");
-            assert_eq!(s.intersection, i.intersection, "{a:?} vs {b:?}");
-            match (s.spearman, i.spearman) {
-                (None, None) => {}
-                (Some(x), Some(y)) => {
-                    assert_eq!(x.rho.to_bits(), y.rho.to_bits(), "{a:?} vs {b:?}");
-                    assert_eq!(x.n, y.n);
-                }
-                (x, y) => panic!("spearman presence diverged for {a:?} vs {b:?}: {x:?} vs {y:?}"),
-            }
-        }
+        let a = ["a.com", "b.com", "c.com", "d.com"];
+        let b = ["b.com", "a.com", "c.com", "e.com"];
+        let s = sim(&a, &b);
+        assert_eq!(s.intersection, 3);
+        assert!((s.jaccard - 3.0 / 5.0).abs() < 1e-12);
+        assert!(s.spearman.is_some());
     }
 
     #[test]
     fn rank_of_recovers_list_positions() {
-        use topple_lists::DomainTable;
-        let d = doms(&["z.com", "a.com", "m.com"]);
-        let mut table = DomainTable::new();
-        let ids: Vec<DomainId> = d.iter().map(|x| table.intern(x)).collect();
-        let cut = IdCut::new(&ids);
-        for (pos, id) in ids.iter().enumerate() {
-            assert_eq!(cut.rank_of(id.raw()), Some(pos as u32));
+        let (cut, _) = cuts(&["z.com", "a.com", "m.com"], &[]);
+        // Interning order makes z.com id 0, a.com id 1, m.com id 2.
+        for (pos, id) in [0u32, 1, 2].into_iter().enumerate() {
+            assert_eq!(cut.rank_of(id), Some(pos as u32));
         }
         assert_eq!(cut.rank_of(999), None);
     }
 
     #[test]
     fn id_cut_exposes_sorted_ids() {
-        use topple_lists::DomainTable;
-        let d = doms(&["z.com", "a.com", "m.com"]);
-        let mut table = DomainTable::new();
-        let ids: Vec<DomainId> = d.iter().map(|x| table.intern(x)).collect();
-        let cut = IdCut::new(&ids);
+        let (cut, _) = cuts(&["z.com", "a.com", "m.com"], &[]);
         assert_eq!(cut.len(), 3);
         assert!(cut.ids().windows(2).all(|w| w[0] < w[1]));
     }

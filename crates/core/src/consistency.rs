@@ -176,8 +176,8 @@ pub fn intra_chrome(study: &Study, k: usize) -> ConsistencyMatrix {
 /// registrable domains, keeping each domain's best position).
 ///
 /// Site domains are unique in the world, so deduplicating by site index is
-/// exactly the string path's "first appearance of the domain wins" — without
-/// building a string set per cell.
+/// exactly "first appearance of the domain name wins", without building a
+/// string set per cell.
 pub fn chrome_cell_ids(
     study: &Study,
     country: Country,

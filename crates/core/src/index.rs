@@ -16,7 +16,8 @@
 //! instead of hashing domain strings per call.
 
 use topple_lists::{DomainId, DomainTable, ListSource, NormalizedList};
-use topple_sim::SiteId;
+use topple_psl::DomainName;
+use topple_sim::{SiteId, World};
 use topple_vantage::ScoreVec;
 
 /// One normalized list as dense-id columns.
@@ -331,9 +332,52 @@ impl StudyIndex {
         }
     }
 
-    /// Ranked Cloudflare domain ids for a metric score vector (best first) —
-    /// the id-space equivalent of `Study::cf_ranked_domains`, sharing its
-    /// ordering via `topple_vantage::ranked_site_ids`.
+    /// Columns for a list that never entered the study's table: a
+    /// counterfactual rebuild (raw published names, another Tranco window,
+    /// another CrUX threshold) or an external file. `entries` are
+    /// `(name, value)` pairs in value-ascending list order with unique names,
+    /// as every list's are.
+    ///
+    /// A name the table knows keeps its study id and CDN flag. Any other
+    /// name gets the next tail id from `table().len()` up and the `cf_ray`
+    /// zone probe: strip a URL scheme, take the registrable domain (or the
+    /// name itself when it has none), and ask [`World::is_cloudflare`]. A
+    /// tail id names no site, so it never matches a CDN ranking, just as the
+    /// name matches no site domain. The columns are for scoring only
+    /// ([`crate::against_cloudflare_ids`]); their tail ids mean nothing to
+    /// the table.
+    pub fn columns_for<'a>(
+        &self,
+        world: &World,
+        entries: impl IntoIterator<Item = (&'a str, u32)>,
+        ordered: bool,
+    ) -> ListColumns {
+        let known = self.table.len();
+        let mut values = Vec::new();
+        let mut tail_cf = Vec::new();
+        let ids = entries
+            .into_iter()
+            .map(|(name, value)| {
+                values.push(value);
+                self.table.id(name).unwrap_or_else(|| {
+                    let host = name.split_once("://").map_or(name, |(_, rest)| rest);
+                    tail_cf.push(host.parse::<DomainName>().is_ok_and(|d| {
+                        world.is_cloudflare(&world.psl.registrable_domain(&d).unwrap_or(d))
+                    }));
+                    DomainId::from_raw((known + tail_cf.len() - 1) as u32)
+                })
+            })
+            .collect();
+        ListColumns::new(ids, values, ordered, |id| {
+            match id.index().checked_sub(known) {
+                Some(tail) => tail_cf[tail],
+                None => self.is_cf[id.index()],
+            }
+        })
+    }
+
+    /// Ranked Cloudflare domain ids for a metric score vector (best first),
+    /// in `topple_vantage::ranked_site_ids` order.
     pub fn cf_ranked_ids(&self, scores: &ScoreVec) -> Vec<DomainId> {
         topple_vantage::ranked_site_ids(scores)
             .into_iter()

@@ -45,8 +45,8 @@ pub mod report;
 pub mod study;
 pub mod temporal;
 
-pub use compare::{similarity, similarity_ids, spearman_intersection, IdCut, ListSimilarity};
+pub use compare::{similarity_ids, IdCut, ListSimilarity};
 pub use error::CoreError;
 pub use index::{ListColumns, StudyIndex};
-pub use methodology::{against_cloudflare, against_cloudflare_ids, cf_subset, Evaluation};
+pub use methodology::{against_cloudflare_ids, Evaluation};
 pub use study::{observe_day_shards, Study, StudyPrefix};

@@ -6,13 +6,19 @@
 //! domains, keep the `n ≤ k` of them that the `cf_ray` probe confirms are
 //! Cloudflare-served, and compare that ranked subset against the top-`n`
 //! Cloudflare domains under the metric being evaluated.
+//!
+//! There is one scoring path, [`against_cloudflare_ids`], over id columns.
+//! The study's own lists come as [`ListColumns`] from
+//! [`StudyIndex::monthly`](crate::StudyIndex::monthly) and
+//! [`daily`](crate::StudyIndex::daily). A list that never entered the
+//! study's table (an ablation's counterfactual, an external file) gets its
+//! columns from [`StudyIndex::columns_for`](crate::StudyIndex::columns_for),
+//! which gives its unknown names tail ids that match no CDN ranking.
 
-use topple_lists::{DomainId, NormalizedList};
-use topple_psl::DomainName;
+use topple_lists::DomainId;
 
-use crate::compare::{similarity, similarity_ids, IdCut, ListSimilarity};
+use crate::compare::{similarity_ids, IdCut, ListSimilarity};
 use crate::index::ListColumns;
-use crate::study::Study;
 
 /// Result of evaluating one list against one Cloudflare metric at one
 /// magnitude.
@@ -27,42 +33,11 @@ pub struct Evaluation {
     pub magnitude: usize,
 }
 
-/// Filters a normalized list's top-`k` to Cloudflare-served domains, in list
-/// order (the paper's cf_ray HEAD-probe step).
-pub fn cf_subset<'a>(study: &Study, list: &'a NormalizedList, k: usize) -> Vec<&'a DomainName> {
-    list.top_domains(k)
-        .into_iter()
-        .filter(|d| study.world.is_cloudflare(d))
-        .collect()
-}
-
-/// Evaluates a normalized top list against one ranked Cloudflare metric
-/// (best-first domains) at magnitude `k`.
-pub fn against_cloudflare(
-    study: &Study,
-    list: &NormalizedList,
-    cf_ranked: &[DomainName],
-    k: usize,
-) -> Evaluation {
-    let subset = cf_subset(study, list, k);
-    let n = subset.len();
-    let cf_top: Vec<&DomainName> = cf_ranked.iter().take(n).collect();
-    let mut sim = similarity(&subset, &cf_top);
-    if !list.ordered {
-        // Rank-magnitude lists (CrUX) cannot be rank-correlated (Section 4.4).
-        sim.spearman = None;
-    }
-    Evaluation {
-        similarity: sim,
-        cf_subset_size: n,
-        magnitude: k,
-    }
-}
-
-/// Interned-columnar equivalent of [`against_cloudflare`]: the list's CF
-/// subset is a precomputed prefix view ([`ListColumns::cf_subset_ids`]) and
-/// the head-to-head runs over id cuts. Byte-identical to the string path
-/// (`tests/analysis_equivalence.rs`).
+/// Evaluates a list's columns against one ranked Cloudflare metric
+/// (best-first ids, as [`Study::cf_monthly_ids`](crate::Study::cf_monthly_ids)
+/// returns them) at magnitude
+/// `k`. The list's CF subset is a precomputed prefix view
+/// ([`ListColumns::cf_subset_ids`]) and the head-to-head runs over id cuts.
 pub fn against_cloudflare_ids(list: &ListColumns, cf_ranked: &[DomainId], k: usize) -> Evaluation {
     let subset = list.cf_subset_ids(k);
     let n = subset.len();
@@ -82,6 +57,7 @@ pub fn against_cloudflare_ids(list: &ListColumns, cf_ranked: &[DomainId], k: usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::Study;
     use topple_lists::ListSource;
     use topple_sim::WorldConfig;
     use topple_vantage::CfMetric;
@@ -93,21 +69,18 @@ mod tests {
     #[test]
     fn subset_contains_only_cf_domains() {
         let s = study();
-        let list = s.normalized(ListSource::Tranco);
-        let subset = cf_subset(&s, list, 100);
+        let subset = s.index().monthly(ListSource::Tranco).cf_subset_ids(100);
         assert!(!subset.is_empty());
-        for d in &subset {
-            assert!(s.world.is_cloudflare(d));
+        for &id in subset {
+            assert!(s.world.is_cloudflare(s.index().table().name(id)));
         }
     }
 
     #[test]
     fn head_to_head_sizes_match() {
         let s = study();
-        let metric = CfMetric::final_seven()[0];
-        let cf = s.cf_monthly_domains(metric);
-        let list = s.normalized(ListSource::Umbrella);
-        let ev = against_cloudflare(&s, list, &cf, 100);
+        let cf = s.cf_monthly_ids(CfMetric::final_seven()[0]);
+        let ev = against_cloudflare_ids(s.index().monthly(ListSource::Umbrella), &cf, 100);
         assert_eq!(ev.magnitude, 100);
         assert!(ev.cf_subset_size <= 100);
         assert!(ev.similarity.jaccard >= 0.0 && ev.similarity.jaccard <= 1.0);
@@ -116,9 +89,8 @@ mod tests {
     #[test]
     fn crux_never_gets_spearman() {
         let s = study();
-        let metric = CfMetric::final_seven()[0];
-        let cf = s.cf_monthly_domains(metric);
-        let ev = against_cloudflare(&s, s.normalized(ListSource::Crux), &cf, 400);
+        let cf = s.cf_monthly_ids(CfMetric::final_seven()[0]);
+        let ev = against_cloudflare_ids(s.index().monthly(ListSource::Crux), &cf, 400);
         assert!(ev.similarity.spearman.is_none());
     }
 
@@ -126,18 +98,47 @@ mod tests {
     fn perfect_list_scores_one() {
         // Evaluating the CF metric against itself must give JI = 1, rho = 1.
         let s = study();
-        let metric = CfMetric::final_seven()[0];
-        let cf = s.cf_monthly_domains(metric);
+        let cf = s.cf_monthly_ids(CfMetric::final_seven()[0]);
         let k = 50.min(cf.len());
-        // Build a synthetic normalized list from the CF ranking itself.
+        // Build a synthetic list from the CF ranking's names and score it
+        // through the overlay, as an external list would be.
         let ranked = topple_lists::RankedList::from_sorted_names(
             ListSource::Tranco,
-            cf.iter().take(k).map(|d| d.as_str().to_owned()).collect(),
+            cf.iter()
+                .take(k)
+                .map(|&id| s.index().table().name(id).as_str().to_owned())
+                .collect(),
         );
         let norm = topple_lists::normalize_ranked(&s.world.psl, &ranked);
-        let ev = against_cloudflare(&s, &norm, &cf, k);
+        let entries = norm.entries.iter().map(|(d, v)| (d.as_str(), *v));
+        let cols = s.index().columns_for(&s.world, entries, norm.ordered);
+        let ev = against_cloudflare_ids(&cols, &cf, k);
         assert!((ev.similarity.jaccard - 1.0).abs() < 1e-12);
         let rho = ev.similarity.spearman.unwrap().rho;
         assert!((rho - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn overlay_keeps_known_ids_and_probes_the_tail() {
+        let s = study();
+        let index = s.index();
+        let site = s.world.sites.iter().find(|x| x.cloudflare).unwrap();
+        let known = site.domain.as_str();
+        let origin = format!("https://www.{known}");
+        let entries = [
+            (known, 1),
+            (origin.as_str(), 2),
+            ("nowhere-at-all.example", 3),
+            ("not a name!", 4),
+        ];
+        let cols = index.columns_for(&s.world, entries, true);
+        let tail = index.table().len() as u32;
+        let raw: Vec<u32> = cols.ids.iter().map(|id| id.raw()).collect();
+        let site_id = index.table().id(known).unwrap();
+        assert_eq!(raw, [site_id.raw(), tail, tail + 1, tail + 2]);
+        assert_eq!(cols.values, [1, 2, 3, 4]);
+        // The known name keeps its flag; the origin's zone is the CF-served
+        // site, so the probe flags it; the others are served by nobody.
+        assert_eq!(cols.cf_subset_ids(4), &cols.ids[..2]);
     }
 }

@@ -23,12 +23,11 @@ use topple_lists::{
     alexa, crux, majestic, secrank, tranco, trexa, umbrella, BucketedList, DomainId, DomainTable,
     ListSource, NormalizedColumns, NormalizedList, Normalizer, NormalizerMemo, RankedList,
 };
-use topple_psl::DomainName;
 use topple_sim::{Resolver, World, WorldConfig, WorldError};
 use topple_stats::fanout::for_each_ordered;
 use topple_vantage::{
     CdnVantage, CfMetric, ChromeVantage, CrawlerVantage, DayScratch, DayShards, DnsVantage,
-    PanelVantage, ScoreVec,
+    PanelVantage,
 };
 
 use crate::error::CoreError;
@@ -597,25 +596,8 @@ impl Study {
         self.world.config.rank_magnitudes()
     }
 
-    /// Ranked Cloudflare domains for a metric score vector (best first).
-    pub fn cf_ranked_domains(&self, scores: &ScoreVec) -> Vec<&DomainName> {
-        topple_vantage::ranked_sites(scores)
-            .into_iter()
-            .map(|(site, _)| &self.world.sites[site.index()].domain)
-            .collect()
-    }
-
-    /// Ranked Cloudflare domains for a monthly metric.
-    pub fn cf_monthly_domains(&self, metric: CfMetric) -> Vec<DomainName> {
-        let scores = self.cdn.monthly(metric);
-        topple_vantage::ranked_sites(&scores)
-            .into_iter()
-            .map(|(site, _)| self.world.sites[site.index()].domain.clone())
-            .collect()
-    }
-
-    /// Ranked Cloudflare domain ids for a monthly metric — the id-space form
-    /// of [`Self::cf_monthly_domains`], identically ordered.
+    /// Ranked Cloudflare domain ids for a monthly metric (best first); a
+    /// site's id is its index, so `index().table().name(id)` is its domain.
     pub fn cf_monthly_ids(&self, metric: CfMetric) -> Vec<DomainId> {
         let scores = self.cdn.monthly(metric);
         self.index.cf_ranked_ids(&scores)
@@ -625,7 +607,16 @@ impl Study {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use topple_psl::DomainName;
     use topple_vantage::Shard as _;
+
+    /// A monthly CDN ranking as domain names, read through the table.
+    fn cf_monthly_names(s: &Study, m: CfMetric) -> Vec<&DomainName> {
+        let ids = s.cf_monthly_ids(m);
+        ids.into_iter()
+            .map(|id| s.index().table().name(id))
+            .collect()
+    }
 
     #[test]
     fn full_pipeline_runs_on_tiny_world() {
@@ -661,7 +652,7 @@ mod tests {
         assert_eq!(a.secrank, b.secrank);
         assert_eq!(a.crux.to_csv(), b.crux.to_csv());
         let m = CfMetric::final_seven()[0];
-        assert_eq!(a.cf_monthly_domains(m), b.cf_monthly_domains(m));
+        assert_eq!(cf_monthly_names(&a, m), cf_monthly_names(&b, m));
     }
 
     #[test]
@@ -681,7 +672,7 @@ mod tests {
         assert_eq!(seq.trexa, par.trexa);
         assert_eq!(seq.crux.to_csv(), par.crux.to_csv());
         let m = CfMetric::final_seven()[0];
-        assert_eq!(seq.cf_monthly_domains(m), par.cf_monthly_domains(m));
+        assert_eq!(cf_monthly_names(&seq, m), cf_monthly_names(&par, m));
     }
 
     #[test]
@@ -696,7 +687,7 @@ mod tests {
         assert_eq!(full.trexa, rebuilt.trexa);
         assert_eq!(full.crux.to_csv(), rebuilt.crux.to_csv());
         let m = CfMetric::final_seven()[0];
-        assert_eq!(full.cf_monthly_domains(m), rebuilt.cf_monthly_domains(m));
+        assert_eq!(cf_monthly_names(&full, m), cf_monthly_names(&rebuilt, m));
     }
 
     #[test]
@@ -792,7 +783,7 @@ mod tests {
         assert_eq!(warm.secrank, cold.secrank);
         assert_eq!(warm.crux.to_csv(), cold.crux.to_csv());
         let m = CfMetric::final_seven()[0];
-        assert_eq!(warm.cf_monthly_domains(m), cold.cf_monthly_domains(m));
+        assert_eq!(cf_monthly_names(&warm, m), cf_monthly_names(&cold, m));
     }
 
     #[test]
@@ -832,7 +823,7 @@ mod tests {
     fn cf_domains_are_cloudflare_served() {
         let s = Study::run(WorldConfig::tiny(203)).unwrap();
         for m in CfMetric::final_seven() {
-            for d in s.cf_monthly_domains(m).iter().take(50) {
+            for d in cf_monthly_names(&s, m).iter().take(50) {
                 assert!(
                     s.world.is_cloudflare(d),
                     "{d} in CF metric but not CF-served"

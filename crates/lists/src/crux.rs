@@ -59,9 +59,8 @@ mod tests {
         let (w, v) = setup();
         let l = build(&w, &v, &[40, 400, 4000]);
         assert!(!l.is_empty());
-        let b40 = l.names_within(40).count();
-        let b400 = l.names_within(400).count();
-        let b4000 = l.names_within(4000).count();
+        let within = |k: u32| l.entries.iter().filter(|e| e.bucket <= k).count();
+        let (b40, b400, b4000) = (within(40), within(400), within(4000));
         assert!(b40 <= 40);
         assert!(b40 <= b400 && b400 <= b4000);
         assert!(b400 <= 400);

@@ -180,14 +180,6 @@ impl BucketedList {
         self.entries.is_empty()
     }
 
-    /// All names whose bucket is at most `k`.
-    pub fn names_within(&self, k: u32) -> impl Iterator<Item = &str> {
-        self.entries
-            .iter()
-            .filter(move |e| e.bucket <= k)
-            .map(|e| e.name.as_str())
-    }
-
     /// Serializes as `origin,bucket` CSV (the CrUX BigQuery export shape).
     pub fn to_csv(&self) -> String {
         let mut out = String::with_capacity(self.entries.len() * 32);
@@ -322,33 +314,10 @@ mod tests {
     }
 
     #[test]
-    fn bucketed_names_within() {
-        let l = BucketedList {
-            source: ListSource::Crux,
-            entries: vec![
-                BucketedEntry {
-                    name: "https://a.com".into(),
-                    bucket: 100,
-                },
-                BucketedEntry {
-                    name: "https://b.com".into(),
-                    bucket: 1000,
-                },
-                BucketedEntry {
-                    name: "https://c.com".into(),
-                    bucket: 10000,
-                },
-            ],
-        };
-        assert_eq!(l.names_within(1000).count(), 2);
-        assert_eq!(l.names_within(50).count(), 0);
-        assert!(!ListSource::Crux.is_rank_ordered());
-    }
-
-    #[test]
     fn source_metadata() {
         assert_eq!(ListSource::ALL.len(), 7);
         assert!(ListSource::Alexa.is_rank_ordered());
+        assert!(!ListSource::Crux.is_rank_ordered());
         assert_eq!(ListSource::Crux.to_string(), "CrUX");
     }
 }

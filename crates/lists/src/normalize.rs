@@ -73,32 +73,6 @@ impl NormalizedList {
         }
     }
 
-    /// Domains within the top `k`: for ordered lists the first `k` by rank;
-    /// for bucketed lists everything with bucket ≤ `k`.
-    pub fn top_domains(&self, k: usize) -> Vec<&DomainName> {
-        self.entries[..self.top_len(k)]
-            .iter()
-            .map(|(d, _)| d)
-            .collect()
-    }
-
-    /// Interned ids within the top `k` — the prefix view equivalent of
-    /// [`top_domains`](Self::top_domains), shared by every magnitude.
-    pub fn top_ids(&self, k: usize) -> &[DomainId] {
-        &self.ids[..self.top_len(k)]
-    }
-
-    /// Length of the top-`k` prefix. Entries are sorted ascending by value,
-    /// so for bucketed lists "bucket ≤ k" is also a prefix, found by binary
-    /// search.
-    pub fn top_len(&self, k: usize) -> usize {
-        if self.ordered {
-            k.min(self.entries.len())
-        } else {
-            self.entries.partition_point(|(_, b)| *b as usize <= k)
-        }
-    }
-
     /// Re-materializes the normalized list as a ranked list of registrable
     /// domains (ranks re-assigned 1..n in normalized order).
     ///
@@ -566,32 +540,6 @@ mod tests {
         let n = normalize_ranked(&psl(), &l);
         assert_eq!(n.deviating, 0);
         assert_eq!(n.deviation_percent(), 0.0);
-    }
-
-    #[test]
-    fn top_domains_ordered_vs_bucketed() {
-        let l = ranked(&["a.com", "b.com", "c.com"]);
-        let n = normalize_ranked(&psl(), &l);
-        assert_eq!(n.top_domains(2).len(), 2);
-        assert_eq!(n.top_ids(2).len(), 2);
-        let b = BucketedList {
-            source: ListSource::Crux,
-            entries: vec![
-                BucketedEntry {
-                    name: "https://a.com".into(),
-                    bucket: 10,
-                },
-                BucketedEntry {
-                    name: "https://b.com".into(),
-                    bucket: 100,
-                },
-            ],
-        };
-        let nb = normalize_bucketed(&psl(), &b);
-        assert_eq!(nb.top_domains(10).len(), 1);
-        assert_eq!(nb.top_domains(100).len(), 2);
-        assert_eq!(nb.top_ids(10).len(), 1);
-        assert_eq!(nb.top_ids(100).len(), 2);
     }
 
     #[test]

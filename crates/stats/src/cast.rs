@@ -37,12 +37,6 @@ pub fn u32_from_u64(x: u64) -> u32 {
     u32::try_from(x).unwrap_or(u32::MAX)
 }
 
-/// `usize` → `i32`, saturating (for `f64::powi` exponents and the like).
-#[inline]
-pub fn i32_from_usize(n: usize) -> i32 {
-    i32::try_from(n).unwrap_or(i32::MAX)
-}
-
 /// `u32` → `usize`. Lossless on every supported platform (usize ≥ 32 bits),
 /// expressed as a saturating conversion so no platform assumption is silent.
 #[inline]
@@ -134,8 +128,6 @@ mod tests {
         assert_eq!(u32_from_usize(usize::MAX), u32::MAX);
         assert_eq!(u32_from_u64(41), 41);
         assert_eq!(u32_from_u64(u64::MAX), u32::MAX);
-        assert_eq!(i32_from_usize(3), 3);
-        assert_eq!(i32_from_usize(usize::MAX), i32::MAX);
         assert_eq!(usize_from_u32(u32::MAX), u32::MAX as usize);
         assert_eq!(i32_from_u32(12), 12);
         assert_eq!(i32_from_u32(u32::MAX), i32::MAX);

@@ -1,60 +1,11 @@
-//! Set-similarity measures for unordered list comparison.
+//! Set similarity over sorted id slices, for comparing interned lists.
 //!
-//! Two families live here: hash-set measures over arbitrary `Eq + Hash`
-//! elements, and allocation-free sorted-slice measures over dense `u32` ids
-//! ([`intersection_size_sorted`], [`jaccard_sorted`]) for the interned
-//! columnar analysis path. Both families share the same **empty-set
+//! The measures here ([`intersection_size_sorted`], [`jaccard_sorted`])
+//! merge-walk two strictly-ascending `u32` slices (sorted, deduplicated
+//! interned domain ids): no hashing and no allocation. **Empty-set
 //! convention**: the Jaccard index of two empty sets is defined as `1.0`
 //! (empty sets are identical; `0/0` would otherwise be NaN), while one empty
-//! and one non-empty set give `0.0`. `tests::empty_set_convention_is_shared`
-//! pins the two families to each other.
-
-use std::collections::HashSet;
-use std::hash::Hash;
-
-/// Jaccard index `|A ∩ B| / |A ∪ B|` of two sets.
-///
-/// Returns 1.0 when both sets are empty (they are identical — the `0/0`
-/// case), matching the convention used when comparing empty list
-/// intersections; see the module docs.
-///
-/// ```
-/// use std::collections::HashSet;
-/// use topple_stats::sets::jaccard;
-///
-/// let a: HashSet<_> = [1, 2, 3].into_iter().collect();
-/// let b: HashSet<_> = [2, 3, 4].into_iter().collect();
-/// assert!((jaccard(&a, &b) - 0.5).abs() < 1e-12);
-/// ```
-pub fn jaccard<T: Eq + Hash>(a: &HashSet<T>, b: &HashSet<T>) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let inter = small.iter().filter(|v| large.contains(v)).count();
-    let union = a.len() + b.len() - inter;
-    inter as f64 / union as f64
-}
-
-/// Overlap coefficient `|A ∩ B| / min(|A|, |B|)`.
-pub fn overlap_coefficient<T: Eq + Hash>(a: &HashSet<T>, b: &HashSet<T>) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return if a.is_empty() && b.is_empty() {
-            1.0
-        } else {
-            0.0
-        };
-    }
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let inter = small.iter().filter(|v| large.contains(v)).count();
-    inter as f64 / small.len() as f64
-}
-
-/// Size of the intersection of two sets.
-pub fn intersection_size<T: Eq + Hash>(a: &HashSet<T>, b: &HashSet<T>) -> usize {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    small.iter().filter(|v| large.contains(v)).count()
-}
+//! and one non-empty set give `0.0`.
 
 /// Size of the intersection of two strictly-ascending sorted slices, by
 /// merge-walk: no hashing, no allocation.
@@ -82,13 +33,17 @@ pub fn intersection_size_sorted(a: &[u32], b: &[u32]) -> usize {
     inter
 }
 
-/// Jaccard index of two strictly-ascending sorted slices (merge-walk
-/// counterpart of [`jaccard`]).
+/// Jaccard index `|A ∩ B| / |A ∪ B|` of two strictly-ascending sorted
+/// slices, by merge-walk.
 ///
-/// Keeps [`jaccard`]'s empty-set convention bit-for-bit: both slices empty →
-/// `1.0` (the `0/0` case), exactly one empty → `0.0`. The arithmetic is the
-/// same `inter as f64 / union as f64` expression, so results are
-/// byte-identical to the hash-set path for equal inputs.
+/// Both slices empty → `1.0` (the `0/0` case; see the module docs), exactly
+/// one empty → `0.0`.
+///
+/// ```
+/// use topple_stats::sets::jaccard_sorted;
+///
+/// assert!((jaccard_sorted(&[1, 2, 3], &[2, 3, 4]) - 0.5).abs() < 1e-12);
+/// ```
 pub fn jaccard_sorted(a: &[u32], b: &[u32]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
@@ -98,180 +53,52 @@ pub fn jaccard_sorted(a: &[u32], b: &[u32]) -> f64 {
     inter as f64 / union as f64
 }
 
-/// Rank-biased overlap (Webber et al. 2010) between two rankings, extrapolated
-/// to the evaluation depth. `p` is the persistence parameter (typical 0.9–0.99);
-/// higher `p` weights deeper ranks more.
-///
-/// Used as a supplementary top-weighted similarity alongside Jaccard; the paper
-/// itself reports Jaccard and Spearman only, so this lives here as an extension
-/// for ablation benchmarks.
-pub fn rank_biased_overlap<T: Eq + Hash + Clone>(a: &[T], b: &[T], p: f64) -> f64 {
-    assert!(
-        (0.0..1.0).contains(&p),
-        "persistence must be in [0, 1), got {p}"
-    );
-    let depth = a.len().min(b.len());
-    if depth == 0 {
-        return if a.is_empty() && b.is_empty() {
-            1.0
-        } else {
-            0.0
-        };
-    }
-    let mut seen_a: HashSet<T> = HashSet::with_capacity(depth);
-    let mut seen_b: HashSet<T> = HashSet::with_capacity(depth);
-    let mut overlap = 0usize;
-    let mut sum = 0.0;
-    let mut weight = 1.0 - p; // (1-p) p^{d-1} at depth d
-    for d in 0..depth {
-        let x = &a[d];
-        let y = &b[d];
-        if x == y {
-            overlap += 1;
-        } else {
-            if seen_b.contains(x) {
-                overlap += 1;
-            }
-            if seen_a.contains(y) {
-                overlap += 1;
-            }
-            seen_a.insert(x.clone());
-            seen_b.insert(y.clone());
-        }
-        sum += weight * overlap as f64 / (d + 1) as f64;
-        weight *= p;
-    }
-    // Extrapolate the final agreement level to infinite depth.
-    let agreement_at_depth = overlap as f64 / depth as f64;
-    sum + agreement_at_depth * p.powi(crate::cast::i32_from_usize(depth))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn set(v: &[u32]) -> HashSet<u32> {
-        v.iter().copied().collect()
-    }
-
     #[test]
     fn jaccard_basics() {
-        assert_eq!(jaccard(&set(&[1, 2]), &set(&[1, 2])), 1.0);
-        assert_eq!(jaccard(&set(&[1, 2]), &set(&[3, 4])), 0.0);
-        assert!((jaccard(&set(&[1, 2, 3]), &set(&[2, 3, 4])) - 0.5).abs() < 1e-12);
-        assert_eq!(jaccard::<u32>(&set(&[]), &set(&[])), 1.0);
-        assert_eq!(jaccard(&set(&[]), &set(&[1])), 0.0);
+        assert_eq!(jaccard_sorted(&[1, 2], &[1, 2]), 1.0);
+        assert_eq!(jaccard_sorted(&[1, 2], &[3, 4]), 0.0);
+        assert!((jaccard_sorted(&[1, 2, 3], &[2, 3, 4]) - 0.5).abs() < 1e-12);
+        assert_eq!(jaccard_sorted(&[1, 5, 9, 11], &[2, 5, 9]), 2.0 / 5.0);
+        assert_eq!(
+            jaccard_sorted(&[1, 5, 9, 11], &[2, 5, 9]),
+            jaccard_sorted(&[2, 5, 9], &[1, 5, 9, 11])
+        );
     }
 
     #[test]
     fn jaccard_paper_interpretation_example() {
         // Section 4.4: two lists of 100 with 90 shared -> JI ≈ 0.82.
-        let a: HashSet<u32> = (0..100).collect();
-        let b: HashSet<u32> = (10..110).collect();
-        let ji = jaccard(&a, &b);
+        let a: Vec<u32> = (0..100).collect();
+        let b: Vec<u32> = (10..110).collect();
+        let ji = jaccard_sorted(&a, &b);
         assert!((ji - 90.0 / 110.0).abs() < 1e-12);
         assert!(ji > 0.81 && ji < 0.82);
     }
 
     #[test]
-    fn jaccard_symmetric() {
-        let a = set(&[1, 5, 9, 11]);
-        let b = set(&[2, 5, 9]);
-        assert_eq!(jaccard(&a, &b), jaccard(&b, &a));
-    }
-
-    #[test]
-    fn overlap_coefficient_basics() {
-        assert_eq!(overlap_coefficient(&set(&[1, 2]), &set(&[1, 2, 3, 4])), 1.0);
-        assert_eq!(overlap_coefficient(&set(&[1]), &set(&[2])), 0.0);
-        assert_eq!(overlap_coefficient::<u32>(&set(&[]), &set(&[])), 1.0);
-        assert_eq!(overlap_coefficient(&set(&[]), &set(&[1])), 0.0);
-    }
-
-    #[test]
-    fn intersection_sizes() {
-        assert_eq!(intersection_size(&set(&[1, 2, 3]), &set(&[2, 3, 4])), 2);
-        assert_eq!(intersection_size(&set(&[]), &set(&[1])), 0);
-    }
-
-    #[test]
-    fn sorted_intersection_matches_hash_path() {
-        let cases: &[(&[u32], &[u32])] = &[
-            (&[1, 2, 3], &[2, 3, 4]),
-            (&[], &[1, 2]),
-            (&[5], &[5]),
-            (&[1, 3, 5, 7, 9], &[2, 4, 6, 8]),
-            (&[1, 2, 3, 4], &[1, 2, 3, 4]),
-        ];
-        for &(a, b) in cases {
-            assert_eq!(
-                intersection_size_sorted(a, b),
-                intersection_size(&set(a), &set(b)),
-                "{a:?} vs {b:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn sorted_jaccard_is_byte_identical_to_hash_jaccard() {
-        let cases: &[(&[u32], &[u32])] = &[
-            (&[1, 2, 3], &[2, 3, 4]),
-            (&[], &[1]),
-            (&[1, 5, 9, 11], &[2, 5, 9]),
-            (&[7], &[7]),
-            (&[1, 2], &[3, 4]),
-        ];
-        for &(a, b) in cases {
-            let hashed = jaccard(&set(a), &set(b));
-            let sorted = jaccard_sorted(a, b);
-            assert_eq!(
-                hashed.to_bits(),
-                sorted.to_bits(),
-                "{a:?} vs {b:?}: {hashed} != {sorted}"
-            );
-        }
-    }
-
-    #[test]
-    fn empty_set_convention_is_shared() {
-        // 0/0 is *defined* as 1.0 (two empty sets are identical), in both the
-        // hash-set and the sorted-slice family; one-sided emptiness is 0.0.
-        assert_eq!(jaccard::<u32>(&set(&[]), &set(&[])), 1.0);
+    fn empty_set_convention() {
+        // 0/0 is *defined* as 1.0 (two empty sets are identical); one-sided
+        // emptiness is 0.0.
         assert_eq!(jaccard_sorted(&[], &[]), 1.0);
-        assert_eq!(jaccard(&set(&[]), &set(&[1])), 0.0);
         assert_eq!(jaccard_sorted(&[], &[1]), 0.0);
         assert_eq!(jaccard_sorted(&[1], &[]), 0.0);
     }
 
     #[test]
-    fn rbo_identical_lists() {
-        let a = vec![1, 2, 3, 4, 5];
-        assert!((rank_biased_overlap(&a, &a, 0.9) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rbo_disjoint_lists() {
-        let a = vec![1, 2, 3];
-        let b = vec![4, 5, 6];
-        assert!(rank_biased_overlap(&a, &b, 0.9) < 1e-9);
-    }
-
-    #[test]
-    fn rbo_top_weighted() {
-        // Agreement at the head is worth more than at the tail.
-        let base = vec![1, 2, 3, 4, 5, 6, 7, 8];
-        let head_swap = vec![2, 1, 3, 4, 5, 6, 7, 8];
-        let tail_swap = vec![1, 2, 3, 4, 5, 6, 8, 7];
-        let rbo_head = rank_biased_overlap(&base, &head_swap, 0.9);
-        let rbo_tail = rank_biased_overlap(&base, &tail_swap, 0.9);
-        assert!(rbo_head < rbo_tail, "{rbo_head} !< {rbo_tail}");
-    }
-
-    #[test]
-    fn rbo_bounds() {
-        let a = vec![1, 2, 3, 9, 10];
-        let b = vec![3, 2, 8, 1, 11];
-        let v = rank_biased_overlap(&a, &b, 0.95);
-        assert!((0.0..=1.0).contains(&v));
+    fn sorted_intersection_sizes() {
+        let cases: &[(&[u32], &[u32], usize)] = &[
+            (&[1, 2, 3], &[2, 3, 4], 2),
+            (&[], &[1, 2], 0),
+            (&[5], &[5], 1),
+            (&[1, 3, 5, 7, 9], &[2, 4, 6, 8], 0),
+            (&[1, 2, 3, 4], &[1, 2, 3, 4], 4),
+        ];
+        for &(a, b, want) in cases {
+            assert_eq!(intersection_size_sorted(a, b), want, "{a:?} vs {b:?}");
+        }
     }
 }

@@ -10,8 +10,7 @@
 
 use std::fs;
 
-use toppling::core::methodology::against_cloudflare;
-use toppling::core::Study;
+use toppling::core::{against_cloudflare_ids, IdCut, Study};
 use toppling::lists::{normalize_ranked, ListSource, RankedList};
 use toppling::sim::WorldConfig;
 use toppling::vantage::CfMetric;
@@ -57,12 +56,18 @@ fn main() {
         norm.deviation_percent()
     );
 
+    // Names the study already knows keep their ids; the rest get ids that
+    // match no CDN ranking, and the cf_ray probe decides whether they count.
+    let index = study.index();
+    let entries = norm.entries.iter().map(|(d, rank)| (d.as_str(), *rank));
+    let cols = index.columns_for(&study.world, entries, norm.ordered);
+
     let mags = study.magnitudes();
     println!("\nscore vs the CDN's seven popularity metrics:");
     for metric in CfMetric::final_seven() {
-        let cf = study.cf_monthly_domains(metric);
+        let cf = study.cf_monthly_ids(metric);
         let (label, k) = mags[mags.len() - 2];
-        let ev = against_cloudflare(&study, &norm, &cf, k);
+        let ev = against_cloudflare_ids(&cols, &cf, k);
         let rho = ev
             .similarity
             .spearman
@@ -78,12 +83,13 @@ fn main() {
 
     // Flag head entries the CDN has never seen traffic for — likely junk or
     // manipulation (exactly how the demo list was tampered).
-    let cf_all = study.cf_monthly_domains(CfMetric::final_seven()[0]);
-    let cf_set: std::collections::HashSet<&str> = cf_all.iter().map(|d| d.as_str()).collect();
+    let cf_all = IdCut::new(&study.cf_monthly_ids(CfMetric::final_seven()[0]));
     println!("\nhead entries invisible to the CDN (candidate junk):");
     let mut shown = 0;
     for (d, rank) in norm.entries.iter().take(50) {
-        if study.world.is_cloudflare(d) && !cf_set.contains(d.as_str()) {
+        let id = index.table().id(d.as_str());
+        let served = id.is_some_and(|id| index.is_cf(id));
+        if served && id.and_then(|id| cf_all.rank_of(id.raw())).is_none() {
             println!("  rank {rank:>4}: {d}");
             shown += 1;
         } else if study.world.site_by_domain(d).is_none() {

@@ -5,8 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use toppling::core::methodology::against_cloudflare;
-use toppling::core::Study;
+use toppling::core::{against_cloudflare_ids, Study};
 use toppling::lists::ListSource;
 use toppling::sim::WorldConfig;
 use toppling::vantage::CfMetric;
@@ -36,12 +35,12 @@ fn main() {
     //    scaled top-"100K" magnitude, using the paper's subset methodology.
     let mags = study.magnitudes();
     let (label, k) = mags[mags.len() - 2];
-    let cf = study.cf_monthly_domains(CfMetric::final_seven()[0]);
+    let cf = study.cf_monthly_ids(CfMetric::final_seven()[0]);
     println!("\nJaccard vs Cloudflare all-requests at top {label} ({k}):");
     let mut results: Vec<(ListSource, f64)> = ListSource::ALL
         .iter()
         .map(|&src| {
-            let ev = against_cloudflare(&study, study.normalized(src), &cf, k);
+            let ev = against_cloudflare_ids(study.index().monthly(src), &cf, k);
             (src, ev.similarity.jaccard)
         })
         .collect();

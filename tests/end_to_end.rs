@@ -4,8 +4,9 @@
 
 use std::sync::OnceLock;
 
-use toppling::core::methodology::against_cloudflare;
-use toppling::core::{consistency, listeval, movement, psl_dev, Study};
+use toppling::core::{
+    against_cloudflare_ids, consistency, listeval, movement, psl_dev, similarity_ids, IdCut, Study,
+};
 use toppling::lists::ListSource;
 use toppling::sim::WorldConfig;
 use toppling::vantage::CfMetric;
@@ -148,39 +149,23 @@ fn umbrella_rank_order_collapses_in_the_tie_band() {
     // Section 5.2's mechanism: beyond the head, Umbrella's integer unique-IP
     // scores tie massively and ties break alphabetically, so rank carries no
     // signal there — while the head (differentiated counts) still orders.
-    use toppling::core::spearman_intersection;
-    use toppling::lists::normalize_ranked;
-    use toppling::psl::DomainName;
-
     let s = study();
     let day = s.umbrella_daily.len() / 2;
-    let umb = normalize_ranked(&s.world.psl, &s.umbrella_daily[day]);
-    let cf: Vec<DomainName> = s
-        .cf_ranked_domains(s.cdn.daily_all_requests(day))
-        .into_iter()
-        .cloned()
-        .collect();
-    let cf_refs: Vec<&DomainName> = cf.iter().collect();
+    let cf = IdCut::new(&s.index().cf_ranked_ids(s.cdn.daily_all_requests(day)));
     // Head band: Umbrella's CF-served top slice; tail band: the slice a
     // thousand ranks deeper.
-    let umb_cf: Vec<&DomainName> = umb
-        .entries
-        .iter()
-        .map(|(d, _)| d)
-        .filter(|d| s.world.is_cloudflare(d))
-        .collect();
+    let umb_cf = s.index().daily(ListSource::Umbrella, day).cf_ids();
     let band = (umb_cf.len() / 3).max(50);
     if umb_cf.len() < band * 3 {
         return; // world too small for band analysis
     }
-    let head = &umb_cf[..band];
-    let tail = &umb_cf[umb_cf.len() - band..];
-    let head_rho = spearman_intersection(head, &cf_refs)
-        .map(|r| r.rho)
-        .unwrap_or(0.0);
-    let tail_rho = spearman_intersection(tail, &cf_refs)
-        .map(|r| r.rho)
-        .unwrap_or(0.0);
+    let rho = |slice| {
+        similarity_ids(&IdCut::new(slice), &cf)
+            .spearman
+            .map_or(0.0, |r| r.rho)
+    };
+    let head_rho = rho(&umb_cf[..band]);
+    let tail_rho = rho(&umb_cf[umb_cf.len() - band..]);
     assert!(
         head_rho > tail_rho + 0.1,
         "head band rho ({head_rho:.3}) should clearly beat tail band rho ({tail_rho:.3})"
@@ -243,10 +228,10 @@ fn evaluation_against_all_seven_metrics_is_well_formed() {
     let s = study();
     let k = heat_k(s);
     for metric in CfMetric::final_seven() {
-        let cf = s.cf_monthly_domains(metric);
+        let cf = s.cf_monthly_ids(metric);
         assert!(!cf.is_empty());
         for src in ListSource::ALL {
-            let ev = against_cloudflare(s, s.normalized(src), &cf, k);
+            let ev = against_cloudflare_ids(s.index().monthly(src), &cf, k);
             assert!((0.0..=1.0).contains(&ev.similarity.jaccard));
             assert!(ev.cf_subset_size <= k);
             if let Some(rho) = ev.similarity.spearman {

@@ -36,10 +36,10 @@ fn cdn_metrics_estimate_true_popularity() {
     let truth_set: HashSet<&str> = truth.iter().map(String::as_str).collect();
     for metric in CfMetric::final_seven() {
         let measured: Vec<String> = s
-            .cf_monthly_domains(metric)
+            .cf_monthly_ids(metric)
             .into_iter()
             .take(k)
-            .map(|d| d.as_str().to_owned())
+            .map(|id| s.index().table().name(id).as_str().to_owned())
             .collect();
         let hit = measured
             .iter()
@@ -114,7 +114,7 @@ fn framework_prefers_a_knowably_better_list() {
     // Construct two synthetic lists: one from ground truth, one from ground
     // truth reversed within the top half. The framework must score the
     // faithful list strictly higher on both measures.
-    use toppling::core::methodology::against_cloudflare;
+    use toppling::core::against_cloudflare_ids;
     use toppling::lists::{normalize_ranked, ListSource, RankedList};
 
     let s = study();
@@ -130,9 +130,14 @@ fn framework_prefers_a_knowably_better_list() {
     scrambled_names.reverse();
     let scrambled = RankedList::from_sorted_names(ListSource::Alexa, scrambled_names);
 
-    let cf = s.cf_monthly_domains(CfMetric::final_seven()[0]);
-    let ev_faithful = against_cloudflare(s, &normalize_ranked(&s.world.psl, &faithful), &cf, k);
-    let ev_scrambled = against_cloudflare(s, &normalize_ranked(&s.world.psl, &scrambled), &cf, k);
+    let cf = s.cf_monthly_ids(CfMetric::final_seven()[0]);
+    let evaluate = |list: &RankedList| {
+        let norm = normalize_ranked(&s.world.psl, list);
+        let entries = norm.entries.iter().map(|(d, v)| (d.as_str(), *v));
+        let cols = s.index().columns_for(&s.world, entries, norm.ordered);
+        against_cloudflare_ids(&cols, &cf, k)
+    };
+    let (ev_faithful, ev_scrambled) = (evaluate(&faithful), evaluate(&scrambled));
     assert!(
         ev_faithful.similarity.jaccard > ev_scrambled.similarity.jaccard,
         "faithful {:.3} vs scrambled {:.3}",
