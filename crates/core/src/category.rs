@@ -43,15 +43,13 @@ pub struct CategoryColumn {
 pub fn table3(study: &Study, k: usize) -> Result<Vec<CategoryColumn>, CoreError> {
     // Cloudflare's reference set: top-k domains by day-one all-HTTP-requests.
     let day = study.cdn.first_day().ok_or(CoreError::EmptyWindow)?;
-    let scores = day.metric(CfMetric {
-        filter: CfFilter::AllRequests,
-        agg: CfAgg::Raw,
-    });
-    let cf_top: Vec<usize> = topple_vantage::ranked_sites(scores)
-        .into_iter()
-        .take(k)
-        .map(|(site, _)| site.index())
-        .collect();
+    let mut cf_top = day
+        .metric(CfMetric {
+            filter: CfFilter::AllRequests,
+            agg: CfAgg::Raw,
+        })
+        .ranked();
+    cf_top.truncate(k);
 
     let columns = ListSource::ALL
         .iter()
@@ -66,14 +64,11 @@ pub fn table3(study: &Study, k: usize) -> Result<Vec<CategoryColumn>, CoreError>
             // Outcome per CF-top domain: included in the list anywhere?
             let outcomes: Vec<f64> = cf_top
                 .iter()
-                .map(|&i| {
-                    let id = study.index().site_id(topple_sim::SiteId(i as u32));
-                    f64::from(u8::from(member[id.index()]))
-                })
+                .map(|&site| f64::from(u8::from(member[study.index().site_id(site).index()])))
                 .collect();
             let categories: Vec<Category> = cf_top
                 .iter()
-                .map(|&i| study.world.sites[i].category)
+                .map(|&site| study.world.sites[site.index()].category)
                 .collect();
             let rows = Category::ALL
                 .iter()

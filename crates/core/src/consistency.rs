@@ -10,7 +10,7 @@
 use topple_lists::DomainId;
 use topple_sim::{Country, Platform};
 use topple_stats::fanout::map_ordered;
-use topple_vantage::{CfMetric, ChromeMetric, ScoreVec};
+use topple_vantage::{CfMetric, ChromeMetric};
 
 use crate::compare::{similarity_ids, IdCut};
 use crate::error::CoreError;
@@ -107,10 +107,7 @@ pub fn intra_cloudflare_full(study: &Study, k: usize) -> Result<ConsistencyMatri
     let day = study.cdn.first_day().ok_or(CoreError::EmptyWindow)?;
     let rankings: Vec<Vec<DomainId>> = metrics
         .iter()
-        .map(|&m| {
-            let scores: &ScoreVec = day.metric(m);
-            study.index().cf_ranked_ids(scores)
-        })
+        .map(|&m| study.index().cf_ranked_ids(&day.metric(m)))
         .collect();
     Ok(matrix_from_id_rankings(
         metrics.iter().map(|m| m.label()).collect(),

@@ -18,7 +18,7 @@
 use topple_lists::{DomainId, DomainTable, ListSource, NormalizedList};
 use topple_psl::DomainName;
 use topple_sim::{SiteId, World};
-use topple_vantage::ScoreVec;
+use topple_vantage::CfScores;
 
 /// One normalized list as dense-id columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -376,10 +376,11 @@ impl StudyIndex {
         })
     }
 
-    /// Ranked Cloudflare domain ids for a metric score vector (best first),
-    /// in `topple_vantage::ranked_site_ids` order.
-    pub fn cf_ranked_ids(&self, scores: &ScoreVec) -> Vec<DomainId> {
-        topple_vantage::ranked_site_ids(scores)
+    /// Ranked Cloudflare domain ids for a CDN metric's scores (best first),
+    /// in [`CfScores::ranked`] order.
+    pub fn cf_ranked_ids(&self, scores: &CfScores<'_>) -> Vec<DomainId> {
+        scores
+            .ranked()
             .into_iter()
             .map(|site| self.site_id(site))
             .collect()

@@ -96,8 +96,8 @@ pub fn section_3_2(study: &Study, k: usize) -> Result<Vec<RedundancyPair>, CoreE
     let pairs = specs
         .into_iter()
         .map(|(claim, a, b, paper_rho, paper_ji)| {
-            let ra = study.index().cf_ranked_ids(day.metric(a));
-            let rb = study.index().cf_ranked_ids(day.metric(b));
+            let ra = study.index().cf_ranked_ids(&day.metric(a));
+            let rb = study.index().cf_ranked_ids(&day.metric(b));
             let sa = IdCut::new(&ra[..k.min(ra.len())]);
             let sb = IdCut::new(&rb[..k.min(rb.len())]);
             let sim = similarity_ids(&sa, &sb);

@@ -87,7 +87,7 @@ pub fn daily_ji_series(study: &Study, source: ListSource, metric_idx: usize, k: 
     map_ordered(n_days, workers, |day| {
         let cf = study
             .index()
-            .cf_ranked_ids(study.cdn.daily_final(metric_idx, day));
+            .cf_ranked_ids(&study.cdn.daily_final(metric_idx, day));
         let cols = study.index().daily(source, day);
         against_cloudflare_ids(cols, &cf, k).similarity.jaccard
     })
@@ -132,7 +132,7 @@ pub fn figure2(study: &Study, k: usize) -> ListEvaluation {
     let day_grids: Vec<DayGrid> = map_ordered(n_days, workers, |day| {
         // The day's reference rankings, one per metric.
         let cf_rankings: Vec<Vec<DomainId>> = (0..metrics.len())
-            .map(|mi| study.index().cf_ranked_ids(study.cdn.daily_final(mi, day)))
+            .map(|mi| study.index().cf_ranked_ids(&study.cdn.daily_final(mi, day)))
             .collect();
         lists
             .iter()

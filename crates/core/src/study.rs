@@ -599,8 +599,7 @@ impl Study {
     /// Ranked Cloudflare domain ids for a monthly metric (best first); a
     /// site's id is its index, so `index().table().name(id)` is its domain.
     pub fn cf_monthly_ids(&self, metric: CfMetric) -> Vec<DomainId> {
-        let scores = self.cdn.monthly(metric);
-        self.index.cf_ranked_ids(&scores)
+        self.index.cf_ranked_ids(&self.cdn.monthly(metric))
     }
 }
 

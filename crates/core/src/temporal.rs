@@ -62,7 +62,7 @@ pub fn figure3(study: &Study, k: usize) -> Vec<TemporalSeries> {
         // and shared by all seven sources.
         let cf_ranked = study
             .index()
-            .cf_ranked_ids(study.cdn.daily_all_requests(day));
+            .cf_ranked_ids(&study.cdn.daily_all_requests(day));
         ListSource::ALL
             .iter()
             .map(|&source| {

@@ -537,6 +537,10 @@ fn check_indexing(model: &SourceModel, out: &mut Vec<RawViolation>) {
 
 /// A token that is visibly floating point: a float literal (`1.0`, `2.`,
 /// `1e-9`, `3f64`) or an `f32`/`f64` path head.
+///
+/// The tokenizer stops at an exponent's sign, so `1e-9` arrives as `1e`:
+/// an exponent is a digit run, `e`, and optional digits. An integer suffix
+/// that merely ends in `e` (`0usize`, `0isize`) is not one.
 fn is_floatish(tok: &str) -> bool {
     if tok.is_empty() {
         return false;
@@ -551,10 +555,10 @@ fn is_floatish(tok: &str) -> bool {
     tok.contains('.')
         || tok.ends_with("f32")
         || tok.ends_with("f64")
-        || tok.contains('e')
-            && tok
-                .trim_end_matches(|c: char| c.is_ascii_digit())
-                .ends_with('e')
+        || tok
+            .trim_end_matches(|c: char| c.is_ascii_digit())
+            .strip_suffix('e')
+            .is_some_and(|mantissa| mantissa.chars().all(|c| c.is_ascii_digit() || c == '_'))
 }
 
 /// Names locally declared as floats: `name: f64`, `let name = 1.0`,
@@ -866,6 +870,24 @@ mod tests {
         assert!(!rules_hit("fn f(x: u32) -> bool { x == 0 }").contains(&"float-eq"));
         assert!(!rules_hit("fn f(x: u32) -> bool { x <= 1 || x >= 2 }").contains(&"float-eq"));
         assert!(!rules_hit("match x { Pat => 1.0, _ => 0.0 };").contains(&"float-eq"));
+        // Integer suffixes ending in `e` declare integers, not floats.
+        let ints = "fn f() -> bool { let mut depth = 0isize; let i = 0usize; let j = i; \
+                    depth == 0 || i == 0 || j == i }";
+        assert!(!rules_hit(ints).contains(&"float-eq"));
+    }
+
+    #[test]
+    fn exponent_literals_are_floats_and_integer_suffixes_are_not() {
+        for tok in ["1e5", "1e", "2.5e", "1_000e3", "3f64", "2."] {
+            assert!(is_floatish(tok), "{tok}");
+        }
+        for tok in ["0usize", "0isize", "12usize", "0xde", "7", "e5"] {
+            assert!(!is_floatish(tok), "{tok}");
+        }
+        // `1e-3` and `2.5e+4` reach the rule split at the sign, and still hit.
+        assert!(rules_hit("fn f(x: u32) -> bool { x == 1e-3 }").contains(&"float-eq"));
+        assert!(rules_hit("fn f(x: u32) -> bool { x == 2.5e+4 }").contains(&"float-eq"));
+        assert!(rules_hit("fn f(x: u32) -> bool { x == 1e5 }").contains(&"float-eq"));
     }
 
     #[test]

@@ -9,14 +9,17 @@
 //!
 //! The vantage sees traffic **only for sites it proxies** (`site.cloudflare`),
 //! exactly like the real CDN: server-side logging is unaffected by private
-//! browsing, but blind to every non-customer site.
+//! browsing, but blind to every non-customer site. It keeps state for the
+//! sites it serves only: shards hold one row per observed customer site,
+//! and [`CdnVantage`]'s columns span the world's customers, never all sites.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use topple_sim::{Browser, PageLoad, ThirdPartyFetch, World};
+use topple_sim::{Browser, PageLoad, SiteId, ThirdPartyFetch, World};
 
-use crate::metrics::{add_assign, scale, ScoreVec};
 use crate::scratch::{ScratchMap, ScratchTable};
+use crate::shard::merge_sorted;
 
 /// Request-log filters (Section 3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -266,8 +269,8 @@ pub(crate) struct CdnDayBuilder {
     cloudflare: Vec<bool>,
     ip_cells: ScratchMap<IpCell>,
     per_site: ScratchTable<SiteCell>,
-    /// Sites touched this day, for the finish scan (order irrelevant:
-    /// results land in site-indexed vectors).
+    /// Sites touched this day, sorted at the finish so the day's rows come
+    /// out in site order.
     touched: Vec<u32>,
 }
 
@@ -330,71 +333,81 @@ impl CdnDayBuilder {
     }
     // topple-lint: hot-path-end
 
-    /// Drains the day's accumulators into the 21 metric score vectors.
-    pub(crate) fn finish_day(&mut self, n_sites: usize) -> CfDayMetrics {
-        let mut scores: Vec<ScoreVec> = (0..METRIC_COUNT).map(|_| vec![0.0; n_sites]).collect();
-        for &site in &self.touched {
-            let sc = self.per_site.peek(site as usize);
-            for f in CfFilter::ALL {
-                let i = f.index();
-                scores[CfMetric {
-                    filter: f,
-                    agg: CfAgg::Raw,
+    /// Drains the day's accumulators into one row per observed customer
+    /// site, ascending by site id.
+    fn finish_rows(&mut self) -> Vec<CdnRow> {
+        self.touched.sort_unstable();
+        self.touched
+            .iter()
+            .map(|&site| {
+                let sc = self.per_site.peek(site as usize);
+                let mut scores = [0.0; METRIC_COUNT];
+                for f in CfFilter::ALL {
+                    for (agg, counts) in [
+                        (CfAgg::Raw, &sc.raw),
+                        (CfAgg::UniqueIp, &sc.uniq_ip),
+                        (CfAgg::UniqueIpUa, &sc.uniq_ip_ua),
+                    ] {
+                        scores[CfMetric { filter: f, agg }.index()] = f64::from(counts[f.index()]);
+                    }
                 }
-                .index()][site as usize] = f64::from(sc.raw[i]);
-                scores[CfMetric {
-                    filter: f,
-                    agg: CfAgg::UniqueIp,
+                CdnRow {
+                    site: SiteId(site),
+                    scores,
                 }
-                .index()][site as usize] = f64::from(sc.uniq_ip[i]);
-                scores[CfMetric {
-                    filter: f,
-                    agg: CfAgg::UniqueIpUa,
-                }
-                .index()][site as usize] = f64::from(sc.uniq_ip_ua[i]);
-            }
+            })
+            .filter(CdnRow::is_observed)
+            .collect()
+    }
+
+    /// Drains the day's accumulation into a single-day [`CdnShard`].
+    pub(crate) fn finish_shard(&mut self, world: &World, day_index: usize) -> CdnShard {
+        CdnShard {
+            n_sites: world.sites.len(),
+            days: BTreeMap::from([(day_index, self.finish_rows())]),
         }
-        CfDayMetrics { scores }
     }
 }
 
-/// All 21 metric scores for one day, indexed `[metric][site]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CfDayMetrics {
-    /// Scores per metric per site.
-    pub scores: Vec<ScoreVec>,
+/// One customer site's 21 scores on one day: the unit a [`CdnShard`] holds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CdnRow {
+    site: SiteId,
+    /// Indexed by [`CfMetric::index`].
+    scores: [f64; METRIC_COUNT],
 }
 
-impl CfDayMetrics {
-    /// Score vector of one metric.
-    pub fn metric(&self, m: CfMetric) -> &ScoreVec {
-        &self.scores[m.index()]
+impl CdnRow {
+    /// Whether any metric counted the site. Only such rows are kept, so a
+    /// day has one in-memory form and its dense wire form (zeros at every
+    /// other site) decodes back to exactly the same rows.
+    fn is_observed(&self) -> bool {
+        self.scores.iter().any(|&x| x > 0.0)
     }
 }
 
-/// A mergeable per-day observation of the CDN request log: the full
-/// 21-metric snapshot of each covered day, keyed by day index.
+/// A mergeable per-day observation of the CDN request log: the 21 metric
+/// scores of every observed customer site on each covered day, keyed by
+/// day index.
+///
+/// In memory a day is its rows, ascending by site id; the three quarters
+/// of the world the CDN does not serve take no space. On the wire each day
+/// is the dense `[metric][site]` layout over all `n_sites` sites, zeros
+/// included (see [`crate::wire`]).
 ///
 /// Shards form a commutative monoid under [`Shard::merge`]: the identity is
 /// the empty shard, merges over *distinct* days are a keyed union (no float
 /// arithmetic, hence exactly associative), and merging the same day twice
-/// sums its scores — the "observed the traffic twice" semantics shared by
-/// every shard type. All scores are integer-valued counts stored as `f64`,
-/// so even the degenerate same-day sum stays exact below 2^53.
+/// sums its scores row by row — the "observed the traffic twice" semantics
+/// shared by every shard type. All scores are integer-valued counts stored
+/// as `f64`, so even the degenerate same-day sum stays exact below 2^53.
 ///
 /// [`Shard::merge`]: crate::Shard::merge
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CdnShard {
-    days: BTreeMap<usize, CfDayMetrics>,
-}
-
-impl CdnDayBuilder {
-    /// Drains the day's accumulation into a single-day [`CdnShard`].
-    pub(crate) fn finish_shard(&mut self, world: &World, day_index: usize) -> CdnShard {
-        let mut days = BTreeMap::new();
-        days.insert(day_index, self.finish_day(world.sites.len()));
-        CdnShard { days }
-    }
+    /// Sites in the observed world: the width of each day's wire form.
+    n_sites: usize,
+    days: BTreeMap<usize, Vec<CdnRow>>,
 }
 
 impl CdnShard {
@@ -403,100 +416,205 @@ impl CdnShard {
         self.days.keys().copied()
     }
 
-    /// Whether every day holds all 21 metrics, each with one score per
-    /// site of an `n_sites`-site world.
-    pub(crate) fn fits(&self, n_sites: usize) -> bool {
-        self.days.values().all(|d| {
-            d.scores.len() == METRIC_COUNT && d.scores.iter().all(|sv| sv.len() == n_sites)
-        })
+    /// Why this shard cannot fold into `world`, if it cannot: its days must
+    /// span the world's sites, and its rows must sit at sites the world's
+    /// CDN serves.
+    pub(crate) fn misfit(&self, world: &World) -> Option<&'static str> {
+        if !self.days.is_empty() && self.n_sites != world.sites.len() {
+            return Some("CDN scores do not cover the world's sites");
+        }
+        let served = |site: SiteId| world.sites.get(site.index()).is_some_and(|s| s.cloudflare);
+        if self.days.values().flatten().any(|row| !served(row.site)) {
+            return Some("CDN row at a site the world's CDN does not serve");
+        }
+        None
     }
 
-    /// Appends this shard's canonical wire form (see [`crate::wire`]).
+    /// Appends this shard's canonical wire form (see [`crate::wire`]): each
+    /// day dense over all `n_sites` sites, zero where no row is.
     pub(crate) fn wire_encode(&self, w: &mut crate::wire::Writer<'_>) {
         w.len(self.days.len());
-        for (&day, metrics) in &self.days {
+        for (&day, rows) in &self.days {
             w.u32(topple_stats::cast::u32_from_usize(day));
-            w.len(metrics.scores.len());
-            for sv in &metrics.scores {
-                w.len(sv.len());
-                for &x in sv {
-                    w.f64(x);
-                }
+            w.len(METRIC_COUNT);
+            for m in 0..METRIC_COUNT {
+                w.len(self.n_sites);
+                w.sparse_f64s(
+                    self.n_sites,
+                    rows.iter().map(|row| (row.site.index(), row.scores[m])),
+                );
             }
         }
     }
 
-    /// Decodes the canonical wire form, failing closed on hostile bytes.
+    /// Decodes the canonical wire form, keeping each day's non-zero rows.
+    /// Fails closed on hostile bytes: a day must hold all 21 metrics over
+    /// one site count shared by the whole shard, and every score must be a
+    /// non-negative finite count other than `-0.0` — so every accepted
+    /// shard re-encodes byte for byte.
     pub(crate) fn wire_decode(
         r: &mut crate::wire::Reader<'_>,
     ) -> Result<Self, crate::wire::WireError> {
+        let malformed = |context| crate::wire::WireError::Malformed { context };
         let n_days = r.len(8)?;
-        let mut days = BTreeMap::new();
-        for _ in 0..n_days {
+        let mut shard = CdnShard::default();
+        // One day's dense `[metric][site]` scores, and which sites score.
+        let mut dense: Vec<f64> = Vec::new();
+        let mut observed: Vec<bool> = Vec::new();
+        for d in 0..n_days {
             let day = topple_stats::cast::usize_from_u32(r.u32()?);
-            let n_metrics = r.len(4)?;
-            let mut scores = Vec::with_capacity(n_metrics);
-            for _ in 0..n_metrics {
-                let n_sites = r.len(8)?;
-                let mut sv: ScoreVec = Vec::with_capacity(n_sites);
-                for _ in 0..n_sites {
-                    sv.push(r.f64()?);
-                }
-                scores.push(sv);
+            if r.len(4)? != METRIC_COUNT {
+                return Err(malformed("CDN day does not hold the 21 metrics"));
             }
-            if days.insert(day, CfDayMetrics { scores }).is_some() {
-                return Err(crate::wire::WireError::Malformed {
-                    context: "duplicate CDN day",
-                });
+            dense.clear();
+            for m in 0..METRIC_COUNT {
+                let n_sites = r.len(8)?;
+                if d == 0 && m == 0 {
+                    shard.n_sites = n_sites;
+                } else if n_sites != shard.n_sites {
+                    return Err(malformed("CDN metrics disagree on the site count"));
+                }
+                if m == 0 {
+                    observed.clear();
+                    observed.resize(n_sites, false);
+                }
+                for (seen, x) in observed.iter_mut().zip(r.f64s(n_sites)?) {
+                    if !(x.is_finite() && x.is_sign_positive()) {
+                        return Err(malformed("CDN score is negative, non-finite or -0.0"));
+                    }
+                    *seen |= x > 0.0;
+                    dense.push(x);
+                }
+            }
+            let n = shard.n_sites;
+            let rows = (0..n)
+                .filter(|&site| observed[site])
+                .map(|site| {
+                    let mut scores = [0.0; METRIC_COUNT];
+                    for (m, x) in scores.iter_mut().enumerate() {
+                        *x = dense[m * n + site];
+                    }
+                    CdnRow {
+                        site: SiteId(topple_stats::cast::u32_from_usize(site)),
+                        scores,
+                    }
+                })
+                .collect();
+            if shard.days.insert(day, rows).is_some() {
+                return Err(malformed("duplicate CDN day"));
             }
         }
-        Ok(CdnShard { days })
+        Ok(shard)
     }
 }
 
 impl crate::Shard for CdnShard {
     fn merge(&mut self, other: Self) {
-        for (day, metrics) in other.days {
-            match self.days.entry(day) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(metrics);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    for (dst, src) in e.get_mut().scores.iter_mut().zip(&metrics.scores) {
-                        add_assign(dst, src);
+        self.n_sites = self.n_sites.max(other.n_sites);
+        for (day, rows) in other.days {
+            let mine = self.days.remove(&day).unwrap_or_default();
+            let merged = merge_sorted(
+                mine,
+                rows,
+                |a, b| a.site.cmp(&b.site),
+                |a, b| {
+                    for (x, y) in a.scores.iter_mut().zip(b.scores) {
+                        *x += y;
                     }
-                }
-            }
+                },
+            );
+            self.days.insert(day, merged);
+        }
+    }
+}
+
+/// One CDN metric's scores over the CDN's customer sites, ascending by
+/// site id. Every other site scores zero: the CDN cannot see it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CfScores<'a> {
+    sites: &'a [SiteId],
+    scores: Cow<'a, [f64]>,
+}
+
+impl CfScores<'_> {
+    /// `(site, score)` for every customer site, ascending by site id.
+    pub fn iter(&self) -> impl Iterator<Item = (SiteId, f64)> + '_ {
+        self.sites.iter().copied().zip(self.scores.iter().copied())
+    }
+
+    /// The observed sites, best first: descending score, ties broken by
+    /// ascending site id, zero-score sites dropped. The one ranking every
+    /// CDN reference list is read through.
+    ///
+    /// The tie order is deterministic but *arbitrary with respect to true
+    /// popularity* — the same property that real list publishers' tie
+    /// handling has.
+    pub fn ranked(&self) -> Vec<SiteId> {
+        let mut observed: Vec<(SiteId, f64)> = self.iter().filter(|&(_, s)| s > 0.0).collect();
+        observed.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        observed.into_iter().map(|(site, _)| site).collect()
+    }
+}
+
+/// The first ingested day's 21 metrics over the CDN's customer sites
+/// (Figure 8).
+#[derive(Debug, Clone, Copy)]
+pub struct CfDay<'a> {
+    sites: &'a [SiteId],
+    /// `[metric][position]`, flattened.
+    scores: &'a [f64],
+}
+
+impl<'a> CfDay<'a> {
+    /// One metric's scores.
+    pub fn metric(&self, m: CfMetric) -> CfScores<'a> {
+        let n = self.sites.len();
+        CfScores {
+            sites: self.sites,
+            scores: Cow::Borrowed(&self.scores[m.index() * n..][..n]),
         }
     }
 }
 
 /// The CDN vantage, accumulating per-day metrics over the window.
+///
+/// Every score it keeps is over the world's CDN customers only: position
+/// `p` of each column below belongs to `customers[p]`, and customers are
+/// in ascending site-id order, so position order is site-id order.
 #[derive(Debug)]
 pub struct CdnVantage {
     n_sites: usize,
+    customers: Vec<SiteId>,
     days_ingested: usize,
-    /// Sum over days of each metric's daily score, `[metric][site]`.
-    monthly_sum: Vec<ScoreVec>,
-    /// Daily scores for the paper's seven final metrics, `[day][final_idx]`
-    /// (the evaluation averages daily comparisons; keeping all 21 per day
-    /// would be prohibitive at full scale).
-    daily_final: Vec<Vec<ScoreVec>>,
-    /// The full 21-metric snapshot of the first ingested day (Figure 8).
-    first_day: Option<CfDayMetrics>,
+    /// Sum over days of each metric's daily score, `[metric][position]`
+    /// flattened.
+    monthly_sum: Vec<f64>,
+    /// Daily scores for the paper's seven final metrics, one
+    /// `[final_idx][position]` block per day (the evaluation averages
+    /// daily comparisons; keeping all 21 per day would be prohibitive at
+    /// full scale).
+    daily_final: Vec<Vec<f64>>,
+    /// The first ingested day's 21 metrics, laid out like `monthly_sum`;
+    /// empty until a day is ingested (Figure 8).
+    first_day: Vec<f64>,
 }
 
 impl CdnVantage {
     /// Creates an empty vantage for a world.
     pub fn new(world: &World) -> Self {
+        let customers: Vec<SiteId> = world
+            .sites
+            .iter()
+            .filter(|s| s.cloudflare)
+            .map(|s| s.id)
+            .collect();
         CdnVantage {
             n_sites: world.sites.len(),
             days_ingested: 0,
-            monthly_sum: (0..METRIC_COUNT)
-                .map(|_| vec![0.0; world.sites.len()])
-                .collect(),
+            monthly_sum: vec![0.0; METRIC_COUNT * customers.len()],
+            customers,
             daily_final: Vec::new(),
-            first_day: None,
+            first_day: Vec::new(),
         }
     }
 
@@ -507,25 +625,40 @@ impl CdnVantage {
     /// # Panics
     ///
     /// Panics if a shard day is out of order with respect to what this
-    /// vantage has already ingested.
+    /// vantage has already ingested, or if a row sits at a site the world's
+    /// CDN does not serve (`DayShards::check_ids` refuses such shards).
     pub fn ingest_shard(&mut self, shard: CdnShard) {
-        for (day_index, day) in shard.days {
+        let n = self.customers.len();
+        let finals = CfMetric::final_seven();
+        for (day_index, rows) in shard.days {
             assert_eq!(
                 day_index, self.days_ingested,
                 "CDN days must be ingested in order"
             );
-            for m in 0..METRIC_COUNT {
-                add_assign(&mut self.monthly_sum[m], &day.scores[m]);
+            let first = self.days_ingested == 0;
+            if first {
+                self.first_day = vec![0.0; METRIC_COUNT * n];
             }
-            self.daily_final.push(
-                CfMetric::final_seven()
-                    .iter()
-                    .map(|m| day.scores[m.index()].clone())
-                    .collect(),
-            );
-            if self.first_day.is_none() {
-                self.first_day = Some(day);
+            let mut daily = vec![0.0; finals.len() * n];
+            // Rows and customers both ascend by site id: one merge walk.
+            let mut p = 0;
+            for row in &rows {
+                p += self.customers[p..].partition_point(|&c| c < row.site);
+                assert!(
+                    self.customers.get(p) == Some(&row.site),
+                    "CDN row at a site the CDN does not serve"
+                );
+                for (m, &x) in row.scores.iter().enumerate() {
+                    self.monthly_sum[m * n + p] += x;
+                    if first {
+                        self.first_day[m * n + p] = x;
+                    }
+                }
+                for (f, metric) in finals.iter().enumerate() {
+                    daily[f * n + p] = row.scores[metric.index()];
+                }
             }
+            self.daily_final.push(daily);
             self.days_ingested += 1;
         }
     }
@@ -540,38 +673,67 @@ impl CdnVantage {
         self.n_sites
     }
 
-    /// Monthly mean daily score for a metric.
-    pub fn monthly(&self, m: CfMetric) -> ScoreVec {
-        let mut v = self.monthly_sum[m.index()].clone();
-        if self.days_ingested > 0 {
-            scale(&mut v, self.days_ingested as f64);
+    /// The world's CDN customers, ascending by site id: the sites every
+    /// score column covers.
+    pub fn customers(&self) -> &[SiteId] {
+        &self.customers
+    }
+
+    /// A customer column of `scores` (one per customer, in order).
+    fn column<'a>(&'a self, scores: Cow<'a, [f64]>) -> CfScores<'a> {
+        CfScores {
+            sites: &self.customers,
+            scores,
         }
-        v
+    }
+
+    /// Monthly mean daily score for a metric.
+    pub fn monthly(&self, m: CfMetric) -> CfScores<'_> {
+        let n = self.customers.len();
+        let mut mean = self.monthly_sum[m.index() * n..][..n].to_vec();
+        if self.days_ingested > 0 {
+            let days = self.days_ingested as f64;
+            for x in &mut mean {
+                *x /= days;
+            }
+        }
+        self.column(Cow::Owned(mean))
     }
 
     /// Daily scores for one of the seven final metrics (index into
     /// [`CfMetric::final_seven`]). All-requests is index 0 and root-page
     /// index 2, the two page-load bookends.
-    pub fn daily_final(&self, final_idx: usize, day_index: usize) -> &ScoreVec {
-        &self.daily_final[day_index][final_idx]
+    pub fn daily_final(&self, final_idx: usize, day_index: usize) -> CfScores<'_> {
+        let n = self.customers.len();
+        self.column(Cow::Borrowed(
+            &self.daily_final[day_index][final_idx * n..][..n],
+        ))
     }
 
     /// Daily all-requests scores (Figure 3's reference metric).
-    pub fn daily_all_requests(&self, day_index: usize) -> &ScoreVec {
+    pub fn daily_all_requests(&self, day_index: usize) -> CfScores<'_> {
         self.daily_final(0, day_index)
     }
 
     /// The full 21-metric snapshot of the first ingested day (Figure 8).
-    pub fn first_day(&self) -> Option<&CfDayMetrics> {
-        self.first_day.as_ref()
+    pub fn first_day(&self) -> Option<CfDay<'_>> {
+        (self.days_ingested > 0).then_some(CfDay {
+            sites: &self.customers,
+            scores: &self.first_day,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{Reader, WireError, Writer};
     use crate::DayScratch;
     use topple_sim::{DayTraffic, World, WorldConfig};
+
+    /// A day's scores as dense `[metric][site]` vectors over the world —
+    /// the reference form every test compares against.
+    type Dense = Vec<Vec<f64>>;
 
     fn world_and_day() -> (World, DayTraffic) {
         let w = World::generate(WorldConfig::tiny(31)).unwrap();
@@ -579,14 +741,33 @@ mod tests {
         (w, t)
     }
 
-    /// The 21 metrics of the day `t` covers.
-    fn observe(w: &World, t: &DayTraffic) -> CfDayMetrics {
+    fn densify(rows: &[CdnRow], n_sites: usize) -> Dense {
+        let mut dense = vec![vec![0.0; n_sites]; METRIC_COUNT];
+        for row in rows {
+            for (m, &x) in row.scores.iter().enumerate() {
+                dense[m][row.site.index()] = x;
+            }
+        }
+        dense
+    }
+
+    /// The rows of the day `t` covers.
+    fn observe_rows(w: &World, t: &DayTraffic) -> Vec<CdnRow> {
         DayScratch::new(w)
             .observe_day(w, t.day_index)
             .cdn
             .days
             .remove(&t.day_index)
             .unwrap()
+    }
+
+    /// The 21 metrics of the day `t` covers, densified.
+    fn observe(w: &World, t: &DayTraffic) -> Dense {
+        densify(&observe_rows(w, t), w.sites.len())
+    }
+
+    fn metric(f: CfFilter, agg: CfAgg) -> usize {
+        CfMetric { filter: f, agg }.index()
     }
 
     #[test]
@@ -602,13 +783,13 @@ mod tests {
     #[test]
     fn non_customer_sites_are_invisible() {
         let (w, t) = world_and_day();
-        let day = observe(&w, &t);
-        for (i, site) in w.sites.iter().enumerate() {
-            if !site.cloudflare {
-                for m in CfMetric::full_suite() {
-                    assert_eq!(day.metric(m)[i], 0.0, "{} leaked into {:?}", site.domain, m);
-                }
-            }
+        let rows = observe_rows(&w, &t);
+        assert!(!rows.is_empty());
+        assert!(rows.windows(2).all(|p| p[0].site < p[1].site));
+        for row in &rows {
+            let site = &w.sites[row.site.index()];
+            assert!(site.cloudflare, "{} leaked into the CDN", site.domain);
+            assert!(row.is_observed());
         }
     }
 
@@ -616,10 +797,7 @@ mod tests {
     fn filter_counts_are_ordered_subsets() {
         let (w, t) = world_and_day();
         let day = observe(&w, &t);
-        let all = day.metric(CfMetric {
-            filter: CfFilter::AllRequests,
-            agg: CfAgg::Raw,
-        });
+        let all = &day[metric(CfFilter::AllRequests, CfAgg::Raw)];
         for f in [
             CfFilter::Html,
             CfFilter::Status200,
@@ -627,10 +805,7 @@ mod tests {
             CfFilter::TopBrowsers,
             CfFilter::RootPage,
         ] {
-            let sub = day.metric(CfMetric {
-                filter: f,
-                agg: CfAgg::Raw,
-            });
+            let sub = &day[metric(f, CfAgg::Raw)];
             for i in 0..w.sites.len() {
                 assert!(
                     sub[i] <= all[i],
@@ -647,18 +822,9 @@ mod tests {
         let (w, t) = world_and_day();
         let day = observe(&w, &t);
         for f in CfFilter::ALL {
-            let raw = day.metric(CfMetric {
-                filter: f,
-                agg: CfAgg::Raw,
-            });
-            let ip = day.metric(CfMetric {
-                filter: f,
-                agg: CfAgg::UniqueIp,
-            });
-            let ipua = day.metric(CfMetric {
-                filter: f,
-                agg: CfAgg::UniqueIpUa,
-            });
+            let raw = &day[metric(f, CfAgg::Raw)];
+            let ip = &day[metric(f, CfAgg::UniqueIp)];
+            let ipua = &day[metric(f, CfAgg::UniqueIpUa)];
             for i in 0..w.sites.len() {
                 assert!(
                     ip[i] <= raw[i].max(ip[i]),
@@ -677,10 +843,7 @@ mod tests {
     fn https_only_tls() {
         let (w, t) = world_and_day();
         let day = observe(&w, &t);
-        let tls = day.metric(CfMetric {
-            filter: CfFilter::Tls,
-            agg: CfAgg::Raw,
-        });
+        let tls = &day[metric(CfFilter::Tls, CfAgg::Raw)];
         for (i, site) in w.sites.iter().enumerate() {
             if !site.https {
                 assert_eq!(tls[i], 0.0, "plain-HTTP site {} counted TLS", site.domain);
@@ -692,29 +855,132 @@ mod tests {
     fn monthly_is_mean_of_days() {
         let (w, _) = world_and_day();
         let mut v = CdnVantage::new(&w);
-        let t0 = w.simulate_day(0);
-        let t1 = w.simulate_day(1);
         let mut scratch = DayScratch::new(&w);
         v.ingest_shard(scratch.observe_day(&w, 0).cdn);
         v.ingest_shard(scratch.observe_day(&w, 1).cdn);
-        let m = CfMetric {
-            filter: CfFilter::AllRequests,
-            agg: CfAgg::Raw,
-        };
-        let d0 = observe(&w, &t0);
-        let d1 = observe(&w, &t1);
-        let monthly = v.monthly(m);
-        for (i, &got) in monthly.iter().enumerate().take(w.sites.len()) {
-            let want = (d0.metric(m)[i] + d1.metric(m)[i]) / 2.0;
-            assert!((got - want).abs() < 1e-9);
+        let d0 = observe(&w, &w.simulate_day(0));
+        let d1 = observe(&w, &w.simulate_day(1));
+        let customers: Vec<SiteId> = w
+            .sites
+            .iter()
+            .filter(|s| s.cloudflare)
+            .map(|s| s.id)
+            .collect();
+        assert_eq!(v.customers(), customers);
+        for m in CfMetric::full_suite() {
+            let monthly: Vec<(SiteId, f64)> = v.monthly(m).iter().collect();
+            assert_eq!(monthly.len(), customers.len());
+            for (p, (site, got)) in monthly.into_iter().enumerate() {
+                assert_eq!(site, customers[p]);
+                let i = site.index();
+                let want = (d0[m.index()][i] + d1[m.index()][i]) / 2.0;
+                assert_eq!(got.to_bits(), want.to_bits(), "{m:?} position {p}");
+            }
+            let first: Vec<f64> = v
+                .first_day()
+                .unwrap()
+                .metric(m)
+                .iter()
+                .map(|(_, x)| x)
+                .collect();
+            let want: Vec<f64> = customers.iter().map(|s| d0[m.index()][s.index()]).collect();
+            assert_eq!(first, want, "{m:?} first day");
+        }
+        for (fi, m) in CfMetric::final_seven().iter().enumerate() {
+            for (d, dense) in [&d0, &d1].into_iter().enumerate() {
+                let got: Vec<f64> = v.daily_final(fi, d).iter().map(|(_, x)| x).collect();
+                let want: Vec<f64> = customers
+                    .iter()
+                    .map(|s| dense[m.index()][s.index()])
+                    .collect();
+                assert_eq!(got, want, "{m:?} day {d}");
+            }
         }
         assert_eq!(v.days(), 2);
-        assert!(v.first_day().is_some());
+    }
+
+    #[test]
+    fn ranking_orders_by_score_then_site_and_drops_zeros() {
+        let sites: Vec<SiteId> = [1, 3, 4, 7, 9, 12].map(SiteId).to_vec();
+        let scores = CfScores {
+            sites: &sites,
+            scores: Cow::Owned(vec![5.0, 0.0, 2.0, 5.0, 0.0, 9.0]),
+        };
+        let ids: Vec<u32> = scores.ranked().iter().map(|s| s.0).collect();
+        assert_eq!(ids, vec![12, 1, 7, 4]); // the tie (1, 7) broken by site id
+    }
+
+    #[test]
+    fn same_day_merge_sums_rows_and_unions_sites() {
+        let w = World::generate(WorldConfig::tiny(35)).unwrap();
+        let a = DayScratch::new(&w).observe_day(&w, 0).cdn;
+        let mut twice = a.clone();
+        crate::Shard::merge(&mut twice, a.clone());
+        let dense = densify(&a.days[&0], w.sites.len());
+        let doubled = densify(&twice.days[&0], w.sites.len());
+        for m in 0..METRIC_COUNT {
+            for i in 0..w.sites.len() {
+                assert_eq!(doubled[m][i], 2.0 * dense[m][i]);
+            }
+        }
+        // A day only one side holds passes through untouched.
+        let b = DayScratch::new(&w).observe_day(&w, 1).cdn;
+        let mut both = a.clone();
+        crate::Shard::merge(&mut both, b.clone());
+        assert_eq!(both.days[&0], a.days[&0]);
+        assert_eq!(both.days[&1], b.days[&1]);
+    }
+
+    /// Encodes `shard`, lets `patch` edit the dense bytes, decodes.
+    fn decode_patched(
+        shard: &CdnShard,
+        patch: impl Fn(&mut Vec<u8>),
+    ) -> Result<CdnShard, WireError> {
+        let mut bytes = Vec::new();
+        shard.wire_encode(&mut Writer::new(&mut bytes));
+        patch(&mut bytes);
+        let mut r = Reader::new(&bytes);
+        let decoded = CdnShard::wire_decode(&mut r)?;
+        r.finish()?;
+        Ok(decoded)
+    }
+
+    #[test]
+    fn wire_form_is_dense_and_decodes_to_the_same_rows() {
+        let w = World::generate(WorldConfig::tiny(37)).unwrap();
+        let shard = DayScratch::new(&w).observe_day(&w, 0).cdn;
+        let mut bytes = Vec::new();
+        shard.wire_encode(&mut Writer::new(&mut bytes));
+        // n_days, day, n_metrics, then 21 × (n_sites, n_sites scores).
+        assert_eq!(bytes.len(), 12 + METRIC_COUNT * (4 + 8 * w.sites.len()));
+        assert_eq!(decode_patched(&shard, |_| {}).unwrap(), shard);
+    }
+
+    #[test]
+    fn wire_decode_refuses_scores_that_are_not_counts() {
+        let w = World::generate(WorldConfig::tiny(39)).unwrap();
+        let shard = DayScratch::new(&w).observe_day(&w, 0).cdn;
+        // The first score of metric 0 sits after n_days, day, n_metrics and
+        // that metric's n_sites.
+        for bad in [-1.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let got = decode_patched(&shard, |b| b[16..24].copy_from_slice(&bad.to_le_bytes()));
+            assert!(
+                matches!(got, Err(WireError::Malformed { .. })),
+                "{bad} decoded: {got:?}"
+            );
+        }
+        // A metric narrower than the first is refused too.
+        let got = decode_patched(&shard, |b| {
+            let n = u32::try_from(w.sites.len() - 1).unwrap();
+            let at = 16 + 8 * w.sites.len();
+            b[at..at + 4].copy_from_slice(&n.to_le_bytes());
+        });
+        assert!(matches!(got, Err(WireError::Malformed { .. })));
     }
 
     /// The retired map-based implementation, kept as an executable spec:
     /// the scratch-table builder must produce bit-identical metrics.
-    fn reference_observe_day(world: &World, traffic: &DayTraffic) -> CfDayMetrics {
+    fn reference_observe_day(world: &World, traffic: &DayTraffic) -> Dense {
         let n = world.sites.len();
         let mut raw: Vec<FilterCounts> = vec![FilterCounts::default(); n];
         let mut uniq_ip: BTreeMap<(u32, u32), u8> = BTreeMap::new();
@@ -742,39 +1008,27 @@ mod tests {
                 bump(tp.site.0, ip, ua, fc);
             }
         }
-        let mut scores: Vec<ScoreVec> = (0..METRIC_COUNT).map(|_| vec![0.0; n]).collect();
+        let mut scores: Dense = vec![vec![0.0; n]; METRIC_COUNT];
         for (i, fc) in raw.iter().enumerate() {
             for f in CfFilter::ALL {
-                scores[CfMetric {
-                    filter: f,
-                    agg: CfAgg::Raw,
-                }
-                .index()][i] = f64::from(fc.counts[f.index()]);
+                scores[metric(f, CfAgg::Raw)][i] = f64::from(fc.counts[f.index()]);
             }
         }
         for ((site, _ip), bits) in &uniq_ip {
             for f in CfFilter::ALL {
                 if bits & (1 << f.index()) != 0 {
-                    scores[CfMetric {
-                        filter: f,
-                        agg: CfAgg::UniqueIp,
-                    }
-                    .index()][*site as usize] += 1.0;
+                    scores[metric(f, CfAgg::UniqueIp)][*site as usize] += 1.0;
                 }
             }
         }
         for ((site, _ip, _ua), bits) in &uniq_ip_ua {
             for f in CfFilter::ALL {
                 if bits & (1 << f.index()) != 0 {
-                    scores[CfMetric {
-                        filter: f,
-                        agg: CfAgg::UniqueIpUa,
-                    }
-                    .index()][*site as usize] += 1.0;
+                    scores[metric(f, CfAgg::UniqueIpUa)][*site as usize] += 1.0;
                 }
             }
         }
-        CfDayMetrics { scores }
+        scores
     }
 
     #[test]
@@ -792,14 +1046,14 @@ mod tests {
             for tp in &t.third_party {
                 b.third_party(&w, tp);
             }
-            let got = b.finish_day(w.sites.len());
+            let got = densify(&b.finish_rows(), w.sites.len());
             let want = reference_observe_day(&w, &t);
-            for m in CfMetric::full_suite() {
+            for m in 0..METRIC_COUNT {
                 for i in 0..w.sites.len() {
                     assert_eq!(
-                        got.metric(m)[i].to_bits(),
-                        want.metric(m)[i].to_bits(),
-                        "day {d} metric {m:?} site {i}"
+                        got[m][i].to_bits(),
+                        want[m][i].to_bits(),
+                        "day {d} metric {m} site {i}"
                     );
                 }
             }
@@ -811,14 +1065,6 @@ mod tests {
         let (w, t) = world_and_day();
         let day = observe(&w, &t);
         // Find a pageload from an automation client to a CF site.
-        let m_all = CfMetric {
-            filter: CfFilter::AllRequests,
-            agg: CfAgg::Raw,
-        };
-        let m_top = CfMetric {
-            filter: CfFilter::TopBrowsers,
-            agg: CfAgg::Raw,
-        };
         let mut automation_traffic = 0.0;
         for pl in &t.page_loads {
             let c = &w.clients[pl.client.index()];
@@ -827,8 +1073,8 @@ mod tests {
             }
         }
         if automation_traffic > 0.0 {
-            let total_all: f64 = day.scores[m_all.index()].iter().sum();
-            let total_top: f64 = day.scores[m_top.index()].iter().sum();
+            let total_all: f64 = day[metric(CfFilter::AllRequests, CfAgg::Raw)].iter().sum();
+            let total_top: f64 = day[metric(CfFilter::TopBrowsers, CfAgg::Raw)].iter().sum();
             assert!(
                 total_top < total_all,
                 "top-browser filter must drop automation"

@@ -45,10 +45,10 @@ pub mod shard;
 pub mod wire;
 
 pub use chrome::{ChromeMetric, ChromeShard, ChromeVantage, TELEMETRY_PLATFORMS};
-pub use cloudflare::{CdnShard, CdnVantage, CfAgg, CfFilter, CfMetric};
+pub use cloudflare::{CdnShard, CdnVantage, CfAgg, CfDay, CfFilter, CfMetric, CfScores};
 pub use crawler::CrawlerVantage;
 pub use dns::{DnsShard, DnsVantage, QueriedName};
 pub use fused::{DayScratch, FusedObserver};
-pub use metrics::{ranked_site_ids, ranked_sites, ScoreVec};
+pub use metrics::ScoreVec;
 pub use panel::{PanelShard, PanelVantage};
 pub use shard::{DayShards, Shard};

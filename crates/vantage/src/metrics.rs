@@ -1,68 +1,4 @@
 //! Shared scoring utilities for vantage outputs.
 
-use topple_sim::SiteId;
-
 /// A score per site, indexed by dense site id. Zero means "not observed".
 pub type ScoreVec = Vec<f64>;
-
-/// Ranks sites by descending score, dropping unobserved (zero-score) sites.
-///
-/// Ties are broken by site id, which is deterministic but *arbitrary with
-/// respect to true popularity* — the same property that real list publishers'
-/// tie handling has.
-pub fn ranked_sites(scores: &ScoreVec) -> Vec<(SiteId, f64)> {
-    let mut out: Vec<(SiteId, f64)> = scores
-        .iter()
-        .enumerate()
-        .filter(|(_, &s)| s > 0.0)
-        .map(|(i, &s)| (SiteId(i as u32), s))
-        .collect();
-    out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    out
-}
-
-/// Ranks sites by descending score like [`ranked_sites`], returning only the
-/// site ids — the form the interned analysis index consumes
-/// (`topple-core::index::StudyIndex::cf_ranked_ids`). Shares [`ranked_sites`]
-/// so both forms order identically by construction.
-pub fn ranked_site_ids(scores: &ScoreVec) -> Vec<SiteId> {
-    ranked_sites(scores).into_iter().map(|(id, _)| id).collect()
-}
-
-/// Adds `src` element-wise into `dst` (used for monthly accumulation).
-pub fn add_assign(dst: &mut ScoreVec, src: &ScoreVec) {
-    debug_assert_eq!(dst.len(), src.len());
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d += s;
-    }
-}
-
-/// Divides every element by `n` (monthly mean from a sum).
-pub fn scale(dst: &mut ScoreVec, n: f64) {
-    for d in dst.iter_mut() {
-        *d /= n;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ranked_sites_orders_and_filters() {
-        let scores = vec![0.0, 5.0, 2.0, 5.0, 0.0, 9.0];
-        let ranked = ranked_sites(&scores);
-        let ids: Vec<u32> = ranked.iter().map(|(s, _)| s.0).collect();
-        assert_eq!(ids, vec![5, 1, 3, 2]); // ties (1,3) broken by id
-        assert!(ranked.iter().all(|&(_, s)| s > 0.0));
-    }
-
-    #[test]
-    fn accumulation_helpers() {
-        let mut a = vec![1.0, 2.0];
-        add_assign(&mut a, &vec![3.0, 4.0]);
-        assert_eq!(a, vec![4.0, 6.0]);
-        scale(&mut a, 2.0);
-        assert_eq!(a, vec![2.0, 3.0]);
-    }
-}

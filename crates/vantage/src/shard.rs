@@ -130,7 +130,8 @@ impl DayShards {
     }
 
     /// Checks that every id the shard names exists in `world`: sites,
-    /// hosts, clients and background names, and one CDN score per site.
+    /// hosts, clients and background names; CDN days span the world's
+    /// sites and hold rows only at sites the world's CDN serves.
     ///
     /// Decoding checks only the wire structure; a decoded shard from a
     /// different (or hostile) world can still name ids `world` lacks, which
@@ -138,8 +139,8 @@ impl DayShards {
     /// shards must check them here first.
     pub fn check_ids(&self, world: &World) -> Result<(), crate::wire::WireError> {
         let malformed = |context| Err(crate::wire::WireError::Malformed { context });
-        if !self.cdn.fits(world.sites.len()) {
-            return malformed("CDN scores do not cover the world's sites");
+        if let Some(context) = self.cdn.misfit(world) {
+            return malformed(context);
         }
         if !self.chrome.fits(world) {
             return malformed("telemetry names an origin or client outside the world");

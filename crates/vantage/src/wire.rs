@@ -116,6 +116,22 @@ impl<'a> Writer<'a> {
         self.u64(v.to_bits());
     }
 
+    /// Appends a column of `n` `f64`s that is `0.0` except at the
+    /// `(index, value)` entries given, each index below `n`: the bytes
+    /// [`Writer::f64`] would write for the dense column, without building
+    /// it.
+    pub fn sparse_f64s(&mut self, n: usize, entries: impl IntoIterator<Item = (usize, f64)>) {
+        let start = self.out.len();
+        // `0.0` is the all-zero bit pattern.
+        self.out.resize(start + 8 * n, 0);
+        for (i, x) in entries {
+            debug_assert!(i < n, "sparse entry {i} outside a column of {n}");
+            if let Some(cell) = self.out.get_mut(start + 8 * i..start + 8 * (i + 1)) {
+                cell.copy_from_slice(&x.to_bits().to_le_bytes());
+            }
+        }
+    }
+
     /// Appends a collection length as `u32`.
     pub fn len(&mut self, n: usize) {
         self.u32(topple_stats::cast::u32_from_usize(n));
@@ -214,6 +230,19 @@ impl<'a> Reader<'a> {
             .collect())
     }
 
+    /// Reads a column of `n` `f64`s, each as [`Reader::f64`] would. The
+    /// byte length is checked against the buffer before anything is read.
+    pub fn f64s(&mut self, n: usize) -> Result<impl Iterator<Item = f64> + 'a, WireError> {
+        let len = n.checked_mul(8).ok_or(WireError::Malformed {
+            context: "element count overflows the address space",
+        })?;
+        Ok(self.take(len)?.chunks_exact(8).map(|c| {
+            f64::from_bits(u64::from_le_bytes([
+                c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
+            ]))
+        }))
+    }
+
     /// Reads a `u32` collection length and pre-checks that at least
     /// `per_item` bytes per element remain — so a hostile length cannot
     /// drive a huge allocation before the buffer runs out.
@@ -284,6 +313,23 @@ mod tests {
         assert_eq!(r.f64().unwrap(), -0.125);
         assert_eq!(r.len(0).unwrap(), 3);
         assert!(r.finish().is_ok());
+    }
+
+    #[test]
+    fn sparse_column_reads_back_dense() {
+        let mut buf = Vec::new();
+        Writer::new(&mut buf).sparse_f64s(5, [(1, 2.5), (4, -0.125)]);
+        assert_eq!(buf.len(), 40);
+        let mut r = Reader::new(&buf);
+        let column: Vec<f64> = r.f64s(5).unwrap().collect();
+        assert_eq!(column, [0.0, 2.5, 0.0, 0.0, -0.125]);
+        assert!(r.finish().is_ok());
+        let mut r = Reader::new(&buf);
+        assert!(matches!(r.f64s(6), Err(WireError::Truncated { .. })));
+        assert!(matches!(
+            r.f64s(usize::MAX),
+            Err(WireError::Malformed { .. })
+        ));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 
 use topple_sim::{Resolver, World, WorldConfig};
 use topple_vantage::{
-    CdnVantage, CfAgg, CfFilter, CfMetric, ChromeVantage, CrawlerVantage, DayScratch, DnsVantage,
-    PanelVantage,
+    CdnVantage, CfAgg, CfFilter, CfMetric, CfScores, ChromeVantage, CrawlerVantage, DayScratch,
+    DnsVantage, PanelVantage,
 };
 
 fn setup() -> (World, CdnVantage, ChromeVantage, DnsVantage, PanelVantage) {
@@ -28,20 +28,28 @@ fn setup() -> (World, CdnVantage, ChromeVantage, DnsVantage, PanelVantage) {
     (w, cdn, chrome, dns, panel)
 }
 
+/// A customer column spread over all sites of `w` (zero off the CDN).
+fn dense(w: &World, scores: &CfScores<'_>) -> Vec<f64> {
+    let mut v = vec![0.0; w.sites.len()];
+    for (site, x) in scores.iter() {
+        v[site.index()] = x;
+    }
+    v
+}
+
 #[test]
 fn daily_final_accessors_are_consistent_with_monthly() {
-    let (w, cdn, ..) = setup();
+    let (_, cdn, ..) = setup();
     let metrics = CfMetric::final_seven();
     for (mi, &m) in metrics.iter().enumerate() {
-        let monthly = cdn.monthly(m);
-        for (site, &month_val) in monthly.iter().enumerate().take(w.sites.len()) {
-            let mean_daily: f64 = (0..cdn.days())
-                .map(|d| cdn.daily_final(mi, d)[site])
-                .sum::<f64>()
-                / cdn.days() as f64;
+        let daily: Vec<Vec<f64>> = (0..cdn.days())
+            .map(|d| cdn.daily_final(mi, d).iter().map(|(_, x)| x).collect())
+            .collect();
+        for (p, (site, month_val)) in cdn.monthly(m).iter().enumerate() {
+            let mean_daily: f64 = daily.iter().map(|day| day[p]).sum::<f64>() / cdn.days() as f64;
             assert!(
                 (month_val - mean_daily).abs() < 1e-9,
-                "site {site} metric {mi}: monthly {month_val} vs mean daily {mean_daily}"
+                "site {site:?} metric {mi}: monthly {month_val} vs mean daily {mean_daily}"
             );
         }
     }
@@ -55,7 +63,7 @@ fn panel_sees_subset_of_cdn_traffic_story() {
         filter: CfFilter::AllRequests,
         agg: CfAgg::Raw,
     };
-    let monthly = cdn.monthly(m);
+    let monthly = dense(&w, &cdn.monthly(m));
     for d in 0..panel.day_count() {
         for (site, _) in panel.day(d).sites() {
             if w.sites[site.index()].cloudflare {
@@ -76,7 +84,7 @@ fn chrome_origins_belong_to_visited_public_sites() {
         filter: CfFilter::AllRequests,
         agg: CfAgg::Raw,
     };
-    let monthly = cdn.monthly(m);
+    let monthly = dense(&w, &cdn.monthly(m));
     for (origin, _) in chrome.global_completed_list(1) {
         let site = &w.sites[origin.0.index()];
         assert!(site.public_web);
@@ -111,7 +119,7 @@ fn crawler_and_cdn_agree_on_popular_public_sites() {
         filter: CfFilter::AllRequests,
         agg: CfAgg::Raw,
     };
-    let monthly = cdn.monthly(m);
+    let monthly = dense(&w, &cdn.monthly(m));
     let candidates: Vec<usize> = (0..w.sites.len())
         .filter(|&i| w.sites[i].cloudflare && w.sites[i].public_web)
         .collect();

@@ -151,7 +151,7 @@ fn umbrella_rank_order_collapses_in_the_tie_band() {
     // signal there — while the head (differentiated counts) still orders.
     let s = study();
     let day = s.umbrella_daily.len() / 2;
-    let cf = IdCut::new(&s.index().cf_ranked_ids(s.cdn.daily_all_requests(day)));
+    let cf = IdCut::new(&s.index().cf_ranked_ids(&s.cdn.daily_all_requests(day)));
     // Head band: Umbrella's CF-served top slice; tail band: the slice a
     // thousand ranks deeper.
     let umb_cf = s.index().daily(ListSource::Umbrella, day).cf_ids();

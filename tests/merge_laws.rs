@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 use toppling::core::observe_day_shards;
 use toppling::sim::{DayTraffic, EventSink as _, Resolver, World, WorldConfig};
 use toppling::vantage::{
-    CdnShard, CdnVantage, CfMetric, ChromeMetric, ChromeShard, ChromeVantage, DayScratch,
+    CdnShard, CdnVantage, CfMetric, CfScores, ChromeMetric, ChromeShard, ChromeVantage, DayScratch,
     DayShards, DnsShard, DnsVantage, PanelShard, PanelVantage, Shard, TELEMETRY_PLATFORMS,
 };
 
@@ -168,11 +168,22 @@ fn shards_observe_something_on_every_day() {
 // 0..k one at a time. Vantages don't implement Eq, so each is compared via
 // an exhaustive textual fingerprint of its observable state.
 
+/// Every customer site's `(site id, score)` row of a CDN column.
+fn cdn_rows(scores: &CfScores<'_>) -> Vec<(u32, f64)> {
+    scores.iter().map(|(site, x)| (site.0, x)).collect()
+}
+
 fn fp_cdn(v: &CdnVantage) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "days={} sites={}", v.days(), v.site_count());
+    let _ = writeln!(
+        out,
+        "days={} sites={} customers={}",
+        v.days(),
+        v.site_count(),
+        v.customers().len()
+    );
     for m in CfMetric::full_suite() {
-        let _ = writeln!(out, "monthly {} {:?}", m.label(), v.monthly(m));
+        let _ = writeln!(out, "monthly {} {:?}", m.label(), cdn_rows(&v.monthly(m)));
     }
     for day in 0..v.days() {
         for (i, m) in CfMetric::final_seven().iter().enumerate() {
@@ -180,13 +191,13 @@ fn fp_cdn(v: &CdnVantage) -> String {
                 out,
                 "daily d{day} {} {:?}",
                 m.label(),
-                v.daily_final(i, day)
+                cdn_rows(&v.daily_final(i, day))
             );
         }
     }
     if let Some(first) = v.first_day() {
         for m in CfMetric::full_suite() {
-            let _ = writeln!(out, "first {} {:?}", m.label(), first.metric(m));
+            let _ = writeln!(out, "first {} {:?}", m.label(), cdn_rows(&first.metric(m)));
         }
     }
     out

@@ -58,14 +58,13 @@ fn cdn_metrics_estimate_true_popularity() {
 fn cdn_rank_correlates_with_true_weights() {
     let s = study();
     let metric = CfMetric::final_seven()[0];
-    let scores = s.cdn.monthly(metric);
     // Correlate measured score vs true weight over CF sites with traffic.
     let mut measured = Vec::new();
     let mut truth = Vec::new();
-    for site in &s.world.sites {
-        if site.cloudflare && scores[site.id.index()] > 0.0 {
-            measured.push(scores[site.id.index()]);
-            truth.push(site.weight);
+    for (site, score) in s.cdn.monthly(metric).iter() {
+        if score > 0.0 {
+            measured.push(score);
+            truth.push(s.world.sites[site.index()].weight);
         }
     }
     let rho = spearman(&measured, &truth).unwrap();
